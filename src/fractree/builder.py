@@ -6,23 +6,31 @@ collects polynomial monomials and integrals of W members.  Both grow
 monotonically, so iteration from the empty family converges whenever the
 truncation threshold admits finitely many symbols.
 
-Truncation keeps a symbol iff the kappa-free part of its homogeneity is at
-most maxh; the kappa coefficient is ignored for pruning since it only
-matters infinitesimally.  For the negative sector to be provably complete,
-maxh has to clear the factor bound returned by
-:func:`completeness_threshold`: any factor of a negative product sits at
-most (N-1) integration gaps above zero, so keeping everything up to that
-level loses nothing that a negative symbol could ever be built from.
+Truncation looks at the kappa-free part of a symbol's homogeneity; the
+kappa coefficient is ignored for pruning since it only matters
+infinitesimally.  The stored set is
 
-Homogeneity comparisons on the hot path use integers: with L the common
-denominator of the noise homogeneity and rho, every kappa-free part is an
-exact multiple of 1/L.
+* in U, every monomial and every integral I(tau) up to maxh;
+* in W, the noise and every product up to max(maxh - rho, 0).
+
+Homogeneity adds up under products and I(tau) sits rho above tau, so a
+product above max(maxh - rho, 0) is not negative and its integral would be
+cut at maxh: it could never reach the negative sector or become a factor.
+For the negative sector to be provably complete, maxh has to clear the
+factor bound returned by :func:`completeness_threshold`: any factor of a
+negative product sits at most (N-1) integration gaps above zero, so keeping
+U up to that level loses nothing that a negative symbol could ever be built
+from.
+
+A symbol's homogeneity depends only on its type (p, q, k), so it is
+computed once per type and kept with the space.  Comparisons and sorting
+use integers: with L the common denominator of the noise homogeneity and
+rho, every kappa-free part is an exact multiple of 1/L.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -83,13 +91,49 @@ class BuildConfig:
             raise ValueError("cap must be >= 1")
 
 
+class _TypeHomogeneities:
+    """Homogeneity of each symbol type (p, q, k) under one set of parameters.
+
+    A symbol's homogeneity depends on its type alone, so the exact Fraction
+    arithmetic runs once per type however many symbols share it.  Next to
+    the homogeneity each type keeps an integer sort key (units, b): units is
+    the kappa-free part times L, the common denominator of alpha0 and rho,
+    which every homogeneity of the model is an exact multiple of.  The keys
+    order homogeneities exactly as Homogeneity does, and a key below (0, 0)
+    marks a negative one.
+    """
+
+    __slots__ = ("params", "scale", "_by_type")
+
+    def __init__(self, params: Parameters):
+        self.params = params
+        self.scale = lcm(params.alpha0.a.denominator, params.rho.denominator)
+        self._by_type: dict[tuple, tuple[Homogeneity, tuple[int, int]]] = {}
+
+    def units(self, x: Fraction) -> int:
+        """Largest integer u with u / L <= x."""
+        return (x.numerator * self.scale) // x.denominator
+
+    def __call__(self, sym: Symbol) -> tuple[Homogeneity, tuple[int, int]]:
+        """(homogeneity, (units, kappa coefficient)) of ``sym``."""
+        t = (sym.p, sym.q, sym.kvec)
+        hit = self._by_type.get(t)
+        if hit is None:
+            h = homogeneity_of(sym, self.params)
+            hit = self._by_type[t] = (h, (self.units(h.a), h.b))
+        return hit
+
+
 @dataclass
 class ModelSpace:
     """All symbols kept by a build, each tagged with its first iteration.
 
-    The negative sector, counting maps, and exports all derive from
-    `generations`; homogeneities are recomputed on demand (they are cheap
-    and keeping a Fraction pair per symbol doubles memory).
+    The stored set is the build's truncation: U (monomials and integrals)
+    up to ``config.maxh``, W (noise and products) up to
+    ``max(config.maxh - rho, 0)``, since a product above that can neither be
+    negative nor integrate to a symbol under maxh.  The negative sector,
+    counting maps, and exports all derive from `generations`; homogeneities
+    are computed once per symbol type and cached with the space.
     """
 
     params: Parameters
@@ -98,6 +142,11 @@ class ModelSpace:
     aborted: bool
     generations: dict[Symbol, int]
     _neg: Optional[list] = field(default=None, repr=False, compare=False)
+    _types: Optional[_TypeHomogeneities] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._types is None:
+            self._types = _TypeHomogeneities(self.params)
 
     def __len__(self) -> int:
         return len(self.generations)
@@ -118,7 +167,7 @@ class ModelSpace:
 
     def index_set(self) -> list[Homogeneity]:
         """Sorted distinct homogeneities of all stored symbols."""
-        hs = {homogeneity_of(s, self.params) for s in self.generations}
+        hs = {self._types(s)[0] for s in self.generations}
         return sorted(hs)
 
 
@@ -159,74 +208,55 @@ def _monomials(params: Parameters, maxh: Fraction) -> list[Symbol]:
 
 
 def _product_tuples(
-    units: list[int],
-    is_new: list[bool],
-    N: int,
-    maxh_units: int,
-    threads: int,
-) -> list[tuple[int, ...]]:
-    """Index multisets (nondecreasing tuples) of 1..N pool members.
+    units: list[int], is_new: list[bool], N: int, limit: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Index multisets (nondecreasing tuples) of 1..N pool members, with their
+    total units.
 
     The pool is sorted ascending by units, so two prunes apply: once a
-    positive-unit member pushes the running total over the threshold no
-    later member can help, and a branch with no new member in reach can be
+    positive-unit member pushes the running total over ``limit`` no later
+    member can help, and a branch with no new member in reach can be
     dropped entirely (products of all-old factors were emitted in an
-    earlier iteration).  Every emitted tuple has total units <= threshold
-    and at least one new member.
+    earlier iteration).  Every emitted tuple has total units <= limit
+    (``limit`` >= 0) and at least one new member.
     """
     n_pool = len(units)
     suffix_new = [False] * (n_pool + 1)
     for j in range(n_pool - 1, -1, -1):
         suffix_new[j] = suffix_new[j + 1] or is_new[j]
 
-    def walk_from(j0: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        stack = [j0]
-        u0 = units[j0]
+    out: list[tuple[tuple[int, ...], int]] = []
+    stack: list[int] = []
 
-        def walk(start: int, slots: int, total: int, has_new: bool) -> None:
-            for j in range(start, n_pool):
-                if not has_new and not suffix_new[j]:
-                    break
-                uj = units[j]
-                t2 = total + uj
-                if uj > 0 and t2 > maxh_units:
-                    break
-                hn = has_new or is_new[j]
-                stack.append(j)
-                if hn:
-                    out.append(tuple(stack))
-                if slots > 1:
-                    walk(j, slots - 1, t2, hn)
-                stack.pop()
+    def walk(start: int, slots: int, total: int, has_new: bool) -> None:
+        for j in range(start, n_pool):
+            if not has_new and not suffix_new[j]:
+                break
+            uj = units[j]
+            t2 = total + uj
+            if uj > 0 and t2 > limit:
+                break
+            hn = has_new or is_new[j]
+            stack.append(j)
+            if hn:
+                out.append((tuple(stack), t2))
+            if slots > 1:
+                walk(j, slots - 1, t2, hn)
+            stack.pop()
 
-        if is_new[j0]:
-            out.append((j0,))
-        if N > 1:
-            walk(j0, N - 1, u0, is_new[j0])
-        return out
-
-    starts = [
-        j
-        for j in range(n_pool)
-        if suffix_new[j] and not (units[j] > 0 and units[j] > maxh_units)
-    ]
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            shards = list(ex.map(walk_from, starts))
-    else:
-        shards = [walk_from(j) for j in starts]
-    return [t for shard in shards for t in shard]
+    walk(0, N, 0, False)
+    return out
 
 
-def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> ModelSpace:
+def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     """Iterate the two-family recursion until convergence or the budget ends.
 
-    Raises SubcriticalityError for parameters outside the subcritical
-    regime and ExplosionError (with the partial space attached) when the
-    symbol count passes config.cap.  The returned space is deterministic:
-    same inputs, same symbols, same generation tags, regardless of thread
-    count.
+    Monomials and integrals are kept up to ``config.maxh``, products up to
+    ``max(config.maxh - rho, 0)``.  Raises SubcriticalityError for
+    parameters outside the subcritical regime and ExplosionError (with the
+    partial space attached) when the symbol count passes config.cap.  The
+    returned space is deterministic: same inputs, same symbols, same
+    generation tags.
     """
     ok, _case = is_locally_subcritical(params)
     if not ok:
@@ -234,25 +264,19 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
             f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
             f"alpha0={params.alpha0} satisfy no subcriticality condition"
         )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
 
+    # Integer units throughout: a product's units are the sum of its
+    # factors', an integral's are its integrand's plus rho's, so only the
+    # seeds' types need a homogeneity.
+    types = _TypeHomogeneities(params)
     maxh = config.maxh
-    scale = lcm(params.alpha0.a.denominator, params.rho.denominator)
-    maxh_units = (maxh.numerator * scale) // maxh.denominator
+    maxh_units = types.units(maxh)
+    rho_units = types.units(params.rho)
+    product_units = max(maxh_units - rho_units, 0)
 
     one_sym = one()
     xi_sym = xi()
     records: dict[Symbol, int] = {}
-    units_cache: dict[Symbol, int] = {}
-
-    def units_of(sym: Symbol) -> int:
-        u = units_cache.get(sym)
-        if u is None:
-            a = homogeneity_of(sym, params).a
-            u = (a.numerator * scale) // a.denominator
-            units_cache[sym] = u
-        return u
 
     def admit(sym: Symbol, m: int) -> None:
         if len(records) >= config.cap:
@@ -262,6 +286,7 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
                 converged=False,
                 aborted=True,
                 generations=dict(records),
+                _types=types,
             )
             raise ExplosionError(
                 f"symbol cap {config.cap} reached at iteration {m}", partial=space
@@ -270,19 +295,20 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
 
     W_set: set[Symbol] = set()
     U_set: set[Symbol] = set()
-    U_all: list[Symbol] = []
-    new_last: set[Symbol] = set()
+    pool: list[tuple[int, bytes, Symbol]] = []  # U but the unit, as (units, enc, symbol)
     converged = False
 
-    def pool_products(new_marks: set[Symbol]) -> list[Symbol]:
-        pool = sorted(
-            (s for s in U_all if s is not one_sym),
-            key=lambda s: (units_of(s), s.enc),
-        )
-        units = [units_of(s) for s in pool]
-        marks = [s in new_marks for s in pool]
-        tuples = _product_tuples(units, marks, params.N, maxh_units, threads)
-        return [product([pool[j] for j in t]) for t in tuples]
+    def pool_products(new_marks: set[Symbol]) -> list[tuple[Symbol, int]]:
+        pool.sort()
+        units = [u for u, _, _ in pool]
+        marks = [s in new_marks for _, _, s in pool]
+        tuples = _product_tuples(units, marks, params.N, product_units)
+        return [(product([pool[j][2] for j in t]), total) for t, total in tuples]
+
+    def extend_pool(new_U: list[tuple[Symbol, int]]) -> set[Symbol]:
+        """Add new U members to the pool; return them for the next round."""
+        pool.extend((u, s.enc, s) for s, u in new_U if s is not one_sym)
+        return {s for s, _ in new_U}
 
     # Seeding, tagged generation 0: the noise symbol, every monomial under the
     # threshold, and the integrated noise.  Each following round then combines
@@ -291,44 +317,38 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
     # reference sector sizes.
     W_set.add(xi_sym)
     admit(xi_sym, 0)
-    seed_U: list[Symbol] = []
-    for mono in _monomials(params, maxh):
-        U_set.add(mono)
-        admit(mono, 0)
-        seed_U.append(mono)
-    ixi = integrate(xi_sym)
-    if ixi is not None and homogeneity_of(ixi, params).a <= maxh:
-        U_set.add(ixi)
-        admit(ixi, 0)
-        seed_U.append(ixi)
-    U_all.extend(seed_U)
-    new_last = set(seed_U)
+    seed_U = [(mono, types(mono)[1][0]) for mono in _monomials(params, maxh)]
+    ixi_units = types(xi_sym)[1][0] + rho_units
+    if ixi_units <= maxh_units:
+        seed_U.append((integrate(xi_sym), ixi_units))
+    for sym, _ in seed_U:
+        U_set.add(sym)
+        admit(sym, 0)
+    new_last = extend_pool(seed_U)
 
     for m in range(1, config.iter + 1):
-        W_new: list[Symbol] = []
+        W_new: list[tuple[Symbol, int]] = []
         if new_last:
-            for sym in pool_products(new_last):
+            for sym, u in pool_products(new_last):
                 if sym not in W_set:
                     W_set.add(sym)
                     if sym not in records:
                         admit(sym, m)
-                    W_new.append(sym)
+                    W_new.append((sym, u))
 
-        U_new: list[Symbol] = []
-        for tau in W_new:
-            if tau is one_sym:
+        U_new: list[tuple[Symbol, int]] = []
+        for tau, u in W_new:
+            u += rho_units
+            if u > maxh_units:
                 continue
             itau = integrate(tau)
-            if itau is None:
-                continue
-            if homogeneity_of(itau, params).a <= maxh and itau not in U_set:
+            if itau not in U_set:
                 U_set.add(itau)
                 if itau not in records:
                     admit(itau, m)
-                U_new.append(itau)
+                U_new.append((itau, u))
 
-        U_all.extend(U_new)
-        new_last = set(U_new)
+        new_last = extend_pool(U_new)
         if not W_new and not U_new:
             converged = True
             break
@@ -337,7 +357,7 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
         if not new_last:
             converged = True
         else:
-            converged = all(sym in W_set for sym in pool_products(new_last))
+            converged = all(sym in W_set for sym, _ in pool_products(new_last))
 
     return ModelSpace(
         params=params,
@@ -345,6 +365,7 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
         converged=converged,
         aborted=False,
         generations=records,
+        _types=types,
     )
 
 
@@ -355,13 +376,13 @@ def build(params: Parameters, config: BuildConfig, *, threads: int = 1) -> Model
 def negative_sector(ms: ModelSpace) -> list[tuple[Symbol, Homogeneity]]:
     """Stored symbols with negative homogeneity, ascending, ties by encoding."""
     if ms._neg is None:
-        out = []
+        entries = []
         for s in ms.generations:
-            h = homogeneity_of(s, ms.params)
-            if h.is_negative:
-                out.append((s, h))
-        out.sort(key=lambda sh: (sh[1].a, sh[1].b, sh[0].enc))
-        ms._neg = out
+            h, key = ms._types(s)
+            if key < (0, 0):
+                entries.append((key, s.enc, s, h))
+        entries.sort(key=lambda e: e[:2])
+        ms._neg = [(s, h) for _, _, s, h in entries]
     return ms._neg
 
 
@@ -392,9 +413,9 @@ def to_json_dict(ms: ModelSpace) -> dict:
     d = ms.params.d
     entries = []
     for s in ms.generations:
-        h = homogeneity_of(s, ms.params)
-        entries.append((h.a, h.b, s.enc, s, h))
-    entries.sort(key=lambda e: e[:3])
+        h, key = ms._types(s)
+        entries.append((key, s.enc, s, h))
+    entries.sort(key=lambda e: e[:2])
     symbols = [
         {
             "symbol": render(s, d),
@@ -405,7 +426,7 @@ def to_json_dict(ms: ModelSpace) -> dict:
             "b": h.b,
             "generation": ms.generations[s],
         }
-        for _, _, _, s, h in entries
+        for _, _, s, h in entries
     ]
     return {
         "parameters": {
@@ -426,35 +447,83 @@ def to_json_dict(ms: ModelSpace) -> dict:
     }
 
 
+def _field(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]`` if present and of type ``kind``, else a ValueError naming it."""
+    name = where + key
+    if key not in doc:
+        raise ValueError(f"malformed model space: missing field {name!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"malformed model space: field {name!r} must be {kind.__name__}")
+    return value
+
+
+def _rational(doc: dict, key: str, where: str = "") -> Fraction:
+    text = _field(doc, key, str, where)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"malformed model space: field {where + key!r} is not a rational: {text!r}"
+        ) from None
+
+
 def from_json_dict(data: dict) -> ModelSpace:
-    p = data["parameters"]
+    """Inverse of :func:`to_json_dict`.
+
+    Raises ValueError naming the field when one is missing or mistyped, and
+    when a symbol record disagrees with its own type and homogeneity.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("malformed model space: expected a JSON object")
+    p = _field(data, "parameters", dict)
+    N = _field(p, "N", int, "parameters.")
+    d = _field(p, "d", int, "parameters.")
+    rho = _rational(p, "rho", "parameters.")
+    alpha0 = _field(p, "alpha0", dict, "parameters.")
     params = Parameters(
-        N=p["N"],
-        d=p["d"],
-        rho=Fraction(p["rho"]),
-        alpha0=Homogeneity(Fraction(p["alpha0"]["a"]), p["alpha0"]["b"]),
+        N=N,
+        d=d,
+        rho=rho,
+        alpha0=Homogeneity(
+            _rational(alpha0, "a", "parameters.alpha0."),
+            _field(alpha0, "b", int, "parameters.alpha0."),
+        ),
     )
-    c = data["config"]
-    config = BuildConfig(maxh=Fraction(c["maxh"]), iter=c["iter"], cap=c["cap"])
-    generations: dict[Symbol, int] = {}
-    for rec in data["symbols"]:
-        sym = parse_symbol(rec["symbol"])
-        h = homogeneity_of(sym, params)
-        stored = (rec["p"], rec["q"], tuple(rec["k"][: params.d + 1]))
-        actual = (sym.p, sym.q, tuple(_dense(sym.kvec, params.d)))
-        if stored != actual or _fstr(h.a) != rec["a"] or h.b != rec["b"]:
-            raise ValueError(f"inconsistent symbol record: {rec['symbol']!r}")
-        if sym in generations:
-            raise ValueError(f"duplicate symbol record: {rec['symbol']!r}")
-        generations[sym] = rec["generation"]
+    c = _field(data, "config", dict)
+    config = BuildConfig(
+        maxh=_rational(c, "maxh", "config."),
+        iter=_field(c, "iter", int, "config."),
+        cap=_field(c, "cap", int, "config."),
+    )
     ms = ModelSpace(
         params=params,
         config=config,
-        converged=data["converged"],
-        aborted=data["aborted"],
-        generations=generations,
+        converged=_field(data, "converged", bool),
+        aborted=_field(data, "aborted", bool),
+        generations={},
     )
-    if ms.complete != data["complete"]:
+    complete = _field(data, "complete", bool)
+    for i, rec in enumerate(_field(data, "symbols", list)):
+        where = f"symbols[{i}]."
+        if not isinstance(rec, dict):
+            raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
+        text = _field(rec, "symbol", str, where)
+        sym = parse_symbol(text)
+        h, _ = ms._types(sym)
+        stored = (
+            _field(rec, "p", int, where),
+            _field(rec, "q", int, where),
+            tuple(_field(rec, "k", list, where)),
+        )
+        actual = (sym.p, sym.q, _dense(sym.kvec, params.d))
+        a, b = _field(rec, "a", str, where), _field(rec, "b", int, where)
+        if stored != actual or _fstr(h.a) != a or h.b != b:
+            raise ValueError(f"inconsistent symbol record: {text!r}")
+        if sym in ms.generations:
+            raise ValueError(f"duplicate symbol record: {text!r}")
+        ms.generations[sym] = _field(rec, "generation", int, where)
+    if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")
     return ms
 

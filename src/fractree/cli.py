@@ -3,8 +3,9 @@
 Subcommands: check, build, list, stats, scan, fit, export.  All numeric
 inputs are exact: a rho of "0.9" means nine tenths, never the nearest
 float.  Defaults can be overridden through FRACTREE_* environment
-variables (FRACTREE_MAXH, FRACTREE_ITER, FRACTREE_CAP, FRACTREE_THREADS,
-FRACTREE_OUT, FRACTREE_FORMAT), with command-line flags taking precedence.
+variables (FRACTREE_N, FRACTREE_D, FRACTREE_RHO, FRACTREE_NOISE,
+FRACTREE_MAXH, FRACTREE_ITER, FRACTREE_CAP, FRACTREE_OUT, FRACTREE_FORMAT),
+with command-line flags taking precedence.
 
 Every command writes deterministic output: rerunning with identical
 inputs produces byte-identical JSON, CSV and DOT files.
@@ -112,13 +113,19 @@ def _add_build_opts(p: argparse.ArgumentParser) -> None:
                    help="maximum product rounds (default 64; stops early on convergence)")
     p.add_argument("--cap", type=int, default=_env_default("CAP"),
                    help="abort once this many symbols exist (partial results, exit 3)")
-    p.add_argument("--threads", type=int, default=_env_default("THREADS", "1"),
-                   help="worker threads for product generation")
+
+
+def _require(args: argparse.Namespace, *names: str) -> None:
+    """Exit with status 2, naming each flag, if any of ``names`` is unset."""
+    missing = [name for name in names if getattr(args, name) is None]
+    for name in missing:
+        print(f"error: missing --{name} (or set {_ENV}{name.upper()})", file=sys.stderr)
+    if missing:
+        raise SystemExit(2)
 
 
 def _params_from(args: argparse.Namespace) -> Parameters:
-    if args.N is None or args.d is None or args.rho is None:
-        raise SystemExit(2)
+    _require(args, "N", "d", "rho")
     N, d = int(args.N), int(args.d)
     rho = args.rho if isinstance(args.rho, Fraction) else _rho_type(str(args.rho))
     if args.noise == "white":
@@ -145,7 +152,7 @@ def _build_space(args: argparse.Namespace) -> tuple[ModelSpace, int]:
     params = _params_from(args)
     config = _config_from(args, params)
     try:
-        return build(params, config, threads=int(args.threads)), 0
+        return build(params, config), 0
     except ExplosionError as exc:
         print(f"warning: {exc}; writing partial results", file=sys.stderr)
         return exc.partial, 3
@@ -295,10 +302,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.N is None or args.d is None or args.rho is None:
-        raise SystemExit(2)
+    _require(args, "N", "d", "rho")
     rhos = args.rho if isinstance(args.rho, tuple) else _rho_list_type(str(args.rho))
     if not rhos:
+        print("error: --rho lists no values", file=sys.stderr)
         raise SystemExit(2)
     worst = 0
     buf = io.StringIO()
@@ -315,8 +322,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.N is None or args.d is None:
-        raise SystemExit(2)
+    _require(args, "N", "d")
     with open(args.scan_csv, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)

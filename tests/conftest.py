@@ -16,19 +16,19 @@ from fractree import BuildConfig, Parameters, build, completeness_threshold
 def spaces():
     cache = {}
 
-    def get(N, d, rho, maxh=None, iters=64, cap=None, threads=1):
+    def get(N, d, rho, maxh=None, iters=64, cap=None):
         rho = Fraction(rho)
         params = Parameters.white_noise(N, d, rho)
         if maxh is None:
             maxh = completeness_threshold(params)
         else:
             maxh = Fraction(maxh)
-        key = (N, d, rho, maxh, iters, cap, threads)
+        key = (N, d, rho, maxh, iters, cap)
         if key not in cache:
             kwargs = {"maxh": maxh, "iter": iters}
             if cap is not None:
                 kwargs["cap"] = cap
-            cache[key] = build(params, BuildConfig(**kwargs), threads=threads)
+            cache[key] = build(params, BuildConfig(**kwargs))
         return cache[key]
 
     return get

@@ -1,6 +1,9 @@
 """Fixed-point construction: exact small sectors, frozen counts, persistence."""
 
+import hashlib
 import json
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +22,7 @@ from fractree.builder import (
     to_json_dict,
 )
 from fractree.params import Homogeneity, Parameters, SubcriticalityError
-from fractree.symbols import parse_symbol
+from fractree.symbols import parse_symbol, render
 from fractree.trees import ExplosionError, count_regular
 
 
@@ -77,20 +80,21 @@ class TestSmallestSector:
 
 
 GRID_COUNTS = {
-    # (N, d, rho): (h0_F, h_F, c_F, total stored)
-    (2, 2, F(1)): (6, 6, 8, 13),
-    (2, 2, F(9, 10)): (7, 7, 11, 21),
-    (2, 2, F(17, 20)): (9, 9, 21, 49),
-    (2, 2, F(4, 5)): (12, 12, 64, 226),
-    (2, 2, F(3, 4)): (18, 18, 932, 10273),
-    (3, 3, F(21, 11)): (7, 8, 12, 33),
-    (3, 3, F(19, 10)): (7, 8, 12, 33),
-    (3, 3, F(9, 5)): (10, 11, 24, 96),
-    (3, 3, F(17, 10)): (12, 13, 44, 331),
-    (2, 3, F(3, 2)): (6, 6, 8, 13),
-    (2, 3, F(13, 10)): (7, 7, 11, 23),
+    # (N, d, rho): (h0_F, h_F, c_F, total stored); products are stored up
+    # to max(maxh - rho, 0), monomials and integrals up to maxh.
+    (2, 2, F(1)): (6, 6, 8, 11),
+    (2, 2, F(9, 10)): (7, 7, 11, 16),
+    (2, 2, F(17, 20)): (9, 9, 21, 30),
+    (2, 2, F(4, 5)): (12, 12, 64, 92),
+    (2, 2, F(3, 4)): (18, 18, 932, 1354),
+    (3, 3, F(21, 11)): (7, 8, 12, 19),
+    (3, 3, F(19, 10)): (7, 8, 12, 19),
+    (3, 3, F(9, 5)): (10, 11, 24, 35),
+    (3, 3, F(17, 10)): (12, 13, 44, 64),
+    (2, 3, F(3, 2)): (6, 6, 8, 11),
+    (2, 3, F(13, 10)): (7, 7, 11, 16),
     (3, 2, F(3, 2)): (4, 4, 4, 5),
-    (3, 2, F(13, 10)): (6, 6, 7, 14),
+    (3, 2, F(13, 10)): (6, 6, 7, 10),
 }
 
 
@@ -118,16 +122,14 @@ class TestFrozenGrid:
 class TestIterationLadder:
     """Product rounds after the seeded generation 0, at (3, 3, 17/10), maxh 2."""
 
-    @pytest.mark.parametrize(
-        "iters,cf", [(1, 8), (2, 18), (3, 35), (4, 43), (5, 44), (6, 44)]
-    )
+    @pytest.mark.parametrize("iters,cf", [(1, 8), (2, 18), (3, 35), (4, 43), (5, 44)])
     def test_partial_rounds(self, spaces, iters, cf):
         ms = spaces(3, 3, F(17, 10), maxh=F(2), iters=iters)
         assert c_F(ms) == cf
         assert not ms.converged and not ms.complete
 
     def test_convergence_round(self, spaces):
-        ms = spaces(3, 3, F(17, 10), maxh=F(2), iters=7)
+        ms = spaces(3, 3, F(17, 10), maxh=F(2), iters=6)
         assert c_F(ms) == 44
         assert ms.converged and ms.complete
 
@@ -157,6 +159,48 @@ class TestSliceStructure:
         assert parse_symbol("I(X^(1,0,0))") in ms.generations
 
 
+def _sector_lines(ms) -> str:
+    """The negative sector as "symbol<TAB>homogeneity<TAB>generation" lines."""
+    d = ms.params.d
+    return "\n".join(
+        f"{render(s, d)}\t{h}\t{ms.generations[s]}" for s, h in negative_sector(ms)
+    )
+
+
+class TestPrunedWalk:
+    """Products are stored up to max(maxh - rho, 0) only; the sector must not notice."""
+
+    def test_sector_digest_unchanged(self, spaces):
+        """Digest of the (2, 2, 3/4) sector as built when products were kept up to maxh."""
+        text = _sector_lines(spaces(2, 2, F(3, 4)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0239125b5c35dd07e0d35add285a564c8c731112cca88f5b4a0403d59da3e7c2"
+        )
+
+    def test_deep_point_73_100(self, spaces):
+        ms = spaces(2, 2, F(73, 100))
+        assert ms.complete
+        assert (c_F(ms), h_F(ms)) == (9050, 22)
+
+    def test_deep_point_18_25(self):
+        params = Parameters.white_noise(2, 2, F(18, 25))
+        ms = build(params, BuildConfig(maxh=completeness_threshold(params), iter=64))
+        assert ms.complete
+        slices = Counter(s.q for s, _ in negative_sector(ms))
+        for q in range(0, max(slices) + 1, 2):
+            assert slices[q] == count_regular(2, q + 1)
+        assert (c_F(ms), h_F(ms)) == (101427, 27)
+
+    @pytest.mark.parametrize(
+        "point", [(2, 2, F(4, 5)), (3, 3, F(17, 10)), (2, 3, F(13, 10)), (3, 2, F(13, 10))]
+    )
+    def test_sector_stable_above_threshold(self, spaces, point):
+        at = spaces(*point)
+        above = spaces(*point, maxh=completeness_threshold(at.params) + 1)
+        assert at.complete and above.complete
+        assert _sector_lines(above) == _sector_lines(at)
+
+
 class TestExplosion:
     def test_cap_attaches_partial(self):
         params = Parameters.white_noise(2, 2, F(3, 4))
@@ -169,13 +213,6 @@ class TestExplosion:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_output(self, spaces):
-        a = spaces(2, 2, F(4, 5))
-        b = spaces(2, 2, F(4, 5), threads=4)
-        assert a.generations == b.generations
-        assert a.converged == b.converged
-        assert to_json_dict(a) == to_json_dict(b)
-
     def test_rebuild_identical(self):
         params = Parameters.white_noise(3, 3, F(9, 5))
         cfg = BuildConfig(maxh=completeness_threshold(params), iter=64)
@@ -231,3 +268,68 @@ class TestPersistence:
         bad["symbols"][0]["p"] = 9
         with pytest.raises(ValueError):
             from_json_dict(bad)
+
+
+def _drop(doc: dict, path: tuple) -> dict:
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return doc
+
+
+REQUIRED_FIELDS = {
+    "parameters": ("parameters",),
+    "parameters.N": ("parameters", "N"),
+    "parameters.d": ("parameters", "d"),
+    "parameters.rho": ("parameters", "rho"),
+    "parameters.alpha0": ("parameters", "alpha0"),
+    "parameters.alpha0.a": ("parameters", "alpha0", "a"),
+    "parameters.alpha0.b": ("parameters", "alpha0", "b"),
+    "config": ("config",),
+    "config.maxh": ("config", "maxh"),
+    "config.iter": ("config", "iter"),
+    "config.cap": ("config", "cap"),
+    "converged": ("converged",),
+    "complete": ("complete",),
+    "aborted": ("aborted",),
+    "symbols": ("symbols",),
+    **{
+        f"symbols[2].{key}": ("symbols", 2, key)
+        for key in ("symbol", "p", "q", "k", "a", "b", "generation")
+    },
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("name", sorted(REQUIRED_FIELDS))
+    def test_missing_field(self, spaces, name):
+        bad = _drop(to_json_dict(spaces(2, 2, F(1))), REQUIRED_FIELDS[name])
+        with pytest.raises(ValueError, match=re.escape(f"missing field {name!r}")):
+            from_json_dict(bad)
+
+    @pytest.mark.parametrize(
+        "path,value,name",
+        [
+            (("parameters", "N"), "2", "parameters.N"),
+            (("parameters", "d"), True, "parameters.d"),
+            (("parameters", "rho"), "1/0", "parameters.rho"),
+            (("config", "maxh"), 1, "config.maxh"),
+            (("complete",), 1, "complete"),
+            (("symbols",), {}, "symbols"),
+            (("symbols", 0), "Xi", "symbols[0]"),
+            (("symbols", 1, "generation"), "0", "symbols[1].generation"),
+        ],
+    )
+    def test_mistyped_field(self, spaces, path, value, name):
+        bad = to_json_dict(spaces(2, 2, F(1)))
+        parent = bad
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            from_json_dict(bad)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError):
+            from_json_dict([])

@@ -58,10 +58,21 @@ class TestCheck:
         code, _, err = run(capsys, ["check", "2", "2"])
         assert code == 2 and "positional form" in err
 
-    def test_missing_parameters_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--N", "2", "--d", "2"])
-        assert exc.value.code == 2
+    def test_missing_parameters_exit_2(self, capsys, monkeypatch):
+        for var in ("FRACTREE_N", "FRACTREE_D", "FRACTREE_RHO"):
+            monkeypatch.delenv(var, raising=False)
+        cases = [
+            (["check", "--N", "2", "--d", "2"], ["rho"]),
+            (["list", "--d", "2", "--rho", "1"], ["N"]),
+            (["scan", "--N", "2"], ["d", "rho"]),
+        ]
+        for argv, missing in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: missing --{name} (or set FRACTREE_{name.upper()})" for name in missing
+            ]
 
 
 class TestBuild:
@@ -88,8 +99,8 @@ class TestBuild:
             capsys, ["build", "--N", "2", "--d", "2", "--rho", "0.75", "--cap", "500"]
         )
         assert code == 3
-        assert "warning: symbol cap 500 reached at iteration 5" in err
-        assert "negative sector: c_F >= 230, h_F >= 18, h0_F >= 18 (lower bounds, not certified)" in err
+        assert "warning: symbol cap 500 reached at iteration 6" in err
+        assert "negative sector: c_F >= 321, h_F >= 18, h0_F >= 18 (lower bounds, not certified)" in err
         doc = json.loads(out)
         assert doc["aborted"] is True and doc["complete"] is False
         assert len(doc["symbols"]) == 500
