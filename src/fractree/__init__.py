@@ -11,6 +11,7 @@ symbolically.
 """
 
 from .params import (
+    ExplosionError,
     Homogeneity,
     Parameters,
     Rational,
@@ -43,7 +44,6 @@ from .symbols import (
     xi,
 )
 from .trees import (
-    ExplosionError,
     PruneReport,
     count_bounded,
     count_bounded_by_leaves,

@@ -37,6 +37,7 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .params import (
+    ExplosionError,
     Homogeneity,
     Parameters,
     SubcriticalityError,
@@ -55,7 +56,6 @@ from .symbols import (
     render,
     xi,
 )
-from .trees import ExplosionError
 
 __all__ = [
     "BuildConfig",

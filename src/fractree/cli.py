@@ -36,8 +36,8 @@ from .builder import (
     save_json,
     to_json_dict,
 )
-from .counting import lattice_bounds
 from .params import (
+    ExplosionError,
     Homogeneity,
     Parameters,
     SubcriticalityError,
@@ -47,7 +47,6 @@ from .params import (
 )
 from .stats import report_json_dict, scaling_fit, stat_report, write_histogram_csv
 from .symbols import render, to_dot
-from .trees import ExplosionError
 
 __all__ = ["main"]
 

@@ -27,6 +27,7 @@ __all__ = [
     "Homogeneity",
     "Parameters",
     "SubcriticalityError",
+    "ExplosionError",
     "rho_c",
     "alpha0_white_noise",
     "scaled_degree",
@@ -122,6 +123,17 @@ class Homogeneity:
 
 class SubcriticalityError(ValueError):
     """Raised when a construction requires local subcriticality and lacks it."""
+
+
+class ExplosionError(RuntimeError):
+    """Raised when an enumeration or construction exceeds its size cap.
+
+    ``partial`` may carry whatever incomplete result the caller attached.
+    """
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 def rho_c(N: int, d: int) -> Fraction:

@@ -8,25 +8,30 @@ distributions from a built model space, together with four averaged graph
 measures and least-squares fits of the divergence laws near the
 subcriticality boundary.
 
-Counts and histogram masses are exact (integers and fractions); only the
-PageRank scores and the fitted coefficients are floating point.
+Every measure is a fold over per-tree records, one breadth-first walk per
+element.  Counts and histogram masses are exact (integers and fractions);
+only the PageRank mean (the float of an exact fraction), the gap-scaled
+moments and the fitted coefficients are floating point.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 import numpy as np
 
 from .builder import ModelSpace, negative_sector
-from .counting import LAMBDA2, beta_N, lattice_bounds
-from .params import Homogeneity, RationalLike, _frac, rho_c, scaled_degree
-from .symbols import Symbol, bare_tree, diameter, height, iter_vertices
+from .counting import LAMBDA2, beta_N
+from .params import (
+    Homogeneity, Parameters, RationalLike, SubcriticalityError, _frac, rho_c, scaled_degree,
+)
+# not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
+from .symbols import INT, Symbol, bare_tree  # noqa: F401
 
 __all__ = [
     "TreeRecord",
@@ -57,10 +62,15 @@ __all__ = [
 class TreeRecord:
     """Everything the aggregators need to know about one sector element.
 
-    Height, diameter and the degree counts refer to the bare tree (noise
-    edges stripped); ``degrees[j]`` counts bare vertices of undirected
-    degree j, for j = 0 .. N+1.  ``poly_degree`` is the scaled degree of
-    the polynomial decoration, zero unless the element carries one.
+    Height, diameter, ``degrees``, ``betweenness`` and ``periphery`` refer
+    to the bare tree (noise edges stripped), which has ``vertices`` = q + 1
+    vertices.  ``degrees[j]`` counts bare vertices of undirected degree j
+    and ``decorated_degrees[j]`` vertices of the decorated tree, for
+    j = 0 .. N+1.  ``betweenness`` sums, over the bare vertices, the vertex
+    pairs whose unique path passes through the vertex, endpoints excluded;
+    ``periphery`` counts the bare vertices at maximal depth.
+    ``poly_degree`` is the scaled degree of the polynomial decoration, zero
+    unless the element carries one.
     """
 
     symbol: Symbol
@@ -71,46 +81,98 @@ class TreeRecord:
     height: int
     diameter: int
     degrees: tuple[int, ...]
+    decorated_degrees: tuple[int, ...]
+    betweenness: int
+    periphery: int
+
+    @property
+    def vertices(self) -> int:
+        return self.q + 1
 
 
-def _degree_counts(t: Symbol, N: int) -> tuple[int, ...]:
-    """Vertex counts by undirected degree, index 0 .. N+1."""
-    counts = [0] * (N + 2)
-    for _, parent, _, node in iter_vertices(t):
-        deg = len(node.children) + (1 if parent >= 0 else 0)
+def _walk(sym: Symbol, N: int) -> tuple[int, int, tuple, tuple, int, int]:
+    """The walked fields of a TreeRecord, from one breadth-first walk.
+
+    The walk follows INT edges only, so it visits exactly the bare tree;
+    each noise edge adds one to its vertex's decorated degree, and its leaf
+    is a decorated vertex of degree 1.
+    """
+    nodes, parent, depth = [sym], [-1], [0]
+    bare, decorated = [0] * (N + 2), [0] * (N + 2)
+    decorated[1] = sym.p  # the noise leaves
+    for i, node in enumerate(nodes):  # nodes grows while read: a breadth-first queue
+        up = 1 if i else 0
+        before = len(nodes)
+        for tag, child in node.children:
+            if tag == INT:
+                nodes.append(child)
+                parent.append(i)
+                depth.append(depth[i] + 1)
+        deg = len(node.children) + up
         if deg > N + 1:
             raise ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
-        counts[deg] += 1
-    return tuple(counts)
+        bare[len(nodes) - before + up] += 1
+        decorated[deg] += 1
+
+    # Children follow their parents, so a reverse pass finishes each subtree
+    # (size, height, sum of squared child sizes) before its parent reads it.
+    # Deleting v leaves its child subtrees and, unless v is the root, the
+    # n - size[v] vertices above it; the pairs it splits apart pass through v.
+    n = len(nodes)
+    size, below, squares = [1] * n, [0] * n, [0] * n
+    diam, pairs, s2 = 0, 0, (n - 1) ** 2
+    for v in range(n - 1, 0, -1):
+        u = parent[v]
+        pairs += s2 - squares[v] - (n - size[v]) ** 2
+        diam = max(diam, below[u] + below[v] + 1)
+        below[u] = max(below[u], below[v] + 1)
+        size[u] += size[v]
+        squares[u] += size[v] ** 2
+    pairs += s2 - squares[0]
+    top = below[0]
+    return top, diam, tuple(bare), tuple(decorated), pairs // 2, depth.count(top)
 
 
 def tree_records(ms: ModelSpace) -> tuple[TreeRecord, ...]:
     """One record per negative-sector element, in canonical sector order."""
-    N = ms.params.N
-    rho = ms.params.rho
-    out = []
-    for sym, hom in negative_sector(ms):
-        b = bare_tree(sym)
-        out.append(
-            TreeRecord(
-                symbol=sym,
-                p=sym.p,
-                q=sym.q,
-                poly_degree=scaled_degree(sym.kvec, rho),
-                homogeneity=hom,
-                height=height(b),
-                diameter=diameter(b),
-                degrees=_degree_counts(b, N),
-            )
-        )
-    return tuple(out)
+    N, rho = ms.params.N, ms.params.rho
+    return tuple(
+        TreeRecord(sym, sym.p, sym.q, scaled_degree(sym.kvec, rho), hom, *_walk(sym, N))
+        for sym, hom in negative_sector(ms)
+    )
 
 
-def _require_sector(ms: ModelSpace) -> int:
-    n = len(negative_sector(ms))
-    if n == 0:
+Records = Optional[tuple[TreeRecord, ...]]
+
+
+def _records(ms: ModelSpace, records: Records) -> tuple[TreeRecord, ...]:
+    recs = tree_records(ms) if records is None else records
+    if not recs:
         raise ValueError("negative sector is empty; nothing to aggregate")
-    return n
+    return recs
+
+
+def _mean_of_ratios(pairs: Iterable[tuple[int, int]], total: int) -> Fraction:
+    """Exact sum of num/den over ``pairs`` divided by ``total``; one Fraction per den."""
+    sums: defaultdict[int, int] = defaultdict(int)
+    for num, den in pairs:
+        sums[den] += num
+    return sum((Fraction(s, den) for den, s in sums.items()), Fraction(0)) / total
+
+
+def _q_star_and_gap(params: Parameters) -> tuple[Fraction, Fraction]:
+    """Lattice bound q* and boundary gap under the noise regularity alpha0.
+
+    With a = -alpha0 at kappa = 0, the line p*alpha0 + q*rho = 0 leaves the
+    cone p <= 1 + (N-1)q/N at q* = N a / (N rho - (N-1) a); the gap is
+    2 (N rho - (N-1) a) / (N+1).  For white noise, a = (rho + d)/2, these
+    are ``lattice_bounds(N, d, rho).q_star`` and rho - rho_c.
+    """
+    N, rho, a = params.N, params.rho, -params.alpha0.a
+    slack = N * rho - (N - 1) * a
+    if slack <= 0:
+        raise SubcriticalityError(f"N*rho - (N-1)*a = {slack} is not positive for a = {a}")
+    return N * a / slack, 2 * slack / (N + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +200,12 @@ class SizeDistribution:
     certified: bool
 
 
-def size_distribution(ms: ModelSpace) -> SizeDistribution:
-    total = _require_sector(ms)
+def size_distribution(ms: ModelSpace, *, records: Records = None) -> SizeDistribution:
+    recs = _records(ms, records)
+    total = len(recs)
     N = ms.params.N
-    q_star = lattice_bounds(ms.params.N, ms.params.d, ms.params.rho).q_star
-    hist: Counter[int] = Counter(sym.q for sym, _ in negative_sector(ms))
-    counts = tuple(sorted(hist.items()))
+    q_star, _ = _q_star_and_gap(ms.params)
+    counts = tuple(sorted(Counter(r.q for r in recs).items()))
     pmf = tuple((q, Fraction(c, total)) for q, c in counts)
     off = sum((f for q, f in pmf if q % N != 0), Fraction(0))
     mean = sum((Fraction(q) / q_star * f for q, f in pmf), Fraction(0))
@@ -164,7 +226,7 @@ def size_distribution(ms: ModelSpace) -> SizeDistribution:
 
 
 def homogeneity_histogram(
-    ms: ModelSpace, drop_kappa: bool = True
+    ms: ModelSpace, drop_kappa: bool = True, *, records: Records = None
 ) -> tuple[tuple, ...]:
     """Occupation counts of the homogeneity values, bins sorted ascending.
 
@@ -173,9 +235,8 @@ def homogeneity_histogram(
     (rational, correction-multiplier) pair gets its own bin, so the number
     of bins is exactly the count of distinct homogeneities in the sector.
     """
-    hist: Counter = Counter()
-    for _, hom in negative_sector(ms):
-        hist[hom.a if drop_kappa else (hom.a, hom.b)] += 1
+    homs = (r.homogeneity for r in _records(ms, records))
+    hist = Counter(h.a if drop_kappa else (h.a, h.b) for h in homs)
     return tuple(sorted(hist.items()))
 
 
@@ -199,25 +260,22 @@ class DegreeDistribution:
     per_tree_mean: tuple[Fraction, ...]
 
 
-def degree_distribution(ms: ModelSpace, bare: bool = False) -> DegreeDistribution:
-    total = _require_sector(ms)
-    N = ms.params.N
-    pooled = [0] * (N + 2)
+def degree_distribution(
+    ms: ModelSpace, bare: bool = False, *, records: Records = None
+) -> DegreeDistribution:
+    recs = _records(ms, records)
+    counts = [r.degrees if bare else r.decorated_degrees for r in recs]
+    pooled = [sum(col) for col in zip(*counts)]
     pooled[0] += 1  # the unit
-    acc = [Fraction(0)] * (N + 2)
-    for sym, _ in negative_sector(ms):
-        t = bare_tree(sym) if bare else sym
-        cnt = _degree_counts(t, N)
-        n = sum(cnt)
-        for j in range(N + 2):
-            pooled[j] += cnt[j]
-            acc[j] += Fraction(cnt[j], n)
     vertices = sum(pooled)
     return DegreeDistribution(
         bare=bare,
         pooled_counts=tuple(pooled),
         pooled=tuple(Fraction(c, vertices) for c in pooled),
-        per_tree_mean=tuple(a / total for a in acc),
+        per_tree_mean=tuple(
+            _mean_of_ratios(((cnt[j], sum(cnt)) for cnt in counts), len(recs))
+            for j in range(len(pooled))
+        ),
     )
 
 
@@ -229,11 +287,11 @@ def degree_distribution(ms: ModelSpace, bare: bool = False) -> DegreeDistributio
 class HeightDiameter:
     """Bare-tree heights and diameters with boundary-scaled moments.
 
-    The scaled first moments multiply the means by sqrt(rho - rho_c); as
-    rho approaches the boundary they are expected to level off near the
-    reference constants 4 sqrt(pi d) / (3 lambda2) for the height and
-    16 sqrt(pi d) / (9 lambda2) for the diameter.  The scaled second
-    moments multiply by the gap itself.
+    The scaled first moments multiply the means by the square root of the
+    gap (rho - rho_c for white noise); as rho approaches the boundary they
+    are expected to level off near the reference constants
+    4 sqrt(pi d) / (3 lambda2) for the height and 16 sqrt(pi d) / (9 lambda2)
+    for the diameter.  The scaled second moments multiply by the gap itself.
     """
 
     heights: tuple[int, ...]
@@ -248,14 +306,14 @@ class HeightDiameter:
     diameter_reference: float
 
 
-def height_diameter(ms: ModelSpace) -> HeightDiameter:
-    total = _require_sector(ms)
-    records = tree_records(ms)
-    hs = tuple(r.height for r in records)
-    ds = tuple(r.diameter for r in records)
+def height_diameter(ms: ModelSpace, *, records: Records = None) -> HeightDiameter:
+    recs = _records(ms, records)
+    total = len(recs)
+    hs = tuple(r.height for r in recs)
+    ds = tuple(r.diameter for r in recs)
     mh = Fraction(sum(hs), total)
     md = Fraction(sum(ds), total)
-    gap = float(ms.params.rho_gap)
+    gap = float(_q_star_and_gap(ms.params)[1])
     root = math.sqrt(gap)
     ddim = ms.params.d
     return HeightDiameter(
@@ -281,14 +339,16 @@ class GraphMeasures:
     """Four measures averaged over the bare trees of the sector.
 
     density: mean of m / (n (n - 1)) with one directed edge per tree edge,
-    zero for a single vertex.  betweenness: mean over trees of the average
-    vertex betweenness (count of vertex pairs whose unique path passes
-    through the vertex, endpoints excluded).  pagerank: mean over trees of
-    the mean vertex PageRank, computed by power iteration on the
-    undirected tree; since scores sum to one per tree this equals the mean
-    of 1/n up to the iteration tolerance.  periphery: mean over trees of
-    the number of vertices at maximal depth, where depth is measured along
-    root-to-leaf orientation.
+    which is 1/n on a tree with n >= 2 vertices and zero for a single
+    vertex.  betweenness: mean over trees of the average vertex betweenness
+    (count of vertex pairs whose unique path passes through the vertex,
+    endpoints excluded).  pagerank: mean over trees of the mean vertex
+    PageRank on the undirected tree.  The scores of a tree with n >= 2
+    vertices sum to one, so its mean is exactly 1/n, and a single vertex
+    scores 1; hence pagerank = density + P(n = 1), stored as the float of
+    that exact fraction.  periphery: mean over trees of the number of
+    vertices at maximal depth, where depth is measured along root-to-leaf
+    orientation.
     """
 
     density: Fraction
@@ -297,84 +357,16 @@ class GraphMeasures:
     periphery: Fraction
 
 
-def _pagerank_mean(
-    neighbors: Sequence[Sequence[int]], damping: float = 0.85, tol: float = 1e-10
-) -> float:
-    n = len(neighbors)
-    if n == 1:
-        return 1.0
-    deg = [len(nb) for nb in neighbors]
-    pr = [1.0 / n] * n
-    base = (1.0 - damping) / n
-    while True:
-        new = [base] * n
-        for v in range(n):
-            share = damping * pr[v] / deg[v]
-            for u in neighbors[v]:
-                new[u] += share
-        err = sum(abs(a - b) for a, b in zip(new, pr))
-        pr = new
-        if err < tol:
-            return sum(pr) / n
-
-
-def _tree_measures(b: Symbol) -> tuple[Fraction, Fraction, float, int]:
-    verts = list(iter_vertices(b))
-    n = len(verts)
-    if n == 1:
-        return Fraction(0), Fraction(0), 1.0, 1
-
-    parent = [pv for _, pv, _, _ in verts]
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        kids[parent[i]].append(i)
-
-    # subtree sizes, children come after parents in breadth-first order
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-
-    # betweenness of v: pairs of components created by deleting v
-    btotal = 0
-    for v in range(n):
-        comps = [size[c] for c in kids[v]]
-        if v != 0:
-            comps.append(n - size[v])
-        s = n - 1
-        btotal += (s * s - sum(c * c for c in comps)) // 2
-
-    depth = [0] * n
-    for i in range(1, n):
-        depth[i] = depth[parent[i]] + 1
-    hmax = max(depth)
-
-    neighbors = [kids[v] + ([parent[v]] if v else []) for v in range(n)]
-
-    return (
-        Fraction(n - 1, n * (n - 1)),
-        Fraction(btotal, n),
-        _pagerank_mean(neighbors),
-        sum(1 for x in depth if x == hmax),
-    )
-
-
-def graph_measures(ms: ModelSpace) -> GraphMeasures:
-    total = _require_sector(ms)
-    dens = Fraction(0)
-    betw = Fraction(0)
-    prs = 0.0
-    peri = 0
-    for sym, _ in negative_sector(ms):
-        td, tb, tp, tc = _tree_measures(bare_tree(sym))
-        dens += td
-        betw += tb
-        prs += tp
-        peri += tc
+def graph_measures(ms: ModelSpace, *, records: Records = None) -> GraphMeasures:
+    recs = _records(ms, records)
+    total = len(recs)
+    density = _mean_of_ratios(((1, r.vertices) for r in recs if r.vertices > 1), total)
+    singles = sum(1 for r in recs if r.vertices == 1)
     return GraphMeasures(
-        density=dens / total,
-        betweenness=betw / total,
-        pagerank=prs / total,
-        periphery=Fraction(peri, total),
+        density=density,
+        betweenness=_mean_of_ratios(((r.betweenness, r.vertices) for r in recs), total),
+        pagerank=float(density + Fraction(singles, total)),
+        periphery=Fraction(sum(r.periphery for r in recs), total),
     )
 
 
@@ -487,15 +479,16 @@ class StatReport:
 
 
 def stat_report(ms: ModelSpace) -> StatReport:
+    records = tree_records(ms)
     return StatReport(
-        records=tree_records(ms),
-        sizes=size_distribution(ms),
-        homogeneity_values=homogeneity_histogram(ms, drop_kappa=True),
-        homogeneity_pairs=homogeneity_histogram(ms, drop_kappa=False),
-        degrees_decorated=degree_distribution(ms, bare=False),
-        degrees_bare=degree_distribution(ms, bare=True),
-        heights=height_diameter(ms),
-        measures=graph_measures(ms),
+        records=records,
+        sizes=size_distribution(ms, records=records),
+        homogeneity_values=homogeneity_histogram(ms, drop_kappa=True, records=records),
+        homogeneity_pairs=homogeneity_histogram(ms, drop_kappa=False, records=records),
+        degrees_decorated=degree_distribution(ms, bare=False, records=records),
+        degrees_bare=degree_distribution(ms, bare=True, records=records),
+        heights=height_diameter(ms, records=records),
+        measures=graph_measures(ms, records=records),
         certified=ms.complete,
     )
 

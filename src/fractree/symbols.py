@@ -420,9 +420,18 @@ class _Parser:
 
 
 def parse_symbol(text: str) -> Symbol:
-    """Inverse of :func:`render` (accepting any dimension padding)."""
+    """Inverse of :func:`render` (accepting any dimension padding).
+
+    Malformed text raises ValueError, and so does nesting deeper than the
+    recursive-descent parser can follow (a few hundred levels of ``I(...)``).
+    """
     p = _Parser(text)
-    out = p.parse_product()
+    try:
+        out = p.parse_product()
+    except RecursionError:
+        raise ValueError(
+            f"cannot parse symbol: nested too deeply at position {p.pos} of {len(text)}"
+        ) from None
     p.skip_ws()
     if p.pos != len(p.text):
         raise p.error("trailing input")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+from .params import ExplosionError
 from .symbols import INT, Symbol, _make_node, iter_vertices
 
 __all__ = [
@@ -36,17 +37,6 @@ __all__ = [
     "verify_prune_structure",
     "clear_bare_cache",
 ]
-
-
-class ExplosionError(RuntimeError):
-    """Raised when an enumeration or construction exceeds its size cap.
-
-    ``partial`` may carry whatever incomplete result the caller attached.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------

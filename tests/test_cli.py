@@ -195,6 +195,24 @@ class TestStats:
         doc = json.loads((outdir / "report.json").read_text())
         assert doc["report"]["graph_measures"]["density"] == "5/18"
 
+    def test_custom_noise(self, capsys):
+        # rho = 1/2 is below the white-noise critical value 2/3, but with
+        # alpha0 = -1/2 the equation is subcritical and build certifies c_F 3.
+        # With a = 1/2: q* = 2a / (2 rho - a) = 2 and gap = 2 (2 rho - a) / 3 = 1/3.
+        argv = ["stats", "--N", "2", "--d", "2", "--rho", "1/2", "--noise=-1/2"]
+        code, out, err = run(capsys, argv + ["--format", "txt"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[:2] == ["negative sector: c_F 3, h_F 3, h0_F 3", "q*: 2/1"]
+        assert "scaled sqrt-gap height: 0.384900179 (reference 2.95758528)" in lines
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rep = json.loads(out)["report"]
+        assert rep["size"]["q_star"] == "2/1"
+        assert rep["size"]["mean_ratio"] == "1/2"
+        assert rep["height_diameter"]["scaled_sq_height"] == pytest.approx(2 / 9, rel=1e-12)
+        assert rep["graph_measures"]["density"] == "5/18"
+
 
 class TestScan:
     def test_certified_sweep_frozen(self, capsys):

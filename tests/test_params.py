@@ -1,11 +1,16 @@
 """Homogeneity arithmetic, parameter validation, subcriticality verdicts."""
 
+import ast
+import importlib
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fractree
+import fractree.trees
 from fractree.params import (
+    ExplosionError,
     Homogeneity,
     Parameters,
     alpha0_white_noise,
@@ -153,3 +158,21 @@ class TestSubcriticality:
         params = Parameters.white_noise(N, d, rho)
         ok, _ = is_locally_subcritical(params)
         assert ok == (rho > rho_c(N, d))
+
+
+class TestLayering:
+    def test_explosion_error_lives_in_params(self):
+        assert fractree.ExplosionError is ExplosionError
+        assert fractree.trees.ExplosionError is ExplosionError
+        err = ExplosionError("cap reached", partial=[1])
+        assert isinstance(err, RuntimeError) and err.partial == [1]
+
+    @pytest.mark.parametrize("module", ["builder", "cli"])
+    def test_module_does_not_import_trees(self, module):
+        source = importlib.import_module(f"fractree.{module}").__file__
+        with open(source, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        assert "trees" not in imported and "fractree.trees" not in imported

@@ -3,10 +3,15 @@
 The four-symbol space at (2, 2, 3/2) is small enough to aggregate by hand,
 so every statistic is pinned there exactly.  Larger sweeps check monotone
 behavior toward the boundary plus a frozen endpoint, and betweenness,
-PageRank and periphery are verified against networkx on a mid-size build.
+PageRank and periphery are verified against networkx on a mid-size build;
+every record at (2, 2, 3/4) is checked against networkx tree by tree.  The
+full reports at (2, 2, 3/4) and (3, 3, 17/10) are pinned by digest.
 """
 
+import hashlib
 import io
+import json
+from collections import Counter
 from fractions import Fraction as F
 
 import networkx as nx
@@ -14,6 +19,7 @@ import pytest
 
 from conftest import SWEEP_22, SWEEP_33
 from fractree.builder import BuildConfig, ModelSpace, c_F, h_F, negative_sector
+from fractree.cli import main
 from fractree.counting import p_of_q
 from fractree.params import Homogeneity, Parameters
 from fractree.stats import (
@@ -39,6 +45,11 @@ def _nx_graph(b):
         if parent >= 0:
             g.add_edge(parent, idx)
     return g
+
+
+def _degree_counts(g, N):
+    hist = Counter(deg for _, deg in g.degree())
+    return tuple(hist.get(j, 0) for j in range(N + 2))
 
 
 class TestSmallCaseExact:
@@ -113,6 +124,9 @@ class TestRecordInvariants:
             assert r.height <= r.q
             assert r.height <= r.diameter <= 2 * r.height
             assert r.degrees[0] == (1 if r.q == 0 else 0)
+            assert sum(r.decorated_degrees) == r.p + r.q + 1
+            assert sum(j * c for j, c in enumerate(r.decorated_degrees)) == 2 * (r.p + r.q)
+            assert r.decorated_degrees[0] == 0
             assert r.homogeneity == params.homogeneity_of_type(r.p, r.q, r.symbol.kvec)
             assert r.homogeneity.is_negative
 
@@ -167,6 +181,25 @@ class TestAgainstNetworkx:
         assert gm.pagerank == pytest.approx(prsum / n_trees, abs=1e-8)
         assert gm.periphery == F(peri, n_trees)
 
+    def test_every_tree_at_three_quarters(self, spaces):
+        """Each record's walked fields against networkx, on all 932 trees."""
+        ms = spaces(2, 2, F(3, 4))
+        records = tree_records(ms)
+        assert len(records) == 932
+        for r in records:
+            dec = _nx_graph(r.symbol)
+            bare = _nx_graph(bare_tree(r.symbol))
+            n = bare.number_of_nodes()
+            assert n == r.vertices
+            assert r.decorated_degrees == _degree_counts(dec, 2)
+            assert r.degrees == _degree_counts(bare, 2)
+            btw = nx.betweenness_centrality(bare, normalized=False)
+            assert r.betweenness == round(sum(btw.values()))
+            depths = nx.single_source_shortest_path_length(bare, 0)
+            assert r.height == max(depths.values())
+            assert r.periphery == sum(1 for v in depths.values() if v == r.height)
+            assert r.diameter == (nx.diameter(bare) if n > 1 else 0)
+
     def test_height_diameter_against_networkx(self, spaces):
         ms = spaces(2, 2, F(17, 20))
         hd = height_diameter(ms)
@@ -178,6 +211,55 @@ class TestAgainstNetworkx:
             depths = nx.single_source_shortest_path_length(g, 0)
             assert h == max(depths.values())
             assert dia == nx.diameter(g)
+
+
+# SHA-256 of report_json_dict without "pagerank" (json.dumps, sort_keys=True),
+# of the five CSVs written by ``stats --out``, and the pagerank float, all
+# computed with the per-tree power iteration the statistics used to run.
+REPORT_PINS = {
+    (2, 2, "3/4"): {
+        "report": "c536ace3a537a45abe3a1e1eb3b014f8ed41f360bb9db79b56dfd358815ec799",
+        "size.csv": "105f6596bbb4866f9b7fbf668f791a1845b73c75a27413e0bc152996ee649dd3",
+        "homogeneity.csv": "4e5537debea7a40001e00f4af1127b3ef4bd628bbe94cc5f5d28ec3b40605d64",
+        "homogeneity_pairs.csv": "bac6aa6a82714b2d787e5d3c9fd101fea687eaf6c4364e9e370c44dedcc0b462",
+        "degree_decorated.csv": "0f29cdfd4bddf77b807fdffd9cf8d98bb2f3d655f5d31d59395d630f14489587",
+        "degree_bare.csv": "c3c920a804167735e497ee8226ef88adfff2c58e73b6160de26f86ebc4b350b3",
+        "pagerank": 0.054755298579851966,
+    },
+    (3, 3, "17/10"): {
+        "report": "a2f5d9a01d6c499b91569a64508aac497aca2c5d4db9347c21830eab029b1fe6",
+        "size.csv": "55e7743adb9f3dbf6a63e7c7a3ab5c6e4dc9362b6cf77bebe43362458faf6ee0",
+        "homogeneity.csv": "12c1d98570d39bb1c165f29e70bcd20d0e6981b8c5f4d5d8e8d028fedbcbd898",
+        "homogeneity_pairs.csv": "6538c87809c94fd00942d360d87895f3b3baa477df50e5bd273fa9b01ab133f8",
+        "degree_decorated.csv": "5eea84b0986d19a1ad0ff3d26b76527fcb9710b286ff1ab0beca4dddd4eb00cb",
+        "degree_bare.csv": "ae98fa987e9ef189c30e095420ae9a47ab29c254f4d7cd8446acef9de621ff0c",
+        "pagerank": 0.15279026529026524,
+    },
+}
+
+
+class TestReportPins:
+    @pytest.mark.parametrize("point", sorted(REPORT_PINS))
+    def test_report_and_csvs(self, spaces, capsys, tmp_path, point):
+        N, d, rho = point
+        pins = REPORT_PINS[point]
+        doc = report_json_dict(stat_report(spaces(N, d, F(rho))))
+        pagerank = doc["graph_measures"].pop("pagerank")
+        assert pagerank == pytest.approx(pins["pagerank"], abs=1e-12)
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == pins["report"]
+        assert main(["stats", "--N", str(N), "--d", str(d), "--rho", rho, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name, pin in pins.items():
+            if name.endswith(".csv"):
+                assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pin, name
+
+    def test_pagerank_is_density_plus_single_vertex_share(self, spaces):
+        ms = spaces(2, 2, F(3, 4))
+        records = tree_records(ms)
+        gm = graph_measures(ms, records=records)
+        singles = F(sum(1 for r in records if r.vertices == 1), len(records))
+        assert gm.pagerank == float(gm.density + singles)
 
 
 class TestSweepTrends:

@@ -145,6 +145,15 @@ class TestCanonicalForm:
             with pytest.raises(ValueError):
                 parse_symbol(bad)
 
+    def test_parse_refuses_deep_nesting_with_a_message(self):
+        deep = "I(" * 3000 + "Xi" + ")" * 3000
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_symbol(deep)
+        chain = "I(" * 100 + "Xi" + ")" * 100
+        t = parse_symbol(chain)
+        assert (t.p, t.q) == (1, 100)
+        assert render(t) == chain
+
 
 class TestBareDecorated:
     def test_bare_strips_noise(self):
