@@ -30,6 +30,7 @@ rho, every kappa-free part is an exact multiple of 1/L.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,17 +76,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Truncation threshold, iteration budget and explosion guard for a build."""
+    """Truncation threshold, iteration budget and explosion guard for a build.
+
+    ``iter`` bounds the product rounds; None runs them until convergence,
+    which subcriticality guarantees, with ``cap`` still bounding the size.
+    """
 
     maxh: Fraction
-    iter: int = 8
+    iter: Optional[int] = None
     cap: int = 10_000_000
 
     def __post_init__(self):
         object.__setattr__(self, "maxh", _frac(self.maxh))
         if self.maxh < 0:
             raise ValueError("maxh must be >= 0")
-        if self.iter < 1:
+        if self.iter is not None and self.iter < 1:
             raise ValueError("iter must be >= 1")
         if self.cap < 1:
             raise ValueError("cap must be >= 1")
@@ -326,7 +331,8 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
         admit(sym, 0)
     new_last = extend_pool(seed_U)
 
-    for m in range(1, config.iter + 1):
+    rounds = itertools.count(1) if config.iter is None else range(1, config.iter + 1)
+    for m in rounds:
         W_new: list[tuple[Symbol, int]] = []
         if new_last:
             for sym, u in pool_products(new_last):
@@ -493,7 +499,7 @@ def from_json_dict(data: dict) -> ModelSpace:
     c = _field(data, "config", dict)
     config = BuildConfig(
         maxh=_rational(c, "maxh", "config."),
-        iter=_field(c, "iter", int, "config."),
+        iter=None if "iter" in c and c["iter"] is None else _field(c, "iter", int, "config."),
         cap=_field(c, "cap", int, "config."),
     )
     ms = ModelSpace(

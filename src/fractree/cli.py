@@ -42,6 +42,7 @@ from .params import (
     Parameters,
     SubcriticalityError,
     _frac,
+    alpha0_white_noise,
     is_locally_subcritical,
     rho_c,
 )
@@ -108,8 +109,8 @@ def _add_build_opts(p: argparse.ArgumentParser) -> None:
         default=_env_default("MAXH"),
         help="integration cutoff; default: the completeness threshold for the parameters",
     )
-    p.add_argument("--iter", type=int, default=_env_default("ITER", "64"), dest="iters",
-                   help="maximum product rounds (default 64; stops early on convergence)")
+    p.add_argument("--iter", type=int, default=_env_default("ITER"), dest="iters",
+                   help="maximum product rounds (default: until convergence)")
     p.add_argument("--cap", type=int, default=_env_default("CAP"),
                    help="abort once this many symbols exist (partial results, exit 3)")
 
@@ -140,7 +141,7 @@ def _config_from(args: argparse.Namespace, params: Parameters) -> BuildConfig:
         maxh = completeness_threshold(params)
     elif not isinstance(maxh, Fraction):
         maxh = _rho_type(str(maxh))
-    kwargs = {"maxh": maxh, "iter": int(args.iters)}
+    kwargs = {"maxh": maxh, "iter": None if args.iters is None else int(args.iters)}
     if args.cap is not None:
         kwargs["cap"] = int(args.cap)
     return BuildConfig(**kwargs)
@@ -262,14 +263,13 @@ def _stats_txt(ms: ModelSpace) -> str:
 def _cmd_stats(args: argparse.Namespace) -> int:
     ms, code = _build_space(args)
     rep = stat_report(ms)
-    doc = {
-        "parameters": {
-            "N": ms.params.N,
-            "d": ms.params.d,
-            "rho": _fmt_frac(ms.params.rho),
-        },
-        "report": report_json_dict(rep),
-    }
+    p = ms.params
+    parameters = {"N": p.N, "d": p.d, "rho": _fmt_frac(p.rho)}
+    # white-noise documents stay as they were; custom noise is recorded as
+    # in the build JSON
+    if p.alpha0 != alpha0_white_noise(p.rho, p.d):
+        parameters["alpha0"] = {"a": _fmt_frac(p.alpha0.a), "b": p.alpha0.b}
+    doc = {"parameters": parameters, "report": report_json_dict(rep)}
     blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out and args.format != "txt":
         os.makedirs(args.out, exist_ok=True)

@@ -6,8 +6,10 @@ every vertex carrying at most N subtrees.  It provides
 * exact counting sequences (Wedderburn-Etherington numbers, N-regular tree
   counts, bounded-arity counts refined by leaf count), all computed by
   multiset dynamic programming over canonical size classes, and
-* an exhaustive level-by-level enumerator producing each tree exactly once
-  in canonical encoding order.
+* an exhaustive enumerator of one (edges, leaves) class at a time: a tree
+  is a root over a multiset of 1..N smaller trees, built from the smaller
+  classes in descending order (the multiset construction the counting
+  uses), memoised per class and yielded in canonical encoding order.
 
 Nothing here knows about homogeneities or noise; the cross-check layer maps
 bare trees into decorated symbols and compares against the fixed-point
@@ -16,14 +18,15 @@ construction.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .params import ExplosionError
-from .symbols import INT, Symbol, _make_node, iter_vertices
+from .params import ExplosionError  # re-exported: fractree.trees.ExplosionError
+from .symbols import INT, Symbol, _make_node, iter_vertices, one
 
 __all__ = [
     "ExplosionError",
@@ -144,25 +147,24 @@ def _tl(N: int, n: int, leaves: int) -> int:
 def _ml(N: int, slots: int, vb: int, lb: int, size: int, leaf: int) -> int:
     """Multisets of `slots` bounded trees, total vertices vb and leaves lb.
 
-    Tree classes (size, leaf) are consumed in lexicographically descending
-    order; `size`, `leaf` mark the largest class still available.
+    Every tree's class (size, leaf) is at most (`size`, `leaf`) in
+    lexicographic order.  The loop picks the largest class taken and its
+    j >= 1 copies, so the call recurses only when a slot is filled.
     """
     if slots == 0:
         return 1 if vb == 0 and lb == 0 else 0
-    if vb < slots or lb < slots or size < 1:
-        return 0
-    if leaf < 1:
-        return _ml(N, slots, vb, lb, size - 1, size - 1)
-    t = _tl(N, size, leaf)
     total = 0
-    jmax = min(slots, vb // size, lb // leaf)
-    for j in range(jmax + 1):
-        if j and t == 0:
+    for s in range(min(size, vb - slots + 1), 0, -1):
+        if slots * s < vb:
             break
-        rest = _ml(N, slots - j, vb - j * size, lb - j * leaf, size, leaf - 1)
-        if rest:
-            ways = 1 if j == 0 else math.comb(t + j - 1, j)
-            total += ways * rest
+        for lv in range(min(leaf if s == size else s, lb - slots + 1), 0, -1):
+            t = _tl(N, s, lv)
+            if not t:
+                continue
+            for j in range(1, min(slots, vb // s, lb // lv) + 1):
+                rest = _ml(N, slots - j, vb - j * s, lb - j * lv, s, lv - 1)
+                if rest:
+                    total += math.comb(t + j - 1, j) * rest
     return total
 
 
@@ -180,121 +182,100 @@ def count_bounded_by_leaves(N: int, n: int, leaves: int) -> int:
 # ---------------------------------------------------------------------------
 # enumeration
 
-# level catalogue: (N, edge count) -> list of (canonical encoding, leaf count),
-# sorted by encoding.  Encodings are exactly the Symbol encodings of the trees
-# (all edges plain, no decorations), so parents can be assembled from child
-# encodings without building Symbol objects.
-_LEVELS: dict[tuple[int, int], list[tuple[bytes, int]]] = {}
+
+def _max_leaves(N: int, edges: int) -> int:
+    """Most leaves a bounded-arity tree with `edges` edges can have.
+
+    Each internal vertex carries at most N edges, so at least ceil(edges/N)
+    of the edges + 1 vertices are internal.
+    """
+    return edges + 1 + (-edges // N)
+
+
+def _fits(N: int, slots: int, vertices: int, leaves: int, edges: int) -> bool:
+    """Whether at most `slots` trees, each with at most `edges` edges, can hold
+    `vertices` vertices and `leaves` leaves between them (a necessary test)."""
+    if vertices == 0:
+        return leaves == 0
+    n = min(slots, vertices)
+    return (
+        1 <= leaves
+        and vertices <= slots * (edges + 1)
+        and leaves <= vertices + (n - vertices) // N
+    )
+
+
+def _forests(
+    N: int, slots: int, vertices: int, leaves: int, edges: int, top: int
+) -> Iterator[tuple[Symbol, ...]]:
+    """Multisets of at most `slots` trees with `vertices` vertices and `leaves`
+    leaves in total, every tree's class (edges, leaves) at most (edges, top).
+
+    Classes are taken in descending order, each as a block of j >= 1 copies;
+    the call recurses only after filling a block, so the depth is at most
+    `slots`.
+    """
+    if vertices == 0:
+        if leaves == 0:
+            yield ()
+        return
+    for e in range(min(edges, vertices - 1), -1, -1):
+        if slots * (e + 1) < vertices:
+            return
+        hi = top if e == edges else leaves
+        for lv in range(min(hi, leaves, _max_leaves(N, e)), 0, -1):
+            trees = None
+            for j in range(1, slots + 1):
+                rest_v, rest_l = vertices - j * (e + 1), leaves - j * lv
+                if rest_v < 0 or rest_l < 0:
+                    break
+                if not _fits(N, slots - j, rest_v, rest_l, e):
+                    continue
+                if trees is None:
+                    trees = _trees(N, e, lv)
+                for head in itertools.combinations_with_replacement(trees, j):
+                    for tail in _forests(N, slots - j, rest_v, rest_l, e, lv - 1):
+                        yield head + tail
+
+
+@lru_cache(maxsize=None)
+def _trees(N: int, edges: int, leaves: int) -> tuple[Symbol, ...]:
+    """Every bounded-arity bare tree with `edges` edges and `leaves` leaves,
+    sorted by encoding.  A tree is a root over a multiset of 1..N smaller
+    trees whose vertices add up to `edges`."""
+    if edges == 0:
+        return (one(),) if leaves == 1 else ()
+    if not 1 <= leaves <= _max_leaves(N, edges):
+        return ()
+    return tuple(
+        sorted(
+            _make_node((), tuple((INT, t) for t in kids))
+            for kids in _forests(N, N, edges, leaves, edges - 1, leaves)
+        )
+    )
 
 
 def clear_bare_cache() -> None:
-    """Drop the level catalogue (it can grow to hundreds of MB)."""
-    _LEVELS.clear()
+    """Drop the memoised tree classes."""
+    _trees.cache_clear()
 
 
-def _partitions_desc(total: int, parts: int, high: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Nonincreasing tuples of `parts` nonnegative ints summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if high is None:
-        high = total
-    lo = -(-total // parts)
-    for first in range(min(high, total), lo - 1, -1):
-        for rest in _partitions_desc(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _build_level(N: int, q: int) -> list[tuple[bytes, int]]:
-    if q == 0:
-        return [(b"()", 1)]
-    out: list[tuple[bytes, int]] = []
-    for c in range(1, min(N, q) + 1):
-        for part in _partitions_desc(q - c, c):
-            groups = [(e, len(tuple(g))) for e, g in itertools.groupby(part)]
-            pools = [
-                list(
-                    itertools.combinations_with_replacement(
-                        range(len(_LEVELS[(N, e)])), mult
-                    )
-                )
-                for e, mult in groups
-            ]
-            for choice in itertools.product(*pools):
-                encs: list[bytes] = []
-                leaves = 0
-                for (e, _mult), idxs in zip(groups, choice):
-                    lvl = _LEVELS[(N, e)]
-                    for i in idxs:
-                        encs.append(lvl[i][0])
-                        leaves += lvl[i][1]
-                encs.sort()
-                enc = b"(" + b"".join(b"\x01" + e for e in encs) + b")"
-                out.append((enc, leaves))
-    out.sort()
-    return out
-
-
-def _bare_level(N: int, q: int, cap: Optional[int] = None) -> list[tuple[bytes, int]]:
-    if N < 1 or q < 0:
-        raise ValueError("need N >= 1 and q >= 0")
-    if (N, q) in _LEVELS:
-        return _LEVELS[(N, q)]
-    total = sum(len(v) for (n2, _), v in _LEVELS.items() if n2 == N)
-    for m in range(q + 1):
-        if (N, m) in _LEVELS:
-            continue
-        level = _build_level(N, m)
-        total += len(level)
-        if cap is not None and total > cap:
-            raise ExplosionError(
-                f"bare-tree catalogue for N={N} passed {total} entries at level {m}, cap={cap}"
-            )
-        _LEVELS[(N, m)] = level
-    return _LEVELS[(N, q)]
-
-
-def _symbol_from_bare_enc(enc: bytes) -> Symbol:
-    pos = 0
-
-    def node() -> Symbol:
-        nonlocal pos
-        if enc[pos : pos + 1] != b"(":
-            raise ValueError(f"bad encoding at byte {pos}")
-        pos += 1
-        kids = []
-        while enc[pos : pos + 1] != b")":
-            if enc[pos] != 1:
-                raise ValueError(f"unexpected edge tag at byte {pos}")
-            pos += 1
-            kids.append((INT, node()))
-        pos += 1
-        return _make_node((), tuple(kids))
-
-    root = node()
-    if pos != len(enc):
-        raise ValueError("trailing bytes in encoding")
-    return root
-
-
-def bare_level_size(N: int, q: int, cap: Optional[int] = None) -> int:
+def bare_level_size(N: int, q: int) -> int:
     """Number of bounded-arity trees with q edges (equals count_bounded(N, q+1))."""
-    return len(_bare_level(N, q, cap))
+    return count_bounded(N, q + 1)
 
 
-def enumerate_bare(
-    N: int, q: int, leaves: Optional[int] = None, cap: Optional[int] = None
-) -> Iterator[Symbol]:
+def enumerate_bare(N: int, q: int, leaves: Optional[int] = None) -> Iterator[Symbol]:
     """Yield every bounded-arity bare tree with q edges, in encoding order.
 
-    `leaves` filters to trees with exactly that many leaves.  `cap` bounds the
-    cumulative catalogue size for this N and raises ExplosionError beyond it.
-    Trees are yielded as undecorated symbols whose edges are all integrations.
+    `leaves` restricts the trees to exactly that many leaves.  Trees are
+    yielded as undecorated symbols whose edges are all integrations.
     """
-    for enc, lv in _bare_level(N, q, cap):
-        if leaves is None or lv == leaves:
-            yield _symbol_from_bare_enc(enc)
+    if N < 1 or q < 0:
+        raise ValueError("need N >= 1 and q >= 0")
+    if leaves is not None:
+        return iter(_trees(N, q, leaves))
+    return heapq.merge(*(_trees(N, q, lv) for lv in range(1, q + 2)))
 
 
 # ---------------------------------------------------------------------------

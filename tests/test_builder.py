@@ -36,6 +36,13 @@ class TestConfig:
             BuildConfig(maxh=F(1), cap=0)
         assert BuildConfig(maxh="11/20").maxh == F(11, 20)
 
+    def test_default_iterates_until_converged(self):
+        # a fixed round budget used to stop this build at c_F 877, uncertified
+        params = Parameters.white_noise(2, 2, F(3, 4))
+        ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
+        assert ms.config.iter is None
+        assert ms.complete and c_F(ms) == 932
+
     def test_threshold_values(self):
         assert completeness_threshold(Parameters.white_noise(2, 2, F(3, 2))) == F(1, 4)
         assert completeness_threshold(Parameters.white_noise(2, 2, 1)) == F(1, 2)
@@ -240,6 +247,12 @@ class TestPersistence:
         save_json(ms3, str(path))
         assert path.read_bytes() == first
 
+    def test_unset_iter_round_trips_as_null(self):
+        params = Parameters.white_noise(2, 2, F(1))
+        data = to_json_dict(build(params, BuildConfig(maxh=completeness_threshold(params))))
+        assert data["config"]["iter"] is None
+        assert from_json_dict(json.loads(json.dumps(data))).config.iter is None
+
     def test_schema_fields(self, spaces):
         data = to_json_dict(spaces(2, 2, F(1)))
         assert data["parameters"] == {
@@ -324,6 +337,7 @@ class TestMalformedJson:
             (("symbols",), {}, "symbols"),
             (("symbols", 0), "Xi", "symbols[0]"),
             (("symbols", 1, "generation"), "0", "symbols[1].generation"),
+            (("config", "iter"), "8", "config.iter"),
         ],
     )
     def test_mistyped_field(self, spaces, path, value, name):

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fractree
 from fractree.cli import main
 
 SCAN_22 = ["scan", "--N", "2", "--d", "2", "--rho", "1,0.9,0.85,0.8,0.75"]
@@ -205,9 +207,13 @@ class TestStats:
         lines = out.splitlines()
         assert lines[:2] == ["negative sector: c_F 3, h_F 3, h0_F 3", "q*: 2/1"]
         assert "scaled sqrt-gap height: 0.384900179 (reference 2.95758528)" in lines
-        code, out, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 0
-        rep = json.loads(out)["report"]
+        doc = json.loads(out)
+        assert doc["parameters"] == {
+            "N": 2, "d": 2, "rho": "1/2", "alpha0": {"a": "-1/2", "b": -1},
+        }
+        rep = doc["report"]
         assert rep["size"]["q_star"] == "2/1"
         assert rep["size"]["mean_ratio"] == "1/2"
         assert rep["height_diameter"]["scaled_sq_height"] == pytest.approx(2 / 9, rel=1e-12)
@@ -347,6 +353,14 @@ class TestEnvOverrides:
         assert code == 0
         assert json.loads(out)["config"]["maxh"] == "2/1"
 
+    def test_iter_defaults_to_convergence_and_env_bounds_it(self, capsys, monkeypatch):
+        argv = ["build", "--N", "2", "--d", "2", "--rho", "1.5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["config"]["iter"] is None
+        monkeypatch.setenv("FRACTREE_ITER", "3")
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["config"]["iter"] == 3
+
     def test_env_format(self, capsys, monkeypatch):
         monkeypatch.setenv("FRACTREE_FORMAT", "csv")
         code, out, _ = run(capsys, ["list", "--N", "2", "--d", "2", "--rho", "1.5"])
@@ -354,20 +368,24 @@ class TestEnvOverrides:
         assert out.splitlines()[0] == "symbol,p,q,k,homogeneity"
 
 
+def _module_run(*argv):
+    # the child imports the same package as this process, installed or not
+    root = os.path.dirname(os.path.dirname(fractree.__file__))
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fractree", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fractree", "check", "2", "2", "0.9"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _module_run("check", "2", "2", "0.9")
         assert proc.returncode == 0
         assert "subcritical (case ii)" in proc.stdout
 
     def test_module_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fractree", "frobnicate"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _module_run("frobnicate")
         assert proc.returncode == 2

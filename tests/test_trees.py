@@ -9,12 +9,11 @@ import itertools
 
 import pytest
 
+from fractree import trees
 from fractree.symbols import INT, _make_node, height, iter_vertices, one, type_of
 from fractree.trees import (
-    ExplosionError,
     PruneReport,
     bare_level_size,
-    clear_bare_cache,
     count_bounded,
     count_bounded_by_leaves,
     count_regular,
@@ -106,6 +105,15 @@ class TestBoundedCounts:
                 total = sum(count_bounded_by_leaves(N, n, L) for L in range(n + 1))
                 assert total == count_bounded(N, n)
 
+    @pytest.mark.parametrize("m", [16, 20])
+    def test_leaf_refinement_deep_binary_from_cold_cache(self, m):
+        # 2m+1 vertices and m+1 leaves force every internal vertex to have two
+        # children; the recursion depth must not grow with the number of
+        # (size, leaf) classes below n
+        trees._tl.cache_clear()
+        trees._ml.cache_clear()
+        assert count_bounded_by_leaves(2, 2 * m + 1, m + 1) == wedderburn(m + 1)
+
     def test_leaf_refinement_edges(self):
         assert count_bounded_by_leaves(2, 1, 1) == 1
         assert count_bounded_by_leaves(2, 1, 2) == 0
@@ -146,14 +154,6 @@ class TestEnumeration:
                         1 for _, _, _, s in iter_vertices(t) if not s.children
                     )
                     assert n_leaves == L
-
-    def test_cap_raises(self):
-        clear_bare_cache()
-        try:
-            with pytest.raises(ExplosionError):
-                bare_level_size(2, 12, cap=5)
-        finally:
-            clear_bare_cache()
 
     def test_validation(self):
         with pytest.raises(ValueError):
