@@ -27,9 +27,6 @@ from .symbols import (
     Symbol,
     bare_tree,
     decorate,
-    degree_vector,
-    diameter,
-    height,
     homogeneity_of,
     integrate,
     iter_vertices,

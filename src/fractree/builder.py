@@ -43,6 +43,7 @@ from .params import (
     Parameters,
     SubcriticalityError,
     _frac,
+    _fstr,
     is_locally_subcritical,
 )
 from .symbols import (
@@ -409,10 +410,6 @@ def h0_F(ms: ModelSpace) -> int:
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def _fstr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def to_json_dict(ms: ModelSpace) -> dict:

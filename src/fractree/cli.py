@@ -30,6 +30,7 @@ from .builder import (
     ModelSpace,
     build,
     c_F,
+    completeness_threshold,
     h0_F,
     h_F,
     negative_sector,
@@ -42,12 +43,13 @@ from .params import (
     Parameters,
     SubcriticalityError,
     _frac,
+    _fstr,
     alpha0_white_noise,
     is_locally_subcritical,
     rho_c,
 )
-from .stats import report_json_dict, scaling_fit, stat_report, write_histogram_csv
-from .symbols import render, to_dot
+from .stats import StatReport, report_json_dict, scaling_fit, stat_report, write_histogram_csv
+from .symbols import _dense, render, to_dot
 
 __all__ = ["main"]
 
@@ -68,10 +70,6 @@ def _rho_type(text: str) -> Fraction:
 
 def _rho_list_type(text: str) -> tuple[Fraction, ...]:
     return tuple(_rho_type(part) for part in text.split(",") if part.strip())
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _float_str(x: float) -> str:
@@ -126,24 +124,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _params_from(args: argparse.Namespace) -> Parameters:
     _require(args, "N", "d", "rho")
-    N, d = int(args.N), int(args.d)
-    rho = args.rho if isinstance(args.rho, Fraction) else _rho_type(str(args.rho))
     if args.noise == "white":
-        return Parameters.white_noise(N, d, rho)
-    return Parameters(N=N, d=d, rho=rho, alpha0=Homogeneity(_frac(args.noise), -1))
+        return Parameters.white_noise(args.N, args.d, args.rho)
+    return Parameters(N=args.N, d=args.d, rho=args.rho, alpha0=Homogeneity(_frac(args.noise), -1))
 
 
 def _config_from(args: argparse.Namespace, params: Parameters) -> BuildConfig:
-    from .builder import completeness_threshold
-
-    maxh = args.maxh
-    if maxh is None:
-        maxh = completeness_threshold(params)
-    elif not isinstance(maxh, Fraction):
-        maxh = _rho_type(str(maxh))
-    kwargs = {"maxh": maxh, "iter": None if args.iters is None else int(args.iters)}
+    maxh = completeness_threshold(params) if args.maxh is None else args.maxh
+    kwargs = {"maxh": maxh, "iter": args.iters}
     if args.cap is not None:
-        kwargs["cap"] = int(args.cap)
+        kwargs["cap"] = args.cap
     return BuildConfig(**kwargs)
 
 
@@ -217,7 +207,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             render(sym, d),
             str(sym.p),
             str(sym.q),
-            "(" + ",".join(map(str, sym.kvec + (0,) * (d + 1 - len(sym.kvec)))) + ")",
+            "(" + ",".join(map(str, _dense(sym.kvec, d))) + ")",
             str(hom),
         )
         for sym, hom in sector
@@ -239,15 +229,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return code
 
 
-def _stats_txt(ms: ModelSpace) -> str:
-    rep = stat_report(ms)
+def _stats_txt(ms: ModelSpace, rep: StatReport) -> str:
     s = rep.sizes
     m = rep.measures
     h = rep.heights
     lines = [
         _count_label(ms),
-        f"q*: {_fmt_frac(s.q_star)}",
-        f"P(Q off the full-tree grid): {_fmt_frac(s.off_grid)} = {_float_str(float(s.off_grid))}",
+        f"q*: {_fstr(s.q_star)}",
+        f"P(Q off the full-tree grid): {_fstr(s.off_grid)} = {_float_str(float(s.off_grid))}",
         f"E(Q/q*): {_float_str(float(s.mean_ratio))}  Var(Q/q*): {_float_str(float(s.var_ratio))}",
         f"mean height: {_float_str(float(h.mean_height))}  mean diameter: {_float_str(float(h.mean_diameter))}",
         f"scaled sqrt-gap height: {_float_str(h.scaled_mean_height)} (reference {_float_str(h.height_reference)})",
@@ -261,14 +250,17 @@ def _stats_txt(ms: ModelSpace) -> str:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.format == "csv" and not args.out:
+        print("error: --format csv needs --out DIR", file=sys.stderr)
+        return 2
     ms, code = _build_space(args)
     rep = stat_report(ms)
     p = ms.params
-    parameters = {"N": p.N, "d": p.d, "rho": _fmt_frac(p.rho)}
+    parameters = {"N": p.N, "d": p.d, "rho": _fstr(p.rho)}
     # white-noise documents stay as they were; custom noise is recorded as
     # in the build JSON
     if p.alpha0 != alpha0_white_noise(p.rho, p.d):
-        parameters["alpha0"] = {"a": _fmt_frac(p.alpha0.a), "b": p.alpha0.b}
+        parameters["alpha0"] = {"a": _fstr(p.alpha0.a), "b": p.alpha0.b}
     doc = {"parameters": parameters, "report": report_json_dict(rep)}
     blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out and args.format != "txt":
@@ -293,7 +285,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 )
         print(_count_label(ms))
     elif args.format == "txt":
-        _write_text(args.out, _stats_txt(ms))
+        _write_text(args.out, _stats_txt(ms, rep))
     else:
         sys.stdout.write(blob)
         print(_count_label(ms), file=sys.stderr)
@@ -302,20 +294,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     _require(args, "N", "d", "rho")
-    rhos = args.rho if isinstance(args.rho, tuple) else _rho_list_type(str(args.rho))
-    if not rhos:
+    if not args.rho:
         print("error: --rho lists no values", file=sys.stderr)
         raise SystemExit(2)
     worst = 0
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["rho", "h_F", "c_F", "certified"])
-    for rho in rhos:
+    for rho in args.rho:
         sub = argparse.Namespace(**vars(args))
         sub.rho = rho
         ms, code = _build_space(sub)
         worst = max(worst, code)
-        w.writerow([_fmt_frac(rho), h_F(ms), c_F(ms), str(ms.complete).lower()])
+        w.writerow([_fstr(rho), h_F(ms), c_F(ms), str(ms.complete).lower()])
     _write_text(args.out, buf.getvalue())
     return worst
 
@@ -331,7 +322,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if r.get("certified", "").lower() == "true"
     ]
     try:
-        fit = scaling_fit(points, int(args.N), int(args.d))
+        fit = scaling_fit(points, args.N, args.d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -339,7 +330,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         doc = {
             "N": fit.N,
             "d": fit.d,
-            "rhos": [_fmt_frac(r) for r in fit.rhos],
+            "rhos": [_fstr(r) for r in fit.rhos],
             "coefficient": fit.coefficient,
             "envelope": list(fit.envelope),
             "envelope_ok": fit.envelope_ok,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .params import RationalLike, SubcriticalityError, _frac, rho_c
+from .params import RationalLike, SubcriticalityError, _frac, _fstr, rho_c
 
 __all__ = [
     "ALPHA_N",
@@ -306,7 +306,5 @@ def write_bounds_csv(path: str, rows: Iterable[dict]) -> None:
             out = {}
             for col in BOUNDS_CSV_COLUMNS:
                 val = row[col]
-                if isinstance(val, Fraction):
-                    val = f"{val.numerator}/{val.denominator}"
-                out[col] = val
+                out[col] = _fstr(val) if isinstance(val, Fraction) else val
             writer.writerow(out)

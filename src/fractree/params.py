@@ -54,6 +54,11 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _fstr(x: Fraction) -> str:
+    """Exact "num/den" text of a rational, as every output file writes it."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True, order=False)
 class Homogeneity:
     """A scaled degree of the form a + b*kappa.

@@ -28,7 +28,8 @@ import numpy as np
 from .builder import ModelSpace, negative_sector
 from .counting import LAMBDA2, beta_N
 from .params import (
-    Homogeneity, Parameters, RationalLike, SubcriticalityError, _frac, rho_c, scaled_degree,
+    Homogeneity, Parameters, RationalLike, SubcriticalityError, _frac, _fstr, rho_c,
+    scaled_degree,
 )
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
 from .symbols import INT, Symbol, bare_tree  # noqa: F401
@@ -491,10 +492,6 @@ def stat_report(ms: ModelSpace) -> StatReport:
         measures=graph_measures(ms, records=records),
         certified=ms.complete,
     )
-
-
-def _fstr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def report_json_dict(rep: StatReport) -> dict:

@@ -22,6 +22,7 @@ ever mutates, every symbol is immutable.
 
 from __future__ import annotations
 
+import re
 import weakref
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
@@ -40,11 +41,8 @@ __all__ = [
     "integrate",
     "type_of",
     "homogeneity_of",
-    "degree_vector",
     "bare_tree",
     "decorate",
-    "height",
-    "diameter",
     "iter_vertices",
     "render",
     "parse_symbol",
@@ -175,20 +173,24 @@ def monomial(k: Sequence[int]) -> Symbol:
     return _make_node(dec, ())
 
 
-def multiply(a: Symbol, b: Symbol) -> Symbol:
-    """Tree product: merge roots, concatenating edges and adding decorations."""
-    if a is _ONE:
-        return b
-    if b is _ONE:
-        return a
-    return _make_node(_vec_add(a.decoration, b.decoration), a.children + b.children)
-
-
 def product(factors: Iterable[Symbol]) -> Symbol:
-    out = _ONE
-    for f in factors:
-        out = multiply(out, f)
-    return out
+    """Tree product: one root carrying every factor's edges and the sum of
+    their root decorations.  Unit factors drop out; the empty product is
+    the unit."""
+    fs = [f for f in factors if f is not _ONE]
+    if len(fs) < 2:
+        return fs[0] if fs else _ONE
+    dec: tuple[int, ...] = ()
+    kids: list[tuple[int, Symbol]] = []
+    for f in fs:
+        dec = _vec_add(dec, f.decoration)
+        kids.extend(f.children)
+    return _make_node(dec, kids)
+
+
+def multiply(a: Symbol, b: Symbol) -> Symbol:
+    """The product of two symbols."""
+    return product((a, b))
 
 
 def integrate(t: Symbol) -> Optional[Symbol]:
@@ -230,33 +232,6 @@ def iter_vertices(t: Symbol) -> Iterator[tuple[int, int, Optional[int], Symbol]]
     return iter(out)
 
 
-def _degrees(t: Symbol) -> list[int]:
-    """Undirected vertex degrees in breadth-first order."""
-    degs = []
-    for _, parent, _, node in iter_vertices(t):
-        d = len(node.children) + (0 if parent == -1 else 1)
-        degs.append(d)
-    return degs
-
-
-def degree_vector(t: Symbol, N: int, bare: bool = False) -> tuple[int, ...]:
-    """Counts (d_1, ..., d_{N+1}) of vertices by undirected degree.
-
-    With ``bare=True`` the noise edges are stripped first.  A single-vertex
-    tree has one degree-0 vertex, which this vector cannot represent; callers
-    who care about the unit handle it separately.
-    """
-    tt = bare_tree(t) if bare else t
-    counts = [0] * (N + 1)
-    for d in _degrees(tt):
-        if d == 0:
-            continue
-        if d > N + 1:
-            raise ValueError(f"vertex of degree {d} exceeds N+1 = {N + 1}")
-        counts[d - 1] += 1
-    return tuple(counts)
-
-
 def bare_tree(t: Symbol) -> Symbol:
     """Strip every noise edge together with its leaf, keeping decorations."""
     return _make_node(
@@ -280,34 +255,6 @@ def _decorate(b: Symbol) -> Symbol:
     if not b.children:
         return _XI
     return _make_node((), tuple((INT, _decorate(c)) for _, c in b.children))
-
-
-def height(t: Symbol) -> int:
-    """Longest root-to-leaf edge count."""
-    if not t.children:
-        return 0
-    return 1 + max(height(c) for _, c in t.children)
-
-
-def diameter(t: Symbol) -> int:
-    """Longest path length between any two vertices of the tree."""
-    return _diam_height(t)[0]
-
-
-def _diam_height(t: Symbol) -> tuple[int, int]:
-    if not t.children:
-        return (0, 0)
-    best_diam = 0
-    top1 = top2 = 0  # two largest child depths, each counted with its edge
-    for _, c in t.children:
-        cd, ch = _diam_height(c)
-        best_diam = max(best_diam, cd)
-        depth = ch + 1
-        if depth > top1:
-            top1, top2 = depth, top1
-        elif depth > top2:
-            top2 = depth
-    return (max(best_diam, top1 + top2), top1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,96 +293,72 @@ def render(t: Symbol, d: Optional[int] = None) -> str:
     return "*".join(parts)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Open I( at once that parse_symbol follows.  render, bare_tree and
+# decorate recurse once per level, so a parsed symbol stays within
+# Python's default recursion limit for them.
+_MAX_DEPTH = 500
 
-    def error(self, msg: str) -> Exception:
-        return ValueError(f"cannot parse symbol at position {self.pos}: {msg} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def literal(self, s: str) -> bool:
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def integer(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse_product(self) -> Symbol:
-        out = self.parse_factor()
-        self.skip_ws()
-        while self.literal("*"):
-            self.skip_ws()
-            out = multiply(out, self.parse_factor())
-            self.skip_ws()
-        return out
-
-    def parse_factor(self) -> Symbol:
-        atom = self.parse_atom()
-        self.skip_ws()
-        while self.literal("^"):
-            n = self.integer()
-            if n < 1:
-                raise self.error("exponent must be >= 1")
-            atom = product([atom] * n)
-            self.skip_ws()
-        return atom
-
-    def parse_atom(self) -> Symbol:
-        self.skip_ws()
-        if self.literal("X^("):
-            ks = [self.integer()]
-            while self.literal(","):
-                ks.append(self.integer())
-            if not self.literal(")"):
-                raise self.error("expected ')' after multiindex")
-            return monomial(ks)
-        if self.literal("Xi"):
-            return _XI
-        if self.literal("I("):
-            inner = self.parse_product()
-            if not self.literal(")"):
-                raise self.error("expected ')' after integrand")
-            got = integrate(inner)
-            if got is None:
-                raise self.error("I(1) is zero, not a symbol")
-            return got
-        if self.literal("1"):
-            return _ONE
-        raise self.error(f"unexpected {self.peek()!r}")
+# One token after optional whitespace; the group number is its kind:
+# 1 X^(k,...), 2 Xi, 3 I(, 4 the unit 1, 5 *, 6 ^n, 7 ).  Kinds 1-4 begin
+# a factor, 5-7 follow one.
+_TOKEN = re.compile(r"\s*(?:(X\^\(\d+(?:,\d+)*\))|(Xi)|(I\()|(1)|(\*)|(\^\d+)|(\)))")
 
 
 def parse_symbol(text: str) -> Symbol:
     """Inverse of :func:`render` (accepting any dimension padding).
 
-    Malformed text raises ValueError, and so does nesting deeper than the
-    recursive-descent parser can follow (a few hundred levels of ``I(...)``).
+    Whitespace may precede any token but not sit inside ``X^(...)`` or
+    after ``^``.  Malformed text raises ValueError, and so does nesting
+    more than ``_MAX_DEPTH`` (500) levels of ``I(...)`` deep.
     """
-    p = _Parser(text)
-    try:
-        out = p.parse_product()
-    except RecursionError:
-        raise ValueError(
-            f"cannot parse symbol: nested too deeply at position {p.pos} of {len(text)}"
-        ) from None
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise p.error("trailing input")
-    return out
+
+    def error(at: int, msg: str) -> ValueError:
+        return ValueError(f"cannot parse symbol at position {at}: {msg} in {text!r}")
+
+    stack: list[list[Symbol]] = []  # the factors of each enclosing product
+    factors: list[Symbol] = []  # the factors of the innermost open product
+    want_factor = True
+    pos = 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        kind, tok, at = m.lastindex, m.group(m.lastindex), m.start(m.lastindex)
+        if (kind <= 4) != want_factor:
+            raise error(at, f"unexpected {tok!r}")
+        pos = m.end()
+        if kind == 1:
+            factors.append(monomial([int(x) for x in tok[3:-1].split(",")]))
+        elif kind == 2:
+            factors.append(_XI)
+        elif kind == 3:
+            if len(stack) == _MAX_DEPTH:
+                raise ValueError(
+                    f"cannot parse symbol: nested too deeply at position {at} of {len(text)}"
+                )
+            stack.append(factors)
+            factors = []
+        elif kind == 4:
+            factors.append(_ONE)
+        elif kind == 6:
+            n = int(tok[1:])
+            if n < 1:
+                raise error(at, "exponent must be >= 1")
+            factors[-1] = product([factors[-1]] * n)
+        elif kind == 7:
+            if not stack:
+                raise error(at, "unmatched ')'")
+            got = integrate(product(factors))
+            if got is None:
+                raise error(at, "I(1) is zero, not a symbol")
+            factors = stack.pop()
+            factors.append(got)
+        want_factor = kind in (3, 5)  # after I( or *
+    at = len(text) - len(text[pos:].lstrip())
+    if at < len(text):
+        raise error(at, f"unexpected {text[at]!r}")
+    if want_factor:
+        raise error(at, "expected a factor")
+    if stack:
+        raise error(at, "expected ')'")
+    return product(factors)
 
 
 # ---------------------------------------------------------------------------

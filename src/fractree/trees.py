@@ -90,22 +90,33 @@ def _tree_count(mode: str, N: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _msets(mode: str, N: int, slots: int, budget: int, maxsize: int) -> int:
-    """Multisets of `slots` trees totalling `budget` vertices, each of size <= maxsize."""
+    """Multisets of `slots` trees totalling `budget` vertices, each of size <= maxsize.
+
+    The loop picks the largest size taken and its j >= 1 copies, so the
+    call recurses only when a slot is filled.
+    """
     if slots == 0:
         return 1 if budget == 0 else 0
-    if budget < slots or maxsize < 1 or budget > slots * maxsize:
-        return 0
-    t = _tree_count(mode, N, maxsize)
     total = 0
-    jmax = min(slots, budget // maxsize)
-    for j in range(jmax + 1):
-        if j and t == 0:
+    for s in range(min(maxsize, budget - slots + 1), 0, -1):
+        if slots * s < budget:
             break
-        rest = _msets(mode, N, slots - j, budget - j * maxsize, maxsize - 1)
-        if rest:
-            ways = 1 if j == 0 else math.comb(t + j - 1, j)
-            total += ways * rest
+        t = _tree_count(mode, N, s)
+        if not t:
+            continue
+        for j in range(1, min(slots, budget // s) + 1):
+            rest = _msets(mode, N, slots - j, budget - j * s, s - 1)
+            if rest:
+                total += math.comb(t + j - 1, j) * rest
     return total
+
+
+def _count(mode: str, N: int, n: int) -> int:
+    """_tree_count(mode, N, n), filling the memo from the smallest size up so
+    that the recursion stays within the N slots of one size."""
+    for m in range(1, n):
+        _tree_count(mode, N, m)
+    return _tree_count(mode, N, n)
 
 
 def count_regular(N: int, n: int) -> int:
@@ -119,7 +130,7 @@ def count_regular(N: int, n: int) -> int:
         raise ValueError("N must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _tree_count("regular", N, n)
+    return _count("regular", N, n)
 
 
 def count_bounded(N: int, n: int) -> int:
@@ -128,7 +139,7 @@ def count_bounded(N: int, n: int) -> int:
         raise ValueError("N must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _tree_count("bounded", N, n)
+    return _count("bounded", N, n)
 
 
 @lru_cache(maxsize=None)

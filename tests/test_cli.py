@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import fractree
+import fractree.cli
 from fractree.cli import main
+from fractree.stats import stat_report
 
 SCAN_22 = ["scan", "--N", "2", "--d", "2", "--rho", "1,0.9,0.85,0.8,0.75"]
 
@@ -196,6 +198,27 @@ class TestStats:
         assert pair_rows[1].startswith("-7/4-1k,1,")
         doc = json.loads((outdir / "report.json").read_text())
         assert doc["report"]["graph_measures"]["density"] == "5/18"
+
+    def test_txt_builds_the_report_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(ms):
+            calls.append(ms)
+            return stat_report(ms)
+
+        monkeypatch.setattr(fractree.cli, "stat_report", counted)
+        code, out, _ = run(
+            capsys, ["stats", "--N", "2", "--d", "2", "--rho", "3/4", "--format", "txt"]
+        )
+        assert code == 0 and out.startswith("negative sector: c_F 932,")
+        assert len(calls) == 1
+
+    def test_csv_needs_out(self, capsys):
+        code, out, err = run(
+            capsys, ["stats", "--N", "2", "--d", "2", "--rho", "1.5", "--format", "csv"]
+        )
+        assert code == 2 and out == ""
+        assert "--out DIR" in err
 
     def test_custom_noise(self, capsys):
         # rho = 1/2 is below the white-noise critical value 2/3, but with

@@ -1,4 +1,4 @@
-"""Symbol algebra: interning, canonical form, rendering, tree functionals."""
+"""Symbol algebra: interning, canonical form, rendering, parsing, bare trees."""
 
 import random
 from fractions import Fraction as F
@@ -6,16 +6,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractree import symbols
 from fractree.params import Parameters
+from fractree.stats import _walk
 from fractree.symbols import (
     INT,
     XI,
     Symbol,
     bare_tree,
     decorate,
-    degree_vector,
-    diameter,
-    height,
     homogeneity_of,
     integrate,
     iter_vertices,
@@ -47,6 +46,29 @@ class TestConstruction:
         b = product([integrate(xi())] * 2)
         assert a is b
         assert parse_symbol("I(Xi)^2") is a
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_product_builds_one_node(self, monkeypatch, k):
+        pool = [integrate(xi()), monomial((0, 1)), xi(), integrate(integrate(xi())), monomial((1,))]
+        factors = pool[:k]
+        expected = factors[0]
+        for f in factors[1:]:
+            expected = multiply(expected, f)
+        calls = []
+        make_node = symbols._make_node
+
+        def counted(dec, kids):
+            calls.append(dec)
+            return make_node(dec, kids)
+
+        monkeypatch.setattr(symbols, "_make_node", counted)
+        assert product(factors + [one()]) is expected
+        assert len(calls) == 1
+
+    def test_product_of_units(self):
+        assert product([]) is one()
+        assert product([one(), one()]) is one()
+        assert product([one(), xi(), one()]) is xi()
 
     def test_multiply_commutes_and_associates(self):
         x, y, z = integrate(xi()), monomial((1,)), integrate(integrate(xi()))
@@ -145,6 +167,13 @@ class TestCanonicalForm:
             with pytest.raises(ValueError):
                 parse_symbol(bad)
 
+    def test_whitespace_rules(self):
+        assert parse_symbol(" I( Xi )^2 * X^(0,1) ") is parse_symbol("I(Xi)^2*X^(0,1)")
+        assert parse_symbol("Xi ^2") is parse_symbol("Xi^2")
+        for bad in ("X^( 1)", "X^(1 )", "X^(1, 0)", "X^(1 ,0)", "X ^(1)", "Xi^ 2", "I (Xi)", "X i"):
+            with pytest.raises(ValueError):
+                parse_symbol(bad)
+
     def test_parse_refuses_deep_nesting_with_a_message(self):
         deep = "I(" * 3000 + "Xi" + ")" * 3000
         with pytest.raises(ValueError, match="nested too deeply"):
@@ -155,16 +184,52 @@ class TestCanonicalForm:
         assert render(t) == chain
 
 
+_PARSE_TOKENS = ("I(", ")", "Xi", "X^(", ",", "^", "*", *"0123456789", " ", "\t", "\n")
+
+
+class TestParseFuzz:
+    @given(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=24).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_text_parses_to_a_fixed_point_or_raises_value_error(self, text):
+        try:
+            t = parse_symbol(text)
+        except ValueError:
+            return
+        assert parse_symbol(render(t)) is t
+
+    @given(st.integers(min_value=0, max_value=10**9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_whitespace_before_tokens_is_ignored(self, seed, data):
+        text = render(_random_symbol(random.Random(seed)), d=2)
+        # a token starts wherever text can break: not inside X^(...) or after ^
+        cuts = [i for i in range(len(text) + 1) if _token_boundary(text, i)]
+        chosen = data.draw(st.sets(st.sampled_from(cuts), max_size=4))
+        spaced = "".join(" " + ch if i in chosen else ch for i, ch in enumerate(text))
+        spaced += " " if len(text) in chosen else ""
+        assert parse_symbol(spaced) is parse_symbol(text)
+
+
+def _token_boundary(text: str, i: int) -> bool:
+    """Whether a token of rendered ``text`` starts at ``i`` (or it ends there)."""
+    if i in (0, len(text)):
+        return True
+    if text.rfind("X^(", 0, i) > text.rfind(")", 0, i):  # inside a multiindex
+        return False
+    if text[i] == "^":
+        return text[i + 1].isdigit()  # an exponent, not the ^ of X^(
+    return text[i] in "*)" or text.startswith(("I(", "Xi", "X^("), i)
+
+
 class TestBareDecorated:
     def test_bare_strips_noise(self):
         t = parse_symbol("I(I(Xi)^2)")
         b = bare_tree(t)
         assert b.n_vertices == t.q + 1 == 4
-        assert height(b) == 2 and diameter(b) == 2
+        assert _walk(b, 2)[:2] == _walk(t, 2)[:2] == (2, 2)  # height, diameter
 
     def test_bare_of_noise_is_point(self):
         b = bare_tree(xi())
-        assert b.n_vertices == 1 and height(b) == 0 and diameter(b) == 0
+        assert b.n_vertices == 1 and _walk(b, 2)[:2] == (0, 0)
 
     def test_decorate_inverts_bare(self):
         for text in ("Xi", "I(Xi)^2", "I(I(Xi)^2)*I(Xi)", "I(I(Xi)*I(I(Xi)^2))"):
@@ -181,35 +246,43 @@ class TestBareDecorated:
         t = _random_symbol(random.Random(seed))
         b = bare_tree(t)
         assert b.n_vertices == t.q + 1
-        assert height(b) <= t.q
-        assert diameter(b) <= 2 * height(b)
+        # at most 4 children under an incoming edge: N = 4 admits every degree
+        height, diameter = _walk(b, 4)[:2]
+        assert _walk(t, 4)[:2] == (height, diameter)
+        assert height <= t.q
+        assert diameter <= 2 * height
+
+
+def _degree_vector(t, N, bare=False):
+    """Counts (d_1, ..., d_{N+1}) of vertices by undirected degree."""
+    return _walk(t, N)[2 if bare else 3][1:]
 
 
 class TestDegreeVector:
     def test_counts_and_identities(self):
         # root - inner vertex - two stripped leaves: degrees 1, 3, 1, 1
         t = parse_symbol("I(I(Xi)^2)")
-        dv_bare = degree_vector(t, 2, bare=True)
+        dv_bare = _degree_vector(t, 2, bare=True)
         assert dv_bare == (3, 0, 1)
         assert sum(dv_bare) == t.q + 1
         assert sum((j + 1) * c for j, c in enumerate(dv_bare)) == 2 * t.q
 
     def test_decorated_counts(self):
         # Xi decorated: root deg 1, noise leaf deg 1
-        assert degree_vector(xi(), 2) == (2, 0, 0)
+        assert _degree_vector(xi(), 2) == (2, 0, 0)
         t = parse_symbol("I(Xi)^2")
-        assert degree_vector(t, 2) == (2, 3, 0)
-        assert sum(degree_vector(t, 2)) == t.n_vertices
+        assert _degree_vector(t, 2) == (2, 3, 0)
+        assert sum(_degree_vector(t, 2)) == t.n_vertices
 
     def test_root_may_use_full_degree(self):
         t = parse_symbol("I(Xi)*I(I(Xi))*I(I(I(Xi)))")  # three chains at the root
-        assert degree_vector(t, 2, bare=True) == (3, 3, 1)
+        assert _degree_vector(t, 2, bare=True) == (3, 3, 1)
 
     def test_overdegree_raises(self):
         t = parse_symbol("I(Xi)*I(I(Xi))*I(I(I(Xi)))*I(I(I(I(Xi))))")
         with pytest.raises(ValueError):
-            degree_vector(t, 2, bare=True)
-        assert degree_vector(t, 3, bare=True) == (4, 6, 0, 1)
+            _degree_vector(t, 2, bare=True)
+        assert _degree_vector(t, 3, bare=True) == (4, 6, 0, 1)
 
 
 class TestIterVertices:

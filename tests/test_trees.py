@@ -10,7 +10,8 @@ import itertools
 import pytest
 
 from fractree import trees
-from fractree.symbols import INT, _make_node, height, iter_vertices, one, type_of
+from fractree.stats import _walk
+from fractree.symbols import INT, _make_node, iter_vertices, one, type_of
 from fractree.trees import (
     PruneReport,
     bare_level_size,
@@ -114,6 +115,19 @@ class TestBoundedCounts:
         trees._ml.cache_clear()
         assert count_bounded_by_leaves(2, 2 * m + 1, m + 1) == wedderburn(m + 1)
 
+    @pytest.mark.parametrize(
+        "count, N, n", [(count_bounded, 2, 199), (count_regular, 2, 335), (count_bounded, 2, 400)]
+    )
+    def test_counts_from_cold_cache(self, count, N, n):
+        # the recursion depth must not grow with n: neither with the sizes a
+        # multiset skips over nor with the sizes below n still to be counted
+        trees._tree_count.cache_clear()
+        trees._msets.cache_clear()
+        got = count(N, n)
+        # binary: at most two children per vertex is the shifted pairing
+        # sequence, exactly two is the pairing sequence by leaves
+        assert got == wedderburn(n + 1 if count is count_bounded else (n + 1) // 2)
+
     def test_leaf_refinement_edges(self):
         assert count_bounded_by_leaves(2, 1, 1) == 1
         assert count_bounded_by_leaves(2, 1, 2) == 0
@@ -140,7 +154,7 @@ class TestEnumeration:
         seen = []
         for t in enumerate_bare(2, 6):
             assert type_of(t) == (0, 6, ())
-            assert height(t) <= 6
+            assert _walk(t, 2)[0] <= 6  # height
             seen.append(t.enc)
         assert seen == sorted(seen)
 
