@@ -414,6 +414,7 @@ def h0_F(ms: ModelSpace) -> int:
 
 def to_json_dict(ms: ModelSpace) -> dict:
     d = ms.params.d
+    texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
     entries = []
     for s in ms.generations:
         h, key = ms._types(s)
@@ -421,7 +422,7 @@ def to_json_dict(ms: ModelSpace) -> dict:
     entries.sort(key=lambda e: e[:2])
     symbols = [
         {
-            "symbol": render(s, d),
+            "symbol": render(s, d, memo=texts),
             "p": s.p,
             "q": s.q,
             "k": list(_dense(s.kvec, d)),
@@ -507,12 +508,13 @@ def from_json_dict(data: dict) -> ModelSpace:
         generations={},
     )
     complete = _field(data, "complete", bool)
+    blocks: dict[str, Symbol] = {}  # one parse memo: each shared I(...) parsed once
     for i, rec in enumerate(_field(data, "symbols", list)):
         where = f"symbols[{i}]."
         if not isinstance(rec, dict):
             raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
         text = _field(rec, "symbol", str, where)
-        sym = parse_symbol(text)
+        sym = parse_symbol(text, memo=blocks)
         h, _ = ms._types(sym)
         stored = (
             _field(rec, "p", int, where),

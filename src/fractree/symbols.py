@@ -269,13 +269,19 @@ def _dense(k: tuple[int, ...], d: Optional[int]) -> tuple[int, ...]:
     return k + (0,) * (d + 1 - len(k))
 
 
-def render(t: Symbol, d: Optional[int] = None) -> str:
+def render(t: Symbol, d: Optional[int] = None, *, memo: Optional[dict[Symbol, str]] = None) -> str:
     """Canonical text form, e.g. ``I(I(Xi)^2)*I(Xi)^2`` or ``X^(1,0,0)``.
 
     When ``d`` is given, decorations are zero-padded to length d+1.
+    ``memo`` maps each symbol rendered so far to its text; pass one dict to
+    several calls to render each subtree they share once.  A memo belongs to
+    one ``d``: the text it holds is padded for that dimension.
     """
-    if t is _ONE:
-        return "1"
+    if memo is None:
+        memo = {}
+    text = memo.get(t)
+    if text is not None:
+        return text
     parts: list[str] = []
     if t.decoration:
         parts.append("X^(%s)" % ",".join(map(str, _dense(t.decoration, d))))
@@ -287,10 +293,11 @@ def render(t: Symbol, d: Optional[int] = None) -> str:
         while j < len(kids) and kids[j] == (tag, child):
             j += 1
         run = j - i
-        base = "Xi" if tag == XI else "I(%s)" % render(child, d)
+        base = "Xi" if tag == XI else "I(%s)" % render(child, d, memo=memo)
         parts.append(base if run == 1 else f"{base}^{run}")
         i = j
-    return "*".join(parts)
+    text = memo[t] = "*".join(parts) if parts else "1"
+    return text
 
 
 # Open I( at once that parse_symbol follows.  render, bare_tree and
@@ -298,24 +305,67 @@ def render(t: Symbol, d: Optional[int] = None) -> str:
 # Python's default recursion limit for them.
 _MAX_DEPTH = 500
 
+# Most edges a parsed symbol, or any factor or power inside it, may have.
+# A factor without edges (a monomial or the unit) counts as one in a power,
+# so no exponent builds a list longer than this.  Stored spaces stay far
+# below it: 43 edges at (2,2,73/100), 56 at (3,3,8/5).
+_MAX_EDGES = 10_000
+
 # One token after optional whitespace; the group number is its kind:
 # 1 X^(k,...), 2 Xi, 3 I(, 4 the unit 1, 5 *, 6 ^n, 7 ).  Kinds 1-4 begin
 # a factor, 5-7 follow one.
 _TOKEN = re.compile(r"\s*(?:(X\^\(\d+(?:,\d+)*\))|(Xi)|(I\()|(1)|(\*)|(\^\d+)|(\)))")
 
+_PAREN = re.compile(r"[()]")
 
-def parse_symbol(text: str) -> Symbol:
+
+def _block_ends(text: str) -> dict[int, int]:
+    """Map the index of each matched '(' in ``text`` to the index just past
+    its ')'; map nothing when parentheses nest more than ``_MAX_DEPTH``
+    deep, so that the parse meets every level of such a text."""
+    ends: dict[int, int] = {}
+    opened: list[int] = []
+    for m in _PAREN.finditer(text):
+        i = m.start()
+        if text[i] == "(":
+            if len(opened) == _MAX_DEPTH:
+                return {}
+            opened.append(i)
+        elif opened:
+            ends[opened.pop()] = i + 1
+    return ends
+
+
+def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symbol:
     """Inverse of :func:`render` (accepting any dimension padding).
 
     Whitespace may precede any token but not sit inside ``X^(...)`` or
     after ``^``.  Malformed text raises ValueError, and so does nesting
-    more than ``_MAX_DEPTH`` (500) levels of ``I(...)`` deep.
+    more than ``_MAX_DEPTH`` (500) levels of ``I(...)`` deep, or a symbol,
+    factor or power with more than ``_MAX_EDGES`` (10,000) edges.
+
+    ``memo`` maps the exact text of each ``I(...)`` block parsed so far to
+    its symbol: the parse records every block it closes and steps over a
+    block whose text is already there.  Pass one dict to several calls to
+    parse each block they share once.  A memo changes no outcome: the same
+    texts parse to the same symbols and the rest raise the same message.
+    In a text whose parentheses nest deeper than ``_MAX_DEPTH`` the memo
+    is not used.
     """
 
     def error(at: int, msg: str) -> ValueError:
         return ValueError(f"cannot parse symbol at position {at}: {msg} in {text!r}")
 
-    stack: list[list[Symbol]] = []  # the factors of each enclosing product
+    def too_large(at: int) -> ValueError:
+        return error(at, f"more than {_MAX_EDGES} edges")
+
+    if memo is None:
+        memo = {}
+    ends = _block_ends(text)
+    # characters the memo may still slice out of text: keeps its keys and
+    # lookups linear in len(text) however deeply blocks nest
+    budget = 4 * len(text)
+    stack: list[tuple[list[Symbol], str]] = []  # enclosing factors, open block's text
     factors: list[Symbol] = []  # the factors of the innermost open product
     want_factor = True
     pos = 0
@@ -324,16 +374,25 @@ def parse_symbol(text: str) -> Symbol:
         if (kind <= 4) != want_factor:
             raise error(at, f"unexpected {tok!r}")
         pos = m.end()
+        want_factor = kind in (3, 5)  # after I( or *
         if kind == 1:
             factors.append(monomial([int(x) for x in tok[3:-1].split(",")]))
         elif kind == 2:
             factors.append(_XI)
         elif kind == 3:
+            end = ends.get(at + 1, at)
+            block = text[at:end] if end - at <= budget else ""
+            budget -= len(block)
+            got = memo.get(block)
+            if got is not None:
+                factors.append(got)
+                pos, want_factor = end, False
+                continue
             if len(stack) == _MAX_DEPTH:
                 raise ValueError(
                     f"cannot parse symbol: nested too deeply at position {at} of {len(text)}"
                 )
-            stack.append(factors)
+            stack.append((factors, block))
             factors = []
         elif kind == 4:
             factors.append(_ONE)
@@ -341,16 +400,21 @@ def parse_symbol(text: str) -> Symbol:
             n = int(tok[1:])
             if n < 1:
                 raise error(at, "exponent must be >= 1")
+            if n * max(factors[-1].n_edges, 1) > _MAX_EDGES:
+                raise too_large(at)
             factors[-1] = product([factors[-1]] * n)
         elif kind == 7:
             if not stack:
                 raise error(at, "unmatched ')'")
+            if sum(f.n_edges for f in factors) >= _MAX_EDGES:
+                raise too_large(at)
             got = integrate(product(factors))
             if got is None:
                 raise error(at, "I(1) is zero, not a symbol")
-            factors = stack.pop()
+            factors, block = stack.pop()
+            if block:
+                memo[block] = got
             factors.append(got)
-        want_factor = kind in (3, 5)  # after I( or *
     at = len(text) - len(text[pos:].lstrip())
     if at < len(text):
         raise error(at, f"unexpected {text[at]!r}")
@@ -358,6 +422,8 @@ def parse_symbol(text: str) -> Symbol:
         raise error(at, "expected a factor")
     if stack:
         raise error(at, "expected ')'")
+    if sum(f.n_edges for f in factors) > _MAX_EDGES:
+        raise too_large(at)
     return product(factors)
 
 

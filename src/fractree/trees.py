@@ -147,7 +147,7 @@ def _tl(N: int, n: int, leaves: int) -> int:
     """Bounded-arity trees with n vertices and exactly `leaves` leaves."""
     if n == 1:
         return 1 if leaves == 1 else 0
-    if leaves < 1 or leaves > n - 1:
+    if not 1 <= leaves <= _max_leaves(N, n - 1):
         return 0
     return sum(
         _ml(N, c, n - 1, leaves, n - 1, n - 1) for c in range(1, min(N, n - 1) + 1)
@@ -160,7 +160,10 @@ def _ml(N: int, slots: int, vb: int, lb: int, size: int, leaf: int) -> int:
 
     Every tree's class (size, leaf) is at most (`size`, `leaf`) in
     lexicographic order.  The loop picks the largest class taken and its
-    j >= 1 copies, so the call recurses only when a slot is filled.
+    j >= 1 copies, so the call recurses only when a slot is filled.  It
+    takes only classes with room for their leaves and leaves over only
+    what the remaining slots can hold (`_fits`), so no term it skips is
+    nonzero.
     """
     if slots == 0:
         return 1 if vb == 0 and lb == 0 else 0
@@ -168,11 +171,16 @@ def _ml(N: int, slots: int, vb: int, lb: int, size: int, leaf: int) -> int:
     for s in range(min(size, vb - slots + 1), 0, -1):
         if slots * s < vb:
             break
-        for lv in range(min(leaf if s == size else s, lb - slots + 1), 0, -1):
-            t = _tl(N, s, lv)
-            if not t:
-                continue
+        top = min(leaf if s == size else s, lb - slots + 1, _max_leaves(N, s - 1))
+        for lv in range(top, 0, -1):
+            t = None
             for j in range(1, min(slots, vb // s, lb // lv) + 1):
+                if not _fits(N, slots - j, vb - j * s, lb - j * lv, s - 1):
+                    continue
+                if t is None:
+                    t = _tl(N, s, lv)
+                if not t:
+                    break
                 rest = _ml(N, slots - j, vb - j * s, lb - j * lv, s, lv - 1)
                 if rest:
                     total += math.comb(t + j - 1, j) * rest
@@ -183,10 +191,19 @@ def count_bounded_by_leaves(N: int, n: int, leaves: int) -> int:
     """Bounded-arity tree count refined by exact leaf count.
 
     Summing over all leaf counts recovers count_bounded(N, n); the single
-    vertex counts as one leaf.
+    vertex counts as one leaf.  The memo is filled from the smallest size
+    up, as `_count` does, over the (size, leaves) classes a subtree of such
+    a tree can have: those whose leaves fit and leave no more than the rest
+    of the tree, with the subtree as one leaf, has room for.  Every class
+    `_ml` reaches from one of them is among them, so the recursion stays
+    within the N slots of one class.
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
+    for m in range(2, n):
+        rest = _max_leaves(N, n - m)  # leaves of the rest, n - m edges
+        for lv in range(max(1, leaves + 1 - rest), min(leaves, _max_leaves(N, m - 1)) + 1):
+            _tl(N, m, lv)
     return _tl(N, n, leaves)
 
 

@@ -220,6 +220,120 @@ def _token_boundary(text: str, i: int) -> bool:
     return text[i] in "*)" or text.startswith(("I(", "Xi", "X^("), i)
 
 
+def _outcome(text: str, memo=None):
+    """What parse_symbol makes of text: the symbol or the ValueError message."""
+    try:
+        return parse_symbol(text, memo=memo)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(got, want) -> bool:
+    """The identical interned symbol, or the same error message."""
+    return got is want if isinstance(want, Symbol) else got == want
+
+
+def _blocks(t: Symbol, d: int) -> list[str]:
+    """The text of every I(...) block in render(t, d)."""
+    return sorted({"I(%s)" % render(c, d) for *_, tag, c in iter_vertices(t) if tag == INT})
+
+
+class TestParseMemo:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4),
+        st.lists(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=16).map("".join), max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_memo_changes_no_outcome(self, seeds, noise, data):
+        # fill the memo from rendered symbols and from token strings, which
+        # may record blocks before they fail
+        syms = [_random_symbol(random.Random(seed)) for seed in seeds]
+        seen = [render(t, d=2) for t in syms]
+        memo: dict = {}
+        for other in seen + noise:
+            _outcome(other, memo)
+        # texts that reuse those blocks among stray tokens, and the texts
+        # themselves with one piece deleted or inserted
+        blocks = sorted({b for t in syms for b in _blocks(t, 2)})
+        pieces = st.sampled_from(_PARSE_TOKENS + tuple(blocks))
+        base = data.draw(st.sampled_from(seen))
+        cut = data.draw(st.integers(min_value=0, max_value=len(base)))
+        text = data.draw(
+            st.one_of(
+                st.lists(pieces, max_size=12).map("".join),
+                st.just(base),
+                st.integers(min_value=1, max_value=3).map(lambda n: base[:cut] + base[cut + n:]),
+                pieces.map(lambda piece: base[:cut] + piece + base[cut:]),
+            )
+        )
+        assert _same(_outcome(text, memo), _outcome(text))
+        # a shared render memo renders every symbol as a fresh one does
+        texts: dict = {}
+        for t, text in zip(syms, seen):
+            assert render(t, 2, memo=texts) == text
+
+    def test_memo_holds_every_closed_block(self):
+        memo: dict = {}
+        t = parse_symbol("I(I(Xi)^2)*I(Xi)*X^(0,1)", memo=memo)
+        assert set(memo) == {"I(I(Xi)^2)", "I(Xi)"}
+        assert memo["I(Xi)"] is integrate(xi())
+        assert parse_symbol("I(I(Xi)^2)", memo=memo) is memo["I(I(Xi)^2)"]
+        assert t is parse_symbol("I(I(Xi)^2)*I(Xi)*X^(0,1)")
+
+    def test_memo_keeps_the_depth_bound(self):
+        memo: dict = {}
+        chain = "I(" * 400 + "Xi" + ")" * 400
+        parse_symbol(chain, memo=memo)
+        assert chain in memo
+        deep = "I(" * 3000 + "Xi" + ")" * 3000  # holds chain as its inner 400 levels
+        with pytest.raises(ValueError, match="nested too deeply") as fresh:
+            parse_symbol(deep)
+        with pytest.raises(ValueError, match="nested too deeply") as memoised:
+            parse_symbol(deep, memo=memo)
+        assert str(memoised.value) == str(fresh.value)
+        # at the bound itself: 500 levels parse, 501 are refused, memo or not
+        for extra, ok in ((100, True), (101, False)):
+            text = "I(" * extra + chain + ")" * extra
+            want = _outcome(text)
+            assert isinstance(want, Symbol) is ok
+            assert _same(_outcome(text, memo), want)
+
+    def test_memo_keys_stay_linear_in_the_text(self):
+        # padding inside a deep chain: one key per level would hold 400
+        # copies of the padding
+        text = "I(" * 400 + " " * 20_000 + "Xi" + ")" * 400
+        memo: dict = {}
+        t = parse_symbol(text, memo=memo)
+        assert (t.p, t.q) == (1, 400)
+        assert sum(map(len, memo)) <= 4 * len(text)
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            # powers, refused at the ^ before their factor list is built
+            ("Xi^99999999", 2),
+            ("I(Xi^100)^100^100", 9),
+            ("X^(1)^99999999", 5),
+            ("1^99999999", 1),
+            # an integral at its ), a product at the end: one edge too many
+            ("I(Xi^10000)", 10),
+            ("Xi^5000*Xi^5001", 15),
+            ("I(Xi^5000)*Xi^5000", 18),
+        ],
+    )
+    def test_symbols_past_the_bound_are_refused(self, text, at):
+        with pytest.raises(ValueError, match=f"position {at}: more than 10000 edges"):
+            parse_symbol(text)
+
+    def test_large_symbols_still_parse(self):
+        t = parse_symbol("Xi^212^12")
+        assert (t.p, t.q) == (2544, 0)
+        assert parse_symbol("I(Xi^9999)").n_edges == symbols._MAX_EDGES
+
+
 class TestBareDecorated:
     def test_bare_strips_noise(self):
         t = parse_symbol("I(I(Xi)^2)")

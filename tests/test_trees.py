@@ -5,6 +5,7 @@ construction (multisets of smaller trees, no size partitioning) so the two
 can only agree if both are right.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -106,11 +107,13 @@ class TestBoundedCounts:
                 total = sum(count_bounded_by_leaves(N, n, L) for L in range(n + 1))
                 assert total == count_bounded(N, n)
 
-    @pytest.mark.parametrize("m", [16, 20])
+    @pytest.mark.parametrize("m", [16, 20, 100, 200])
     def test_leaf_refinement_deep_binary_from_cold_cache(self, m):
         # 2m+1 vertices and m+1 leaves force every internal vertex to have two
         # children; the recursion depth must not grow with the number of
-        # (size, leaf) classes below n
+        # (size, leaf) classes below n.  m = 100 overflowed the stack while
+        # every class recursed into the next; m = 200 still does unless the
+        # memo is filled from the smallest class up
         trees._tl.cache_clear()
         trees._ml.cache_clear()
         assert count_bounded_by_leaves(2, 2 * m + 1, m + 1) == wedderburn(m + 1)
@@ -127,6 +130,22 @@ class TestBoundedCounts:
         # binary: at most two children per vertex is the shifted pairing
         # sequence, exactly two is the pairing sequence by leaves
         assert got == wedderburn(n + 1 if count is count_bounded else (n + 1) // 2)
+
+    def test_leaf_table_pinned(self):
+        # SHA-256 of the lines "N n leaves count" for N 1..5, n <= 25 and
+        # every leaf count, as counted before _ml skipped classes that
+        # cannot hold their leaves
+        trees._tl.cache_clear()
+        trees._ml.cache_clear()
+        rows = [
+            f"{N} {n} {L} {count_bounded_by_leaves(N, n, L)}"
+            for N in range(1, 6)
+            for n in range(1, 26)
+            for L in range(n + 2)
+        ]
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "723682ffeb8d834976763ae453ae8e4fc855e9031033c76732beceffe46f5be3"
+        )
 
     def test_leaf_refinement_edges(self):
         assert count_bounded_by_leaves(2, 1, 1) == 1
