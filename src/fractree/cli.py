@@ -399,7 +399,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_build_opts(p)
     p.add_argument("--out", default=_env_default("OUT"))
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("list", help="print the negative sector as a table")
@@ -422,7 +421,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p, rho_grid=True)
     _add_build_opts(p)
     p.add_argument("--out", default=_env_default("OUT"))
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("fit", help="fit divergence laws to a scan CSV")
@@ -439,7 +437,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_env_default("OUT"))
     p.add_argument("--forest", action="store_true",
                    help="single file with every tree instead of one file per tree")
-    p.add_argument("--format", choices=("dot",), default="dot")
     p.set_defaults(func=_cmd_export)
 
     return ap

@@ -59,7 +59,7 @@ def _fstr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class Homogeneity:
     """A scaled degree of the form a + b*kappa.
 
@@ -101,21 +101,6 @@ class Homogeneity:
     def shift(self, delta: RationalLike) -> "Homogeneity":
         """Add a plain rational (no kappa component)."""
         return Homogeneity(self.a + _frac(delta), self.b)
-
-    def _key(self) -> tuple[Fraction, int]:
-        return (self.a, self.b)
-
-    def __lt__(self, other: "Homogeneity") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Homogeneity") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Homogeneity") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Homogeneity") -> bool:
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -226,20 +211,17 @@ class Parameters:
 def is_locally_subcritical(params: Parameters) -> tuple[bool, str]:
     """Decide local subcriticality, returning (verdict, case).
 
-    The criterion has three branches:
+    The criterion has two branches:
 
     * case "i":   alpha0 + rho > 0, so even the noise itself gains
       regularity under one integration;
     * case "ii":  N*rho > -(N-1)*alpha0, the generic branch (for white
-      noise this reduces to rho > rho_c, boundary excluded);
-    * case "iii": N = 0, a linear equation, always subcritical.
+      noise this reduces to rho > rho_c, boundary excluded).
 
     Comparisons are kappa-aware, which is what makes the boundary strict:
     at rho = rho_c the right-hand side of case "ii" wins by (N-1)*kappa.
     """
     zero = Homogeneity(Fraction(0), 0)
-    if params.N == 0:  # unreachable through Parameters, kept for completeness
-        return True, "iii"
     gain = params.alpha0.shift(params.rho)
     if gain > zero:
         return True, "i"

@@ -13,7 +13,8 @@ The type of a symbol is the triple (p, q, k): p noise edges, q integration
 edges, k the total decoration.  A symbol with p + q edges has p + q + 1
 vertices.  Symbols are interned: structurally equal trees are the same
 Python object, keyed by a canonical byte encoding, so equality and hashing
-are O(1) and sets of symbols deduplicate for free.
+are identity and sets of symbols deduplicate for free.  Input is checked
+once, by the public constructors; the internal node constructor trusts them.
 
 Multiplication concatenates edge multisets at the root and adds root
 decorations; integration grafts a new root above the tree.  Neither operation
@@ -67,19 +68,25 @@ def _trim(k: Sequence[int]) -> tuple[int, ...]:
 
 
 def _vec_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Sum of two trimmed nonnegative vectors, which is trimmed too."""
     if not a:
         return b
     if not b:
         return a
     if len(a) < len(b):
         a, b = b, a
-    return _trim(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
 class Symbol:
-    """An interned decorated tree.  Build through the module functions."""
+    """An interned decorated tree.  Build through the module functions.
 
-    __slots__ = ("decoration", "children", "enc", "p", "q", "kvec", "_hash", "__weakref__")
+    Interning makes equality identity: two live symbols that are
+    structurally equal are the same object, so the default ``==`` and
+    ``hash`` are exact.  ``<`` is the canonical order, by encoding.
+    """
+
+    __slots__ = ("decoration", "children", "enc", "p", "q", "kvec", "__weakref__")
 
     decoration: tuple[int, ...]
     children: tuple[tuple[int, "Symbol"], ...]
@@ -99,12 +106,6 @@ class Symbol:
     def n_vertices(self) -> int:
         return self.p + self.q + 1
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Symbol) and self.enc == other.enc)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __lt__(self, other: "Symbol") -> bool:
         return self.enc < other.enc
 
@@ -112,42 +113,37 @@ class Symbol:
         return f"<Symbol {render(self)}>"
 
 
-def _make_node(decoration: Sequence[int], children: Iterable[tuple[int, Symbol]]) -> Symbol:
-    dec = _trim(decoration)
-    if any((not isinstance(x, int)) or x < 0 for x in dec):
-        raise ValueError(f"decoration must be nonnegative ints, got {dec}")
-    kids = []
-    for tag, child in children:
-        if tag not in (XI, INT):
-            raise ValueError(f"unknown edge tag {tag!r}")
-        if not isinstance(child, Symbol):
-            raise TypeError("child must be a Symbol")
-        if tag == XI and (child.children or child.decoration):
-            raise ValueError("a noise edge must point at an undecorated leaf")
-        kids.append((tag, child))
-    kids.sort(key=lambda tc: _TAG_BYTES[tc[0]] + tc[1].enc)
+def _make_node(decoration: tuple[int, ...], children: Iterable[tuple[int, Symbol]]) -> Symbol:
+    """The interned node with root decoration ``decoration`` over ``children``.
 
-    if dec:
-        head = b"k" + ",".join(map(str, dec)).encode() + b";"
-    else:
-        head = b""
-    enc = head + b"(" + b"".join(_TAG_BYTES[t] + c.enc for t, c in kids) + b")"
+    Trusted, so nothing is checked: ``decoration`` is a trimmed tuple of
+    nonnegative ints, and each child is an edge ``(XI, one())`` or
+    ``(INT, t)`` with ``t`` a Symbol, in any order.  Outside input is
+    checked by the public constructors before it gets here.
+    """
+    keyed = sorted((_TAG_BYTES[tag] + child.enc, tag, child) for tag, child in children)
+    head = b"k" + ",".join(map(str, decoration)).encode() + b";" if decoration else b""
+    enc = head + b"(" + b"".join([key for key, _, _ in keyed]) + b")"
 
     cached = _POOL.get(enc)
     if cached is not None:
         return cached
 
     sym = object.__new__(Symbol)
-    sym.decoration = dec
-    sym.children = tuple(kids)
+    sym.decoration = decoration
+    sym.children = tuple([(tag, child) for _, tag, child in keyed])
     sym.enc = enc
-    sym.p = sum(1 for t, _ in kids if t == XI) + sum(c.p for _, c in kids)
-    sym.q = sum(1 for t, _ in kids if t == INT) + sum(c.q for _, c in kids)
-    kv = dec
-    for _, c in kids:
-        kv = _vec_add(kv, c.kvec)
-    sym.kvec = kv
-    sym._hash = hash(enc)
+    p = q = 0
+    kv = decoration
+    for _, tag, child in keyed:
+        p += child.p
+        q += child.q
+        if tag == XI:
+            p += 1
+        else:
+            q += 1
+        kv = _vec_add(kv, child.kvec)
+    sym.p, sym.q, sym.kvec = p, q, kv
     return _POOL.setdefault(enc, sym)
 
 
@@ -168,6 +164,8 @@ def xi() -> Symbol:
 def monomial(k: Sequence[int]) -> Symbol:
     """The polynomial symbol X^k; k = (k_time, k_1, ..., k_d), trailing zeros optional."""
     dec = _trim(k)
+    if any((not isinstance(x, int)) or x < 0 for x in dec):
+        raise ValueError(f"decoration must be nonnegative ints, got {dec}")
     if not dec:
         return _ONE
     return _make_node(dec, ())
@@ -178,6 +176,8 @@ def product(factors: Iterable[Symbol]) -> Symbol:
     their root decorations.  Unit factors drop out; the empty product is
     the unit."""
     fs = [f for f in factors if f is not _ONE]
+    if not all(isinstance(f, Symbol) for f in fs):
+        raise TypeError("product factors must be Symbols")
     if len(fs) < 2:
         return fs[0] if fs else _ONE
     dec: tuple[int, ...] = ()
@@ -201,6 +201,8 @@ def integrate(t: Symbol) -> Optional[Symbol]:
     """
     if t is _ONE:
         return None
+    if not isinstance(t, Symbol):
+        raise TypeError("integrate expects a Symbol")
     return _make_node((), ((INT, t),))
 
 
@@ -376,7 +378,11 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
         pos = m.end()
         want_factor = kind in (3, 5)  # after I( or *
         if kind == 1:
-            factors.append(monomial([int(x) for x in tok[3:-1].split(",")]))
+            try:
+                k = [int(x.lstrip("0") or 0) for x in tok[3:-1].split(",")]
+            except ValueError:  # beyond Python's integer-conversion limit
+                raise error(at, "decoration entry too long") from None
+            factors.append(monomial(k))
         elif kind == 2:
             factors.append(_XI)
         elif kind == 3:
@@ -397,7 +403,10 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
         elif kind == 4:
             factors.append(_ONE)
         elif kind == 6:
-            n = int(tok[1:])
+            digits = tok[1:].lstrip("0")
+            if len(digits) > len(str(_MAX_EDGES)):
+                raise too_large(at)
+            n = int(digits or 0)
             if n < 1:
                 raise error(at, "exponent must be >= 1")
             if n * max(factors[-1].n_edges, 1) > _MAX_EDGES:

@@ -258,6 +258,14 @@ class TestPersistence:
             "f5c693ec71d578a2e558107735adc5109995e54233c668a1a0ab358c911cec51"
         )
 
+    def test_json_pinned_3_3_8_5(self, spaces):
+        """SHA-256 of the (3, 3, 8/5) document as written before the trusted
+        node constructor and identity hashing of symbols."""
+        text = json.dumps(to_json_dict(spaces(3, 3, F(8, 5))), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "aeda1b6046c52129c7a805ae3441391f41883241061dae60276f919055de3ab8"
+        )
+
     def test_load_builds_at_most_two_nodes_per_record(self, spaces, monkeypatch):
         # every I(...) block a record shares with an earlier one is looked
         # up, not rebuilt: 1,778 nodes for 1,354 records (30,481 unshared)

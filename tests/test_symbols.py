@@ -88,12 +88,15 @@ class TestConstruction:
         assert multiply(m, m).kvec == (4, 2)
 
     def test_noise_edge_validation(self):
-        from fractree.symbols import _make_node
-
+        # input is checked where it enters, by the public constructors
         with pytest.raises(ValueError):
-            _make_node((), ((XI, integrate(xi())),))
+            monomial((-1,))
         with pytest.raises(ValueError):
-            _make_node((-1,), ())
+            monomial((1.5,))
+        with pytest.raises(TypeError):
+            integrate("Xi")
+        with pytest.raises(TypeError):
+            product([xi(), "Xi"])
 
     def test_types_compose(self):
         t = multiply(integrate(multiply(integrate(xi()), integrate(xi()))), monomial((0, 1)))
@@ -327,6 +330,15 @@ class TestSizeBound:
     def test_symbols_past_the_bound_are_refused(self, text, at):
         with pytest.raises(ValueError, match=f"position {at}: more than 10000 edges"):
             parse_symbol(text)
+
+    def test_numbers_past_the_conversion_limit(self):
+        # longer than Python's default 4,300-digit limit for int(str)
+        with pytest.raises(ValueError, match="position 0: decoration entry too long"):
+            parse_symbol("X^(" + "9" * 5000 + ")")
+        assert parse_symbol("X^(" + "0" * 5000 + "1)") is monomial((1,))
+        with pytest.raises(ValueError, match="position 2: more than 10000 edges"):
+            parse_symbol("Xi^" + "7" * 5000)
+        assert parse_symbol("Xi^" + "0" * 4400 + "2") is parse_symbol("Xi^0002") is parse_symbol("Xi^2")
 
     def test_large_symbols_still_parse(self):
         t = parse_symbol("Xi^212^12")
