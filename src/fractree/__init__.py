@@ -77,6 +77,7 @@ from .builder import (
     save_json,
     to_json_dict,
 )
+from .census import Census, census
 from .stats import (
     DegreeDistribution,
     GraphMeasures,

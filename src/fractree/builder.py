@@ -41,10 +41,9 @@ from .params import (
     ExplosionError,
     Homogeneity,
     Parameters,
-    SubcriticalityError,
     _frac,
     _fstr,
-    is_locally_subcritical,
+    require_subcritical,
 )
 from .symbols import (
     Symbol,
@@ -264,12 +263,7 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     returned space is deterministic: same inputs, same symbols, same
     generation tags.
     """
-    ok, _case = is_locally_subcritical(params)
-    if not ok:
-        raise SubcriticalityError(
-            f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
-            f"alpha0={params.alpha0} satisfy no subcriticality condition"
-        )
+    require_subcritical(params)
 
     # Integer units throughout: a product's units are the sum of its
     # factors', an integral's are its integrand's plus rho's, so only the

@@ -210,12 +210,30 @@ class DioSystem:
         )
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _dio_ranges(
+    N: int, d: int, rho: RationalLike, boundary: str
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """(qt, p, v0, w, c2_lo, c2_hi) for each (qt, p) of the realizability box.
 
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+    v is counted in units of 1/(2 den(rho)), where it is an integer: v0 is
+    v at c2 = 0, w the lower end N(rho-d)/2 of the window, and one unit
+    of c2 is 2 den(rho) units of v.
+    """
+    if boundary not in ("le", "lt"):
+        raise ValueError("boundary must be 'le' or 'lt'")
+    r = _frac(rho)
+    _gap(N, d, r)  # refuse at or below critical
+    q_top = math.floor(lattice_bounds(N, d, r).q_star)
+    num, den = r.numerator, r.denominator
+    scale = 2 * den
+    w = N * (num - d * den)
+    shift = 0 if boundary == "le" else 1  # "lt" needs v <= -1 unit
+    for qt in range(1, q_top + 1):
+        for p in range(1, 2 + ((N - 1) * qt) // N):
+            v0 = 2 * num * qt - p * (num + d * den)
+            c2_lo = max(0, -((v0 - w) // scale))
+            c2_hi = (-v0 - shift) // scale
+            yield qt, p, v0, w, c2_lo, c2_hi
 
 
 def dio_solutions(
@@ -239,32 +257,14 @@ def dio_solutions(
     solutions (the kappa-aware reading, where a = 0 symbols still count as
     negative), "lt" drops them.  The unit and the bare noise are not part of
     the system; the usual comparison is len(solutions) + 1 against h_F.
+    The arithmetic is in integer units of v, with no Fraction in the loop.
     """
-    if boundary not in ("le", "lt"):
-        raise ValueError("boundary must be 'le' or 'lt'")
-    r = _frac(rho)
-    _gap(N, d, r)  # refuse at or below critical
-    q_star = lattice_bounds(N, d, r).q_star
-    half = (r + d) / 2
-    window_lo = Fraction(N) * (r - d) / 2
-    scale = 2 * r.denominator  # v is an integer multiple of 1/scale
-
-    for qt in range(1, _floor_frac(q_star) + 1):
-        p_max = 1 + ((N - 1) * qt) // N
-        for p in range(1, p_max + 1):
-            base = r * qt - p * half  # v at c2 = 0
-            c2_lo = max(0, _ceil_frac(window_lo - base))
-            hi = -base  # largest c2 with v <= 0
-            if boundary == "le":
-                c2_hi = _floor_frac(hi)
-            else:
-                c2_hi = _ceil_frac(hi) - 1
-            for c2 in range(c2_lo, c2_hi + 1):
-                v = base + c2
-                c1 = 2 * qt - p
-                c4 = int(-v * scale)
-                c5 = int((v - window_lo) * scale)
-                yield (c1 - 1, c2, p - 1, c4, c5, c1 - p)
+    scale = 2 * _frac(rho).denominator
+    for qt, p, v0, w, c2_lo, c2_hi in _dio_ranges(N, d, rho, boundary):
+        c1 = 2 * qt - p
+        for c2 in range(c2_lo, c2_hi + 1):
+            v = v0 + c2 * scale
+            yield (c1 - 1, c2, p - 1, -v, v - w, c1 - p)
 
 
 def dio_count(N: int, d: int, rho: RationalLike, boundary: str = "le") -> int:
@@ -274,8 +274,11 @@ def dio_count(N: int, d: int, rho: RationalLike, boundary: str = "le") -> int:
     companion quantity for cross-checks is dio_count + 1 (adding the bare
     noise symbol) against the enumerated h_F; both conventions are worth
     reporting side by side since they differ exactly on the a = 0 symbols.
+    Each (qt, p) contributes the length of its c2 range.
     """
-    return sum(1 for _ in dio_solutions(N, d, rho, boundary))
+    return sum(
+        max(c2_hi - c2_lo + 1, 0) for *_, c2_lo, c2_hi in _dio_ranges(N, d, rho, boundary)
+    )
 
 
 BOUNDS_CSV_COLUMNS = [

@@ -32,6 +32,7 @@ __all__ = [
     "alpha0_white_noise",
     "scaled_degree",
     "is_locally_subcritical",
+    "require_subcritical",
 ]
 
 Rational = Fraction
@@ -230,3 +231,12 @@ def is_locally_subcritical(params: Parameters) -> tuple[bool, str]:
     if lhs > rhs:
         return True, "ii"
     return False, "none"
+
+
+def require_subcritical(params: Parameters) -> None:
+    """Raise SubcriticalityError unless ``params`` is locally subcritical."""
+    if not is_locally_subcritical(params)[0]:
+        raise SubcriticalityError(
+            f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
+            f"alpha0={params.alpha0} satisfy no subcriticality condition"
+        )

@@ -282,6 +282,70 @@ class TestScan:
             main(["scan", "--N", "2", "--d", "2", "--rho", ","])
         assert exc.value.code == 2
 
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """Count the calls scan makes to the builder."""
+        calls = []
+
+        def counted(params, config):
+            calls.append(params.rho)
+            return fractree.builder.build(params, config)
+
+        monkeypatch.setattr(fractree.cli, "build", counted)
+        return calls
+
+    def test_certified_rows_need_no_build(self, capsys, monkeypatch):
+        def refuse(params, config):
+            raise AssertionError("scan built a certified point")
+
+        monkeypatch.setattr(fractree.cli, "build", refuse)
+        code, out, _ = run(capsys, SCAN_22)
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "1/1,6,8,true", "9/10,7,11,true", "17/20,9,21,true", "4/5,12,64,true",
+            "3/4,18,932,true",
+        ]
+
+    @pytest.mark.parametrize(
+        "extra,env",
+        [
+            (["--iter", "64"], {}),
+            ([], {"FRACTREE_ITER": "64"}),
+            (["--cap", "100000"], {}),
+            ([], {"FRACTREE_CAP": "100000"}),
+            (["--maxh", "1/4"], {}),  # below the threshold 1/2 at rho = 1
+        ],
+    )
+    def test_truncation_requests_build(self, capsys, monkeypatch, builds, extra, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, _, _ = run(capsys, ["scan", "--N", "2", "--d", "2", "--rho", "1,3/4"] + extra)
+        assert code == 0
+        assert builds == [fractree.Rational(1), fractree.Rational(3, 4)]
+
+    def test_maxh_at_or_above_threshold_counts(self, capsys, builds):
+        default = run(capsys, SCAN_22)[1]
+        assert run(capsys, SCAN_22 + ["--maxh", "5"])[1] == default
+        # the threshold at rho = 1 is 1/2; at 3/4 it is 5/8, so 3/4 builds
+        at = run(capsys, ["scan", "--N", "2", "--d", "2", "--rho", "1,3/4", "--maxh", "1/2"])[1]
+        assert at.splitlines()[1:] == ["1/1,6,8,true", "3/4,18,705,false"]
+        assert builds == [fractree.Rational(3, 4)]
+
+    @pytest.mark.parametrize("extra", [[], ["--iter", "64"]])
+    def test_supercritical_point_refused(self, capsys, tmp_path, builds, extra):
+        path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys,
+            ["scan", "--N", "2", "--d", "2", "--rho", "1,2/3", "--out", str(path)] + extra,
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: parameters N=2, d=2, rho=2/3, alpha0=-4/3 - kappa "
+            "satisfy no subcriticality condition\n"
+        )
+        assert not path.exists()
+        assert len(builds) == (2 if extra else 0)
+
 
 class TestFit:
     @pytest.fixture()

@@ -164,6 +164,49 @@ class TestDioSystem:
             assert c6 == c1 - p >= 0
 
 
+
+def _reference_dio_solutions(N, d, rho, boundary="le"):
+    """The Fraction-arithmetic box walk that integer units replaced, kept as the oracle."""
+    r = F(rho)
+    q_star = lattice_bounds(N, d, r).q_star
+    half = (r + d) / 2
+    window_lo = F(N) * (r - d) / 2
+    scale = 2 * r.denominator
+    for qt in range(1, q_star.numerator // q_star.denominator + 1):
+        p_max = 1 + ((N - 1) * qt) // N
+        for p in range(1, p_max + 1):
+            base = r * qt - p * half
+            c2_lo = max(0, math.ceil(window_lo - base))
+            hi = -base
+            c2_hi = math.floor(hi) if boundary == "le" else math.ceil(hi) - 1
+            for c2 in range(c2_lo, c2_hi + 1):
+                v = base + c2
+                c1 = 2 * qt - p
+                yield (c1 - 1, c2, p - 1, int(-v * scale), int((v - window_lo) * scale), c1 - p)
+
+
+_DIO_POINTS = [
+    (N, d, rho)
+    for N in range(1, 6)
+    for d in range(1, 4)
+    for rho in [F(k, 20) for k in range(1, 41)]
+    if rho > F(d * (N - 1), N + 1)
+]
+
+
+class TestDioIntegerUnits:
+    @pytest.mark.parametrize("boundary", ["le", "lt"])
+    def test_same_vectors_in_the_same_order(self, boundary):
+        for N, d, rho in _DIO_POINTS:
+            ref = list(_reference_dio_solutions(N, d, rho, boundary))
+            assert list(dio_solutions(N, d, rho, boundary)) == ref, (N, d, rho)
+            assert dio_count(N, d, rho, boundary) == len(ref), (N, d, rho)
+
+    def test_vectors_are_ints(self):
+        for sol in dio_solutions(2, 2, F(3, 4), "lt"):
+            assert all(type(x) is int for x in sol)
+
+
 class TestBoundsCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "bounds.csv"
