@@ -54,7 +54,6 @@ from .counting import (
     DioSystem,
     LatticeBounds,
     beta_N,
-    cF_bounds,
     d0_contains,
     dio_count,
     dio_solutions,

@@ -34,7 +34,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional
 
 from .params import (
@@ -43,6 +42,7 @@ from .params import (
     Parameters,
     _frac,
     _fstr,
+    completeness_threshold,
     require_subcritical,
 )
 from .symbols import (
@@ -102,17 +102,17 @@ class _TypeHomogeneities:
     A symbol's homogeneity depends on its type alone, so the exact Fraction
     arithmetic runs once per type however many symbols share it.  Next to
     the homogeneity each type keeps an integer sort key (units, b): units is
-    the kappa-free part times L, the common denominator of alpha0 and rho,
-    which every homogeneity of the model is an exact multiple of.  The keys
-    order homogeneities exactly as Homogeneity does, and a key below (0, 0)
-    marks a negative one.
+    the kappa-free part times L = ``params.scale``, the common denominator of
+    alpha0 and rho, which every homogeneity of the model is an exact multiple
+    of.  The keys order homogeneities exactly as Homogeneity does, and a key
+    below (0, 0) marks a negative one.
     """
 
     __slots__ = ("params", "scale", "_by_type")
 
     def __init__(self, params: Parameters):
         self.params = params
-        self.scale = lcm(params.alpha0.a.denominator, params.rho.denominator)
+        self.scale = params.scale
         self._by_type: dict[tuple, tuple[Homogeneity, tuple[int, int]]] = {}
 
     def units(self, x: Fraction) -> int:
@@ -174,20 +174,6 @@ class ModelSpace:
         """Sorted distinct homogeneities of all stored symbols."""
         hs = {self._types(s)[0] for s in self.generations}
         return sorted(hs)
-
-
-def completeness_threshold(params: Parameters) -> Fraction:
-    """Least maxh at which a converged build certifies its negative sector.
-
-    Each factor of a product that ends up negative lies at most
-    (N-1) * |min(alpha0 + rho, 0)| above zero, so that value is a safe
-    truncation level.  When integrating the noise already has positive
-    homogeneity the threshold is zero.
-    """
-    climb = params.alpha0.a + params.rho
-    if climb >= 0:
-        return Fraction(0)
-    return -(params.N - 1) * climb
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -470,7 +456,9 @@ def from_json_dict(data: dict) -> ModelSpace:
     """Inverse of :func:`to_json_dict`.
 
     Raises ValueError naming the field when one is missing or mistyped, and
-    when a symbol record disagrees with its own type and homogeneity.
+    when a symbol record disagrees with its own type and homogeneity;
+    SubcriticalityError, as :func:`build` does, for parameters without a
+    finite negative sector.
     """
     if not isinstance(data, dict):
         raise ValueError("malformed model space: expected a JSON object")
@@ -488,6 +476,7 @@ def from_json_dict(data: dict) -> ModelSpace:
             _field(alpha0, "b", int, "parameters.alpha0."),
         ),
     )
+    require_subcritical(params)
     c = _field(data, "config", dict)
     config = BuildConfig(
         maxh=_rational(c, "maxh", "config."),

@@ -2,8 +2,8 @@
 
 A symbol's homogeneity depends on its class (p, q, s) alone: p noises, q
 integration edges and s the scaled degree of all its decorations.  In the
-integer units of :class:`builder._TypeHomogeneities` (L the common
-denominator of alpha0 and rho, A and R those two in units) a class weighs
+integer units of :attr:`Parameters.scale` (L the common denominator of
+alpha0 and rho, A and R those two in units) a class weighs
 u = p*A + q*R + s units.  The census counts the symbols of each class by
 the multiset construction (Otter, "The number of trees", Ann. Math. 49,
 1948; Flajolet and Sedgewick, *Analytic Combinatorics*, sec. I.2) over
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
-from .builder import completeness_threshold
-from .params import Parameters, require_subcritical
+from .params import Parameters, completeness_threshold, require_subcritical
 
 __all__ = ["Census", "census"]
 
@@ -53,18 +52,16 @@ def census(params: Parameters) -> Census:
     """Count the negative sector a certified build finds, class by class.
 
     Raises SubcriticalityError, as :func:`builder.build` does, for
-    parameters outside the subcritical regime.
+    parameters without a finite negative sector.
     """
     require_subcritical(params)
     N, d, b0 = params.N, params.d, params.alpha0.b
-    L = lcm(params.alpha0.a.denominator, params.rho.denominator)
+    L = params.scale
     A = int(params.alpha0.a * L)
     R = int(params.rho * L)
     T = int(completeness_threshold(params) * L)
     cut = max(T - R, 0)
-    slope = N * R + (N - 1) * A
-    if slope <= 0:
-        raise ValueError("the negative sector is infinite on the subcriticality boundary")
+    slope = int(params.slack * L)
     # A W symbol at level q weighs at least A + q*slope/N units, so none
     # above `top` is kept; a child weighs at least A + R.
     top = N * (cut - A) // slope

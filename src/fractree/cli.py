@@ -11,7 +11,8 @@ Every command writes deterministic output: rerunning with identical
 inputs produces byte-identical JSON, CSV and DOT files.
 
 Exit codes: 0 success, 1 domain refusal (not subcritical), 2 usage error,
-3 explosion cap exceeded (partial results were still written).
+malformed input or a file that cannot be read or written, 3 explosion cap
+exceeded (partial results were still written).
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .builder import (
     ModelSpace,
     build,
     c_F,
-    completeness_threshold,
     h0_F,
     h_F,
     negative_sector,
-    save_json,
     to_json_dict,
 )
 from .census import census
@@ -46,6 +45,7 @@ from .params import (
     _frac,
     _fstr,
     alpha0_white_noise,
+    completeness_threshold,
     is_locally_subcritical,
     rho_c,
 )
@@ -325,11 +325,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     _require(args, "N", "d")
     with open(args.scan_csv, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
+        columns = reader.fieldnames or ()
+        missing = [c for c in ("rho", "h_F", "c_F", "certified") if c not in columns]
+        if missing:
+            raise ValueError(f"{args.scan_csv} is not a scan CSV: missing {', '.join(missing)}")
         rows = list(reader)
     points = [
-        (Fraction(r["rho"]), int(r["h_F"]), int(r["c_F"]))
+        (_rho_type(r["rho"]), int(r["h_F"]), int(r["c_F"]))
         for r in rows
-        if r.get("certified", "").lower() == "true"
+        if (r["certified"] or "").lower() == "true"
     ]
     try:
         fit = scaling_fit(points, args.N, args.d)
@@ -466,7 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SubcriticalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, TypeError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,13 +10,12 @@ Fractions; the enumeration elsewhere keeps kappa symbolic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .params import RationalLike, SubcriticalityError, _frac, _fstr, rho_c
+from .params import RationalLike, SubcriticalityError, _frac, rho_c
 
 __all__ = [
     "ALPHA_N",
@@ -29,12 +28,9 @@ __all__ = [
     "lattice_bounds",
     "h0_bounds",
     "hF_bounds",
-    "cF_bounds",
     "beta_N",
     "dio_count",
     "dio_solutions",
-    "write_bounds_csv",
-    "BOUNDS_CSV_COLUMNS",
 ]
 
 # Radius of convergence of the generating series counting rooted N-regular
@@ -141,18 +137,6 @@ def beta_N(N: int, alpha: Optional[float] = None) -> float:
                 "pass alpha= explicitly for other N"
             ) from None
     return 2.0 * N * N / float((N + 1) ** 2) * math.log(1.0 / alpha)
-
-
-def cF_bounds(N: int, d: int, rho: RationalLike) -> tuple[float, float]:
-    """Structural shape (rho-rho_c)^(3/2) * exp(beta_N d/(rho-rho_c)) of c_F.
-
-    The true bounds multiply this shape by unknown constants on each side, so
-    the two returned values are the same number; only ratios across different
-    rho are meaningful.
-    """
-    gap = float(_gap(N, d, rho))
-    shape = gap ** 1.5 * math.exp(beta_N(N) * d / gap)
-    return (shape, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -279,35 +263,3 @@ def dio_count(N: int, d: int, rho: RationalLike, boundary: str = "le") -> int:
     return sum(
         max(c2_hi - c2_lo + 1, 0) for *_, c2_lo, c2_hi in _dio_ranges(N, d, rho, boundary)
     )
-
-
-BOUNDS_CSV_COLUMNS = [
-    "N",
-    "d",
-    "rho",
-    "h0_lower",
-    "h0",
-    "h0_upper",
-    "hF_lower",
-    "hF",
-    "hF_upper",
-    "cF",
-    "dio_count",
-]
-
-
-def write_bounds_csv(path: str, rows: Iterable[dict]) -> None:
-    """Emit bound-versus-enumeration rows with the fixed column set.
-
-    Fractions are serialized as exact "num/den" strings; missing keys fail
-    loudly rather than writing ragged rows.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BOUNDS_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = {}
-            for col in BOUNDS_CSV_COLUMNS:
-                val = row[col]
-                out[col] = _fstr(val) if isinstance(val, Fraction) else val
-            writer.writerow(out)

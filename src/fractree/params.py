@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "scaled_degree",
     "is_locally_subcritical",
     "require_subcritical",
+    "completeness_threshold",
 ]
 
 Rational = Fraction
@@ -197,9 +199,42 @@ class Parameters:
         return cls(N=N, d=d, rho=r, alpha0=alpha0_white_noise(r, d))
 
     @property
+    def scale(self) -> int:
+        """L, the common denominator of alpha0 and rho.
+
+        Every kappa-free homogeneity of the model is an exact multiple of 1/L.
+        """
+        return lcm(self.alpha0.a.denominator, self.rho.denominator)
+
+    @property
+    def slack(self) -> Fraction:
+        """N*rho + (N-1)*alpha0 at kappa = 0.
+
+        The line p*alpha0 + q*rho = 0 leaves the cone p <= 1 + (N-1)q/N at a
+        finite q exactly when the slack is positive; a subcritical point with
+        zero slack (on the boundary, with a positive kappa coefficient) has an
+        infinite negative sector, which :func:`require_subcritical` refuses.
+        """
+        return self.N * self.rho + (self.N - 1) * self.alpha0.a
+
+    @property
+    def q_star(self) -> Fraction:
+        """Lattice bound N*(-alpha0)/slack, where the zero line leaves the cone.
+
+        No negative symbol has more integration edges.  For white noise this
+        is ``counting.lattice_bounds(N, d, rho).q_star``.  Defined for
+        positive slack only.
+        """
+        return -self.N * self.alpha0.a / self.slack
+
+    @property
     def rho_gap(self) -> Fraction:
-        """Distance rho - rho_c to the subcriticality boundary."""
-        return self.rho - rho_c(self.N, self.d)
+        """Distance 2*slack/(N+1) to the subcriticality boundary.
+
+        For white noise this is rho - rho_c; for a custom alpha0 it measures
+        the same distance through the noise regularity.
+        """
+        return 2 * self.slack / (self.N + 1)
 
     def homogeneity_of_type(self, p: int, q: int, k: Sequence[int] = ()) -> Homogeneity:
         """Homogeneity p*alpha0 + q*rho + |k|_s of a symbol of type (p, q, k)."""
@@ -234,9 +269,33 @@ def is_locally_subcritical(params: Parameters) -> tuple[bool, str]:
 
 
 def require_subcritical(params: Parameters) -> None:
-    """Raise SubcriticalityError unless ``params`` is locally subcritical."""
+    """Raise SubcriticalityError unless ``params`` has a finite negative sector.
+
+    That needs local subcriticality and a positive slack; the two differ
+    only on the boundary with a positive kappa coefficient, where case "ii"
+    holds but every full tree has homogeneity alpha0 plus a kappa multiple.
+    """
+    where = (
+        f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
+        f"alpha0={params.alpha0}"
+    )
     if not is_locally_subcritical(params)[0]:
+        raise SubcriticalityError(f"{where} satisfy no subcriticality condition")
+    if params.slack <= 0:
         raise SubcriticalityError(
-            f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
-            f"alpha0={params.alpha0} satisfy no subcriticality condition"
+            f"{where}: the negative sector is infinite on the subcriticality boundary"
         )
+
+
+def completeness_threshold(params: Parameters) -> Fraction:
+    """Least maxh at which a converged build certifies its negative sector.
+
+    Each factor of a product that ends up negative lies at most
+    (N-1) * |min(alpha0 + rho, 0)| above zero, so that value is a safe
+    truncation level.  When integrating the noise already has positive
+    homogeneity the threshold is zero.
+    """
+    climb = params.alpha0.a + params.rho
+    if climb >= 0:
+        return Fraction(0)
+    return -(params.N - 1) * climb

@@ -27,10 +27,7 @@ import numpy as np
 
 from .builder import ModelSpace, negative_sector
 from .counting import LAMBDA2, beta_N
-from .params import (
-    Homogeneity, Parameters, RationalLike, SubcriticalityError, _frac, _fstr, rho_c,
-    scaled_degree,
-)
+from .params import Homogeneity, RationalLike, _frac, _fstr, rho_c, scaled_degree
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
 from .symbols import INT, Symbol, bare_tree  # noqa: F401
 
@@ -161,21 +158,6 @@ def _mean_of_ratios(pairs: Iterable[tuple[int, int]], total: int) -> Fraction:
     return sum((Fraction(s, den) for den, s in sums.items()), Fraction(0)) / total
 
 
-def _q_star_and_gap(params: Parameters) -> tuple[Fraction, Fraction]:
-    """Lattice bound q* and boundary gap under the noise regularity alpha0.
-
-    With a = -alpha0 at kappa = 0, the line p*alpha0 + q*rho = 0 leaves the
-    cone p <= 1 + (N-1)q/N at q* = N a / (N rho - (N-1) a); the gap is
-    2 (N rho - (N-1) a) / (N+1).  For white noise, a = (rho + d)/2, these
-    are ``lattice_bounds(N, d, rho).q_star`` and rho - rho_c.
-    """
-    N, rho, a = params.N, params.rho, -params.alpha0.a
-    slack = N * rho - (N - 1) * a
-    if slack <= 0:
-        raise SubcriticalityError(f"N*rho - (N-1)*a = {slack} is not positive for a = {a}")
-    return N * a / slack, 2 * slack / (N + 1)
-
-
 # ---------------------------------------------------------------------------
 # size distribution
 
@@ -205,7 +187,7 @@ def size_distribution(ms: ModelSpace, *, records: Records = None) -> SizeDistrib
     recs = _records(ms, records)
     total = len(recs)
     N = ms.params.N
-    q_star, _ = _q_star_and_gap(ms.params)
+    q_star = ms.params.q_star
     counts = tuple(sorted(Counter(r.q for r in recs).items()))
     pmf = tuple((q, Fraction(c, total)) for q, c in counts)
     off = sum((f for q, f in pmf if q % N != 0), Fraction(0))
@@ -286,17 +268,16 @@ def degree_distribution(
 
 @dataclass(frozen=True)
 class HeightDiameter:
-    """Bare-tree heights and diameters with boundary-scaled moments.
+    """Mean bare-tree height and diameter with boundary-scaled moments.
 
     The scaled first moments multiply the means by the square root of the
-    gap (rho - rho_c for white noise); as rho approaches the boundary they
-    are expected to level off near the reference constants
-    4 sqrt(pi d) / (3 lambda2) for the height and 16 sqrt(pi d) / (9 lambda2)
-    for the diameter.  The scaled second moments multiply by the gap itself.
+    gap ``Parameters.rho_gap`` (rho - rho_c for white noise); as rho
+    approaches the boundary they are expected to level off near the
+    reference constants 4 sqrt(pi d) / (3 lambda2) for the height and
+    16 sqrt(pi d) / (9 lambda2) for the diameter.  The scaled second moments
+    multiply by the gap itself.
     """
 
-    heights: tuple[int, ...]
-    diameters: tuple[int, ...]
     mean_height: Fraction
     mean_diameter: Fraction
     scaled_mean_height: float
@@ -310,22 +291,24 @@ class HeightDiameter:
 def height_diameter(ms: ModelSpace, *, records: Records = None) -> HeightDiameter:
     recs = _records(ms, records)
     total = len(recs)
-    hs = tuple(r.height for r in recs)
-    ds = tuple(r.diameter for r in recs)
-    mh = Fraction(sum(hs), total)
-    md = Fraction(sum(ds), total)
-    gap = float(_q_star_and_gap(ms.params)[1])
+    h1 = h2 = d1 = d2 = 0
+    for r in recs:
+        h1 += r.height
+        h2 += r.height * r.height
+        d1 += r.diameter
+        d2 += r.diameter * r.diameter
+    mh = Fraction(h1, total)
+    md = Fraction(d1, total)
+    gap = float(ms.params.rho_gap)
     root = math.sqrt(gap)
     ddim = ms.params.d
     return HeightDiameter(
-        heights=hs,
-        diameters=ds,
         mean_height=mh,
         mean_diameter=md,
         scaled_mean_height=root * float(mh),
         scaled_mean_diameter=root * float(md),
-        scaled_sq_height=gap * sum(h * h for h in hs) / total,
-        scaled_sq_diameter=gap * sum(d * d for d in ds) / total,
+        scaled_sq_height=gap * h2 / total,
+        scaled_sq_diameter=gap * d2 / total,
         height_reference=4.0 * math.sqrt(math.pi * ddim) / (3.0 * LAMBDA2),
         diameter_reference=16.0 * math.sqrt(math.pi * ddim) / (9.0 * LAMBDA2),
     )
@@ -466,9 +449,8 @@ def scaling_fit(
 
 @dataclass(frozen=True)
 class StatReport:
-    """All per-build statistics in one immutable bundle."""
+    """All per-build statistics in one immutable bundle: counts, no per-tree data."""
 
-    records: tuple[TreeRecord, ...]
     sizes: SizeDistribution
     homogeneity_values: tuple[tuple, ...]
     homogeneity_pairs: tuple[tuple, ...]
@@ -482,7 +464,6 @@ class StatReport:
 def stat_report(ms: ModelSpace) -> StatReport:
     records = tree_records(ms)
     return StatReport(
-        records=records,
         sizes=size_distribution(ms, records=records),
         homogeneity_values=homogeneity_histogram(ms, drop_kappa=True, records=records),
         homogeneity_pairs=homogeneity_histogram(ms, drop_kappa=False, records=records),

@@ -15,9 +15,11 @@ from fractree import (
     c_F,
     completeness_threshold,
     count_regular,
+    from_json_dict,
     h0_F,
     h_F,
     is_locally_subcritical,
+    to_json_dict,
 )
 from fractree.census import census
 from fractree.stats import size_distribution
@@ -138,6 +140,23 @@ class TestRefusal:
         with pytest.raises(SubcriticalityError) as from_census:
             census(params)
         assert str(from_census.value) == str(from_build.value)
+
+    def test_one_refusal_for_the_infinite_boundary(self):
+        """build, census and the JSON loader refuse the boundary point with a
+        positive kappa coefficient with one message; the cap makes a build
+        that runs instead fail fast with ExplosionError."""
+        params = Parameters(N=2, d=2, rho=F(2, 3), alpha0=Homogeneity(F(-4, 3), 1))
+        with pytest.raises(SubcriticalityError) as from_build:
+            build(params, BuildConfig(maxh=completeness_threshold(params), cap=2000))
+        with pytest.raises(SubcriticalityError) as from_census:
+            census(params)
+        doc = to_json_dict(build(Parameters.white_noise(2, 2, F(1)), BuildConfig(maxh=1)))
+        doc["parameters"].update(rho="2/3", alpha0={"a": "-4/3", "b": 1})
+        with pytest.raises(SubcriticalityError) as from_json:
+            from_json_dict(doc)
+        message = str(from_build.value)
+        assert "the negative sector is infinite on the subcriticality boundary" in message
+        assert str(from_census.value) == message == str(from_json.value)
 
     def test_infinite_sector_on_the_boundary(self):
         """With a positive kappa coefficient the boundary point passes the

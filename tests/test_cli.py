@@ -391,6 +391,54 @@ class TestFit:
         assert "at least 4 distinct grid points" in err
 
 
+class TestFileErrors:
+    """A file that cannot be read or written, or a malformed scan CSV, exits 2
+    with a message, never a traceback."""
+
+    def test_fit_missing_csv(self, capsys, tmp_path):
+        path = tmp_path / "missing.csv"
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
+
+    def test_fit_csv_without_rho_column(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("h_F,c_F,certified\n6,8,true\n")
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not a scan CSV: missing rho\n"
+
+    def test_fit_csv_with_short_rows(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("rho,h_F,c_F,certified\n1/1,6\n9/10,7,11\n")
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert "at least 4 distinct grid points" in err
+
+    def test_fit_csv_with_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("rho,h_F,c_F,certified\n1/0,6,8,true\n")
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed rho '1/0'")
+
+    def test_build_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "nowhere" / "space.json"
+        argv = ["build", "--N", "2", "--d", "2", "--rho", "1", "--out", str(path)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
+
+    @pytest.mark.parametrize("fmt", ["json", "txt"])
+    def test_stats_out_under_a_file(self, capsys, tmp_path, fmt):
+        (tmp_path / "plain").write_text("")
+        path = tmp_path / "plain" / "report"
+        argv = ["stats", "--N", "2", "--d", "2", "--rho", "1", "--out", str(path), "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 20] Not a directory") and str(path) in err
+
+
 class TestExport:
     def test_per_tree_files(self, capsys, tmp_path):
         outdir = tmp_path / "dots"

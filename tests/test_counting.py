@@ -8,10 +8,8 @@ import pytest
 from fractree.counting import (
     ALPHA_LIMIT,
     ALPHA_N,
-    BOUNDS_CSV_COLUMNS,
     DioSystem,
     beta_N,
-    cF_bounds,
     d0_contains,
     dio_count,
     dio_solutions,
@@ -19,7 +17,6 @@ from fractree.counting import (
     hF_bounds,
     lattice_bounds,
     p_of_q,
-    write_bounds_csv,
 )
 from fractree.params import SubcriticalityError
 
@@ -96,14 +93,6 @@ class TestBounds:
             beta_N(4)
         assert ALPHA_N[3] > ALPHA_LIMIT  # radii decrease toward the limit
         assert ALPHA_N[2] > ALPHA_N[3]
-
-    def test_shape_function(self):
-        lo, hi = cF_bounds(2, 2, F(4, 5))
-        assert lo == hi
-        gap = 4 / 5 - 2 / 3
-        assert lo == pytest.approx(gap**1.5 * math.exp(beta_N(2) * 2 / gap), rel=1e-12)
-        # the shape explodes as the gap closes
-        assert cF_bounds(2, 2, F(3, 4))[0] > 100 * cF_bounds(2, 2, F(9, 10))[0]
 
 
 class TestDioSystem:
@@ -205,29 +194,3 @@ class TestDioIntegerUnits:
     def test_vectors_are_ints(self):
         for sol in dio_solutions(2, 2, F(3, 4), "lt"):
             assert all(type(x) is int for x in sol)
-
-
-class TestBoundsCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        row = {
-            "N": 2,
-            "d": 2,
-            "rho": F(9, 10),
-            "h0_lower": F(29, 7),
-            "h0": 7,
-            "h0_upper": F(65, 7),
-            "hF_lower": F(29, 7),
-            "hF": 7,
-            "hF_upper": F(123, 7),
-            "cF": 11,
-            "dio_count": 7,
-        }
-        write_bounds_csv(str(path), [row])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(BOUNDS_CSV_COLUMNS)
-        assert lines[1] == "2,2,9/10,29/7,7,65/7,29/7,7,123/7,11,7"
-
-    def test_missing_column_fails(self, tmp_path):
-        with pytest.raises(KeyError):
-            write_bounds_csv(str(tmp_path / "x.csv"), [{"N": 2}])

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import fractree
 import fractree.trees
+from fractree.counting import lattice_bounds
 from fractree.params import (
     ExplosionError,
     Homogeneity,
@@ -18,6 +19,8 @@ from fractree.params import (
     rho_c,
     scaled_degree,
 )
+
+from test_builder import GRID_COUNTS
 
 
 class TestHomogeneity:
@@ -130,6 +133,26 @@ class TestParameters:
         assert above == Homogeneity(F(1, 2), -7) and not above.is_negative
 
 
+class TestGeometry:
+    @pytest.mark.parametrize("point", sorted(GRID_COUNTS, key=str))
+    def test_white_noise_matches_lattice_bounds(self, point):
+        params = Parameters.white_noise(*point)
+        bounds = lattice_bounds(*point)
+        assert params.q_star == bounds.q_star
+        assert params.rho_gap == bounds.rho_gap == params.rho - rho_c(params.N, params.d)
+
+    def test_custom_noise_gap(self):
+        # alpha0 = -1/2 at rho = 1/2 lies below the white-noise rho_c = 2/3,
+        # yet the slack 2*(1/2) - 1/2 is positive: gap 2*(1/2)/3, q* 2*(1/2)/(1/2)
+        params = Parameters(N=2, d=2, rho=F(1, 2), alpha0=Homogeneity(F(-1, 2), -1))
+        assert (params.slack, params.rho_gap, params.q_star) == (F(1, 2), F(1, 3), F(2))
+        assert params.scale == 2
+
+    def test_scale_is_the_common_denominator(self):
+        assert Parameters.white_noise(2, 2, F(3, 4)).scale == 8  # alpha0 = -11/8
+        assert Parameters.white_noise(3, 3, F(21, 11)).scale == 11  # alpha0 = -27/11
+
+
 class TestSubcriticality:
     def test_boundary_is_strict(self):
         ok, case = is_locally_subcritical(Parameters.white_noise(3, 3, F(3, 2)))
@@ -160,6 +183,13 @@ class TestSubcriticality:
         assert ok == (rho > rho_c(N, d))
 
 
+def _imported(module: str) -> set:
+    """Modules that ``fractree.<module>`` imports names from."""
+    with open(importlib.import_module(f"fractree.{module}").__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 class TestLayering:
     def test_explosion_error_lives_in_params(self):
         assert fractree.ExplosionError is ExplosionError
@@ -169,10 +199,9 @@ class TestLayering:
 
     @pytest.mark.parametrize("module", ["builder", "cli"])
     def test_module_does_not_import_trees(self, module):
-        source = importlib.import_module(f"fractree.{module}").__file__
-        with open(source, encoding="utf-8") as f:
-            tree = ast.parse(f.read())
-        imported = {
-            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        }
+        imported = _imported(module)
         assert "trees" not in imported and "fractree.trees" not in imported
+
+    def test_census_does_not_import_builder(self):
+        """The census reads the boundary geometry from params alone."""
+        assert _imported("census").isdisjoint({"builder", "fractree.builder"})

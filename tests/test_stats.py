@@ -84,9 +84,11 @@ class TestSmallCaseExact:
         assert bare.pooled == (F(2, 7), F(4, 7), F(1, 7), F(0))
 
     def test_height_diameter(self, spaces):
-        hd = height_diameter(spaces(2, 2, F(3, 2)))
-        assert hd.heights == (0, 1, 1)
-        assert hd.diameters == (0, 2, 1)
+        ms = spaces(2, 2, F(3, 2))
+        hd = height_diameter(ms)
+        recs = tree_records(ms)
+        assert tuple(r.height for r in recs) == (0, 1, 1)
+        assert tuple(r.diameter for r in recs) == (0, 2, 1)
         assert hd.mean_height == F(2, 3)
         assert hd.mean_diameter == 1
         gap = 3 / 2 - 2 / 3
@@ -202,15 +204,28 @@ class TestAgainstNetworkx:
 
     def test_height_diameter_against_networkx(self, spaces):
         ms = spaces(2, 2, F(17, 20))
-        hd = height_diameter(ms)
-        for (sym, _), h, dia in zip(negative_sector(ms), hd.heights, hd.diameters):
+        sector = negative_sector(ms)
+        records = tree_records(ms)
+        assert len(records) == len(sector)
+        heights, diameters = [], []
+        for (sym, _), r in zip(sector, records):
+            assert r.symbol is sym
             g = _nx_graph(bare_tree(sym))
             if g.number_of_nodes() == 1:
-                assert h == dia == 0
-                continue
-            depths = nx.single_source_shortest_path_length(g, 0)
-            assert h == max(depths.values())
-            assert dia == nx.diameter(g)
+                heights.append(0)
+                diameters.append(0)
+            else:
+                heights.append(max(nx.single_source_shortest_path_length(g, 0).values()))
+                diameters.append(nx.diameter(g))
+            assert (r.height, r.diameter) == (heights[-1], diameters[-1])
+        hd = height_diameter(ms, records=records)
+        assert hd.mean_height == F(sum(heights), len(heights))
+        assert hd.mean_diameter == F(sum(diameters), len(diameters))
+        gap = float(ms.params.rho_gap)
+        assert hd.scaled_sq_height == pytest.approx(gap * sum(h * h for h in heights) / len(heights))
+        assert hd.scaled_sq_diameter == pytest.approx(
+            gap * sum(d * d for d in diameters) / len(diameters)
+        )
 
 
 # SHA-256 of report_json_dict without "pagerank" (json.dumps, sort_keys=True),
