@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -171,11 +172,44 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if ok:
         print(f"subcritical (case {case})")
         return 0
-    if params.rho == rc:
+    if params.slack == 0:
         print("not subcritical (boundary)")
     else:
         print("not subcritical")
     return 1
+
+
+def _check_out(path: Optional[str], directory: bool) -> None:
+    """Raise now the OSError that writing ``path`` after the build would raise.
+
+    A file needs an existing parent directory; a directory (made with its
+    parents) needs its nearest existing ancestor, or itself, to be a
+    directory.  Nothing is created.
+    """
+    if not path:
+        return
+    top = path.rstrip(os.sep) or path
+    if directory:
+        below, head = None, top
+        while head and not os.path.exists(head):
+            below, head = head, os.path.dirname(head)
+        if not head or os.path.isdir(head):
+            return
+        code = errno.EEXIST if below is None else errno.ENOTDIR
+        name = path if below in (None, top) else below
+    else:
+        name, parent = path, os.path.dirname(top) or "."
+        if not os.path.isdir(parent):
+            try:
+                os.stat(parent)
+                code = errno.ENOTDIR  # the parent is a file
+            except OSError as exc:  # the parent is missing, or under a file
+                code = exc.errno
+        elif path.endswith(os.sep) or os.path.isdir(path):
+            code = errno.EISDIR
+        else:
+            return
+    raise OSError(code, os.strerror(code), name)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -187,6 +221,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=False)
     ms, code = _build_space(args)
     blob = json.dumps(to_json_dict(ms), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -200,6 +235,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=False)
     ms, code = _build_space(args)
     sector = negative_sector(ms)
     d = ms.params.d
@@ -254,6 +290,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "csv" and not args.out:
         print("error: --format csv needs --out DIR", file=sys.stderr)
         return 2
+    _check_out(args.out, directory=args.format != "txt")
     ms, code = _build_space(args)
     rep = stat_report(ms)
     p = ms.params
@@ -269,21 +306,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
             f.write(blob)
         total = c_F(ms)
-        with open(os.path.join(args.out, "size.csv"), "w", encoding="utf-8", newline="") as f:
-            write_histogram_csv(f, rep.sizes.counts, total)
-        with open(os.path.join(args.out, "homogeneity.csv"), "w", encoding="utf-8", newline="") as f:
-            write_histogram_csv(f, tuple((str(a), c) for a, c in rep.homogeneity_values), total)
-        with open(os.path.join(args.out, "homogeneity_pairs.csv"), "w", encoding="utf-8", newline="") as f:
-            write_histogram_csv(
-                f, tuple((f"{a}{b:+d}k", c) for (a, b), c in rep.homogeneity_pairs), total
-            )
-        for tag, dd in (("decorated", rep.degrees_decorated), ("bare", rep.degrees_bare)):
-            with open(os.path.join(args.out, f"degree_{tag}.csv"), "w", encoding="utf-8", newline="") as f:
-                write_histogram_csv(
-                    f,
-                    tuple(enumerate(dd.pooled_counts)),
-                    sum(dd.pooled_counts),
-                )
+        dec, bare = rep.degrees_decorated.pooled_counts, rep.degrees_bare.pooled_counts
+        for name, rows, n in (
+            ("size.csv", rep.sizes.counts, total),
+            ("homogeneity.csv", [(str(a), c) for a, c in rep.homogeneity_values], total),
+            ("homogeneity_pairs.csv", [(f"{a}{b:+d}k", c) for (a, b), c in rep.homogeneity_pairs], total),
+            ("degree_decorated.csv", enumerate(dec), sum(dec)),
+            ("degree_bare.csv", enumerate(bare), sum(bare)),
+        ):
+            with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as f:
+                write_histogram_csv(f, rows, n)
         print(_count_label(ms))
     elif args.format == "txt":
         _write_text(args.out, _stats_txt(ms, rep))
@@ -372,6 +404,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    if not (args.forest or args.out):
+        print("error: per-tree export needs --out DIRECTORY (or use --forest)", file=sys.stderr)
+        return 2
+    _check_out(args.out, directory=not args.forest)
     ms, code = _build_space(args)
     sector = negative_sector(ms)
     d = ms.params.d
@@ -379,9 +415,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         parts = [to_dot(sym, d, name=f"tree_{i:04d}") for i, (sym, _) in enumerate(sector)]
         _write_text(args.out, "\n".join(parts) + "\n")
     else:
-        if not args.out:
-            print("error: per-tree export needs --out DIRECTORY (or use --forest)", file=sys.stderr)
-            return 2
         os.makedirs(args.out, exist_ok=True)
         for i, (sym, _) in enumerate(sector):
             path = os.path.join(args.out, f"tree_{i:04d}.dot")

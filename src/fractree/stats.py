@@ -8,10 +8,12 @@ distributions from a built model space, together with four averaged graph
 measures and least-squares fits of the divergence laws near the
 subcriticality boundary.
 
-Every measure is a fold over per-tree records, one breadth-first walk per
-element.  Counts and histogram masses are exact (integers and fractions);
-only the PageRank mean (the float of an exact fraction), the gap-scaled
-moments and the fitted coefficients are floating point.
+Every measure is an additive parameter of the element, so :func:`stat_report`
+walks each element once, breadth first, and folds the walk into a few integer
+sums keyed by what the measure divides by; every report field is a closed form
+of those sums.  Counts and histogram masses are exact (integers and
+fractions); only the PageRank mean (the float of an exact fraction), the
+gap-scaled moments and the fitted coefficients are floating point.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Optional
+from operator import add
+from typing import IO, Iterable
 
 import numpy as np
 
 from .builder import ModelSpace, negative_sector
-from .counting import LAMBDA2, beta_N
+from .counting import LAMBDA2, beta_N, hF_bounds
 from .params import Homogeneity, RationalLike, _frac, _fstr, rho_c, scaled_degree
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
 from .symbols import INT, Symbol, bare_tree  # noqa: F401
@@ -58,7 +61,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeRecord:
-    """Everything the aggregators need to know about one sector element.
+    """The measures of one sector element, from the walk the report folds.
 
     Height, diameter, ``degrees``, ``betweenness`` and ``periphery`` refer
     to the bare tree (noise edges stripped), which has ``vertices`` = q + 1
@@ -140,24 +143,6 @@ def tree_records(ms: ModelSpace) -> tuple[TreeRecord, ...]:
     )
 
 
-Records = Optional[tuple[TreeRecord, ...]]
-
-
-def _records(ms: ModelSpace, records: Records) -> tuple[TreeRecord, ...]:
-    recs = tree_records(ms) if records is None else records
-    if not recs:
-        raise ValueError("negative sector is empty; nothing to aggregate")
-    return recs
-
-
-def _mean_of_ratios(pairs: Iterable[tuple[int, int]], total: int) -> Fraction:
-    """Exact sum of num/den over ``pairs`` divided by ``total``; one Fraction per den."""
-    sums: defaultdict[int, int] = defaultdict(int)
-    for num, den in pairs:
-        sums[den] += num
-    return sum((Fraction(s, den) for den, s in sums.items()), Fraction(0)) / total
-
-
 # ---------------------------------------------------------------------------
 # size distribution
 
@@ -183,46 +168,6 @@ class SizeDistribution:
     certified: bool
 
 
-def size_distribution(ms: ModelSpace, *, records: Records = None) -> SizeDistribution:
-    recs = _records(ms, records)
-    total = len(recs)
-    N = ms.params.N
-    q_star = ms.params.q_star
-    counts = tuple(sorted(Counter(r.q for r in recs).items()))
-    pmf = tuple((q, Fraction(c, total)) for q, c in counts)
-    off = sum((f for q, f in pmf if q % N != 0), Fraction(0))
-    mean = sum((Fraction(q) / q_star * f for q, f in pmf), Fraction(0))
-    second = sum(((Fraction(q) / q_star) ** 2 * f for q, f in pmf), Fraction(0))
-    return SizeDistribution(
-        counts=counts,
-        pmf=pmf,
-        off_grid=off,
-        mean_ratio=mean,
-        var_ratio=second - mean * mean,
-        q_star=q_star,
-        certified=ms.complete,
-    )
-
-
-# ---------------------------------------------------------------------------
-# homogeneity histogram
-
-
-def homogeneity_histogram(
-    ms: ModelSpace, drop_kappa: bool = True, *, records: Records = None
-) -> tuple[tuple, ...]:
-    """Occupation counts of the homogeneity values, bins sorted ascending.
-
-    With ``drop_kappa`` the arbitrarily small corrections are discarded and
-    bins are keyed by the rational part alone; otherwise each distinct
-    (rational, correction-multiplier) pair gets its own bin, so the number
-    of bins is exactly the count of distinct homogeneities in the sector.
-    """
-    homs = (r.homogeneity for r in _records(ms, records))
-    hist = Counter(h.a if drop_kappa else (h.a, h.b) for h in homs)
-    return tuple(sorted(hist.items()))
-
-
 # ---------------------------------------------------------------------------
 # degree distribution
 
@@ -243,12 +188,9 @@ class DegreeDistribution:
     per_tree_mean: tuple[Fraction, ...]
 
 
-def degree_distribution(
-    ms: ModelSpace, bare: bool = False, *, records: Records = None
-) -> DegreeDistribution:
-    recs = _records(ms, records)
-    counts = [r.degrees if bare else r.decorated_degrees for r in recs]
-    pooled = [sum(col) for col in zip(*counts)]
+def _degrees(sums: dict[int, list[int]], total: int, bare: bool) -> DegreeDistribution:
+    """From the degree vectors summed per vertex count n."""
+    pooled = [sum(col) for col in zip(*sums.values())]
     pooled[0] += 1  # the unit
     vertices = sum(pooled)
     return DegreeDistribution(
@@ -256,7 +198,7 @@ def degree_distribution(
         pooled_counts=tuple(pooled),
         pooled=tuple(Fraction(c, vertices) for c in pooled),
         per_tree_mean=tuple(
-            _mean_of_ratios(((cnt[j], sum(cnt)) for cnt in counts), len(recs))
+            sum((Fraction(s[j], n) for n, s in sums.items()), Fraction(0)) / total
             for j in range(len(pooled))
         ),
     )
@@ -288,32 +230,6 @@ class HeightDiameter:
     diameter_reference: float
 
 
-def height_diameter(ms: ModelSpace, *, records: Records = None) -> HeightDiameter:
-    recs = _records(ms, records)
-    total = len(recs)
-    h1 = h2 = d1 = d2 = 0
-    for r in recs:
-        h1 += r.height
-        h2 += r.height * r.height
-        d1 += r.diameter
-        d2 += r.diameter * r.diameter
-    mh = Fraction(h1, total)
-    md = Fraction(d1, total)
-    gap = float(ms.params.rho_gap)
-    root = math.sqrt(gap)
-    ddim = ms.params.d
-    return HeightDiameter(
-        mean_height=mh,
-        mean_diameter=md,
-        scaled_mean_height=root * float(mh),
-        scaled_mean_diameter=root * float(md),
-        scaled_sq_height=gap * h2 / total,
-        scaled_sq_diameter=gap * d2 / total,
-        height_reference=4.0 * math.sqrt(math.pi * ddim) / (3.0 * LAMBDA2),
-        diameter_reference=16.0 * math.sqrt(math.pi * ddim) / (9.0 * LAMBDA2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # graph measures
 
@@ -339,19 +255,6 @@ class GraphMeasures:
     betweenness: Fraction
     pagerank: float
     periphery: Fraction
-
-
-def graph_measures(ms: ModelSpace, *, records: Records = None) -> GraphMeasures:
-    recs = _records(ms, records)
-    total = len(recs)
-    density = _mean_of_ratios(((1, r.vertices) for r in recs if r.vertices > 1), total)
-    singles = sum(1 for r in recs if r.vertices == 1)
-    return GraphMeasures(
-        density=density,
-        betweenness=_mean_of_ratios(((r.betweenness, r.vertices) for r in recs), total),
-        pagerank=float(density + Fraction(singles, total)),
-        periphery=Fraction(sum(r.periphery for r in recs), total),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +327,7 @@ def scaling_fit(
 
     ref = beta_N(N)
     mid = sum(rhos, Fraction(0)) / len(rhos)
-    lo = float((mid + d) / (N + 1))
-    hi = float((mid - rc) + Fraction(N * d) * (mid + d) / (N + 1))
+    lo, hi = (float(bound * (mid - rc)) for bound in hF_bounds(N, d, mid))
     return ScalingFit(
         N=N,
         d=d,
@@ -462,17 +364,112 @@ class StatReport:
 
 
 def stat_report(ms: ModelSpace) -> StatReport:
-    records = tree_records(ms)
+    """Every statistic of the negative sector, from one walk per element.
+
+    The walks fold into integer sums: the size law ``sizes[q]``, the
+    homogeneity counts ``homs[(a, b)]``, the bare degree vectors and the
+    betweenness summed per vertex count n = q + 1, the decorated degree
+    vectors summed per p + q + 1, and plain totals of height, height
+    squared, diameter, diameter squared and periphery.  Density and PageRank
+    follow from the size law.
+    """
+    N = ms.params.N
+    sizes: Counter[int] = Counter()
+    homs: Counter[tuple[Fraction, int]] = Counter()
+    bare: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
+    decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
+    between: Counter[int] = Counter()
+    h1 = h2 = d1 = d2 = periphery = 0
+    for sym, hom in negative_sector(ms):
+        height, diameter, bdeg, ddeg, pairs, peri = _walk(sym, N)
+        n = sym.q + 1
+        sizes[sym.q] += 1
+        homs[hom.a, hom.b] += 1
+        bare[n] = list(map(add, bare[n], bdeg))
+        decorated[n + sym.p] = list(map(add, decorated[n + sym.p], ddeg))
+        between[n] += pairs
+        h1 += height
+        h2 += height * height
+        d1 += diameter
+        d2 += diameter * diameter
+        periphery += peri
+    total = sum(sizes.values())
+    if not total:
+        raise ValueError("negative sector is empty; nothing to aggregate")
+
+    q_star, gap = ms.params.q_star, float(ms.params.rho_gap)
+    counts = tuple(sorted(sizes.items()))
+    mean = Fraction(sum(q * c for q, c in counts), total) / q_star
+    values: Counter[Fraction] = Counter()
+    for (a, _b), c in homs.items():
+        values[a] += c
+    mh, md = Fraction(h1, total), Fraction(d1, total)
+    density = sum((Fraction(c, q + 1) for q, c in counts if q), Fraction(0)) / total
     return StatReport(
-        sizes=size_distribution(ms, records=records),
-        homogeneity_values=homogeneity_histogram(ms, drop_kappa=True, records=records),
-        homogeneity_pairs=homogeneity_histogram(ms, drop_kappa=False, records=records),
-        degrees_decorated=degree_distribution(ms, bare=False, records=records),
-        degrees_bare=degree_distribution(ms, bare=True, records=records),
-        heights=height_diameter(ms, records=records),
-        measures=graph_measures(ms, records=records),
+        sizes=SizeDistribution(
+            counts=counts,
+            pmf=tuple((q, Fraction(c, total)) for q, c in counts),
+            off_grid=Fraction(sum(c for q, c in counts if q % N), total),
+            mean_ratio=mean,
+            var_ratio=Fraction(sum(q * q * c for q, c in counts), total) / q_star**2 - mean * mean,
+            q_star=q_star,
+            certified=ms.complete,
+        ),
+        homogeneity_values=tuple(sorted(values.items())),
+        homogeneity_pairs=tuple(sorted(homs.items())),
+        degrees_decorated=_degrees(decorated, total, bare=False),
+        degrees_bare=_degrees(bare, total, bare=True),
+        heights=HeightDiameter(
+            mean_height=mh,
+            mean_diameter=md,
+            scaled_mean_height=math.sqrt(gap) * float(mh),
+            scaled_mean_diameter=math.sqrt(gap) * float(md),
+            scaled_sq_height=gap * h2 / total,
+            scaled_sq_diameter=gap * d2 / total,
+            height_reference=4.0 * math.sqrt(math.pi * ms.params.d) / (3.0 * LAMBDA2),
+            diameter_reference=16.0 * math.sqrt(math.pi * ms.params.d) / (9.0 * LAMBDA2),
+        ),
+        measures=GraphMeasures(
+            density=density,
+            betweenness=sum((Fraction(b, n) for n, b in between.items()), Fraction(0)) / total,
+            pagerank=float(density + Fraction(sizes[0], total)),
+            periphery=Fraction(periphery, total),
+        ),
         certified=ms.complete,
     )
+
+
+def size_distribution(ms: ModelSpace) -> SizeDistribution:
+    """The ``sizes`` field of :func:`stat_report`."""
+    return stat_report(ms).sizes
+
+
+def homogeneity_histogram(ms: ModelSpace, drop_kappa: bool = True) -> tuple[tuple, ...]:
+    """Occupation counts of the homogeneity values, bins sorted ascending.
+
+    With ``drop_kappa`` the arbitrarily small corrections are discarded and
+    bins are keyed by the rational part alone; otherwise each distinct
+    (rational, correction-multiplier) pair gets its own bin, so the number
+    of bins is exactly the count of distinct homogeneities in the sector.
+    """
+    rep = stat_report(ms)
+    return rep.homogeneity_values if drop_kappa else rep.homogeneity_pairs
+
+
+def degree_distribution(ms: ModelSpace, bare: bool = False) -> DegreeDistribution:
+    """The ``degrees_bare`` or ``degrees_decorated`` field of :func:`stat_report`."""
+    rep = stat_report(ms)
+    return rep.degrees_bare if bare else rep.degrees_decorated
+
+
+def height_diameter(ms: ModelSpace) -> HeightDiameter:
+    """The ``heights`` field of :func:`stat_report`."""
+    return stat_report(ms).heights
+
+
+def graph_measures(ms: ModelSpace) -> GraphMeasures:
+    """The ``measures`` field of :func:`stat_report`."""
+    return stat_report(ms).measures
 
 
 def report_json_dict(rep: StatReport) -> dict:

@@ -53,6 +53,21 @@ class TestCheck:
         assert code == 1
         assert out.splitlines()[-1] == "not subcritical"
 
+    @pytest.mark.parametrize(
+        "rho,noise,verdict",
+        [
+            # slack N*rho + (N-1)*alpha0 = 1 - 1 = 0, although rho != rho_c
+            ("1/2", "-1", "not subcritical (boundary)"),
+            # slack 4/3 - 2 = -2/3, although rho == rho_c
+            ("2/3", "-2", "not subcritical"),
+        ],
+    )
+    def test_boundary_under_custom_noise(self, capsys, rho, noise, verdict):
+        argv = ["check", "--N", "2", "--d", "2", "--rho", rho, f"--noise={noise}"]
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        assert out.splitlines()[-1] == verdict
+
     def test_malformed_rho(self, capsys):
         code, _, err = run(capsys, ["check", "2", "2", "bogus"])
         assert code == 2
@@ -437,6 +452,40 @@ class TestFileErrors:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno 20] Not a directory") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv,dest,message",
+        [
+            (["build"], "nowhere/space.json",
+             "[Errno 2] No such file or directory: '{tmp}/nowhere/space.json'"),
+            (["list"], "plain/table.txt", "[Errno 20] Not a directory: '{tmp}/plain/table.txt'"),
+            (["list", "--format", "csv"], "somedir", "[Errno 21] Is a directory: '{tmp}/somedir'"),
+            (["stats"], "plain/report", "[Errno 20] Not a directory: '{tmp}/plain/report'"),
+            # os.makedirs names the first directory it cannot make
+            (["stats"], "plain/a/b", "[Errno 20] Not a directory: '{tmp}/plain/a'"),
+            (["stats"], "plain", "[Errno 17] File exists: '{tmp}/plain'"),
+            (["stats", "--format", "txt"], "nowhere/report.txt",
+             "[Errno 2] No such file or directory: '{tmp}/nowhere/report.txt'"),
+            (["export"], "plain/dots", "[Errno 20] Not a directory: '{tmp}/plain/dots'"),
+            (["export", "--forest"], "nowhere/forest.dot",
+             "[Errno 2] No such file or directory: '{tmp}/nowhere/forest.dot'"),
+        ],
+    )
+    def test_unwritable_out_fails_before_the_build(self, capsys, tmp_path, monkeypatch,
+                                                   argv, dest, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before checking --out")
+
+        monkeypatch.setattr(fractree.cli, "build", no_build)
+        (tmp_path / "plain").write_text("")
+        (tmp_path / "somedir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = argv + ["--N", "2", "--d", "2", "--rho", "1", "--out", str(tmp_path / dest)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: " + message.format(tmp=tmp_path) + "\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "plain").read_text() == ""
 
 
 class TestExport:

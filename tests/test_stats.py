@@ -8,21 +8,29 @@ every record at (2, 2, 3/4) is checked against networkx tree by tree.  The
 full reports at (2, 2, 3/4) and (3, 3, 17/10) are pinned by digest.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import networkx as nx
 import pytest
 
 from conftest import SWEEP_22, SWEEP_33
-from fractree.builder import BuildConfig, ModelSpace, c_F, h_F, negative_sector
+import fractree.stats
+from fractree.builder import BuildConfig, ModelSpace, build, c_F, h_F, negative_sector
 from fractree.cli import main
-from fractree.counting import p_of_q
-from fractree.params import Homogeneity, Parameters
+from fractree.counting import LAMBDA2, hF_bounds, p_of_q
+from fractree.params import Homogeneity, Parameters, completeness_threshold, rho_c
 from fractree.stats import (
+    DegreeDistribution,
+    GraphMeasures,
+    HeightDiameter,
+    SizeDistribution,
+    StatReport,
     degree_distribution,
     graph_measures,
     height_diameter,
@@ -218,7 +226,7 @@ class TestAgainstNetworkx:
                 heights.append(max(nx.single_source_shortest_path_length(g, 0).values()))
                 diameters.append(nx.diameter(g))
             assert (r.height, r.diameter) == (heights[-1], diameters[-1])
-        hd = height_diameter(ms, records=records)
+        hd = height_diameter(ms)
         assert hd.mean_height == F(sum(heights), len(heights))
         assert hd.mean_diameter == F(sum(diameters), len(diameters))
         gap = float(ms.params.rho_gap)
@@ -272,9 +280,117 @@ class TestReportPins:
     def test_pagerank_is_density_plus_single_vertex_share(self, spaces):
         ms = spaces(2, 2, F(3, 4))
         records = tree_records(ms)
-        gm = graph_measures(ms, records=records)
+        gm = graph_measures(ms)
         singles = F(sum(1 for r in records if r.vertices == 1), len(records))
         assert gm.pagerank == float(gm.density + singles)
+
+
+def _mean_of_ratios(pairs, total):
+    sums = defaultdict(int)
+    for num, den in pairs:
+        sums[den] += num
+    return sum((F(s, den) for den, s in sums.items()), F(0)) / total
+
+
+def _reference_report(ms):
+    """The report as separate folds over ``tree_records``, one per aggregator."""
+    recs = tree_records(ms)
+    total = len(recs)
+    N, q_star = ms.params.N, ms.params.q_star
+    counts = tuple(sorted(Counter(r.q for r in recs).items()))
+    pmf = tuple((q, F(c, total)) for q, c in counts)
+    mean = sum((F(q) / q_star * f for q, f in pmf), F(0))
+    second = sum(((F(q) / q_star) ** 2 * f for q, f in pmf), F(0))
+
+    def degrees(bare):
+        vecs = [r.degrees if bare else r.decorated_degrees for r in recs]
+        pooled = [sum(col) for col in zip(*vecs)]
+        pooled[0] += 1  # the unit
+        return DegreeDistribution(
+            bare=bare,
+            pooled_counts=tuple(pooled),
+            pooled=tuple(F(c, sum(pooled)) for c in pooled),
+            per_tree_mean=tuple(
+                _mean_of_ratios(((v[j], sum(v)) for v in vecs), total) for j in range(len(pooled))
+            ),
+        )
+
+    heights = [r.height for r in recs]
+    diameters = [r.diameter for r in recs]
+    mh, md = F(sum(heights), total), F(sum(diameters), total)
+    gap = float(ms.params.rho_gap)
+    density = _mean_of_ratios(((1, r.vertices) for r in recs if r.vertices > 1), total)
+    return StatReport(
+        sizes=SizeDistribution(
+            counts=counts,
+            pmf=pmf,
+            off_grid=sum((f for q, f in pmf if q % N != 0), F(0)),
+            mean_ratio=mean,
+            var_ratio=second - mean * mean,
+            q_star=q_star,
+            certified=ms.complete,
+        ),
+        homogeneity_values=tuple(sorted(Counter(r.homogeneity.a for r in recs).items())),
+        homogeneity_pairs=tuple(
+            sorted(Counter((r.homogeneity.a, r.homogeneity.b) for r in recs).items())
+        ),
+        degrees_decorated=degrees(bare=False),
+        degrees_bare=degrees(bare=True),
+        heights=HeightDiameter(
+            mean_height=mh,
+            mean_diameter=md,
+            scaled_mean_height=math.sqrt(gap) * float(mh),
+            scaled_mean_diameter=math.sqrt(gap) * float(md),
+            scaled_sq_height=gap * sum(h * h for h in heights) / total,
+            scaled_sq_diameter=gap * sum(d * d for d in diameters) / total,
+            height_reference=4.0 * math.sqrt(math.pi * ms.params.d) / (3.0 * LAMBDA2),
+            diameter_reference=16.0 * math.sqrt(math.pi * ms.params.d) / (9.0 * LAMBDA2),
+        ),
+        measures=GraphMeasures(
+            density=density,
+            betweenness=_mean_of_ratios(((r.betweenness, r.vertices) for r in recs), total),
+            pagerank=float(density + F(sum(1 for r in recs if r.vertices == 1), total)),
+            periphery=F(sum(r.periphery for r in recs), total),
+        ),
+        certified=ms.complete,
+    )
+
+
+def _custom_noise_space():
+    """(2, 2, 2) with alpha0 = -7/2 - kappa: 70 elements, 6 of them decorated."""
+    params = Parameters(N=2, d=2, rho=F(2), alpha0=Homogeneity(F(-7, 2), -1))
+    return build(params, BuildConfig(maxh=completeness_threshold(params)))
+
+
+class TestSinglePass:
+    """The one-pass report against a fold over per-tree records per aggregator."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (2, 4, F(3, 2)),  # 944 elements, 12 decorated
+            "custom noise",
+            (3, 3, F(17, 10)),
+            (2, 2, F(4, 5), F(1, 2), 3),  # truncated: maxh 1/2, three rounds
+        ],
+        ids=str,
+    )
+    def test_equals_reference_folds(self, spaces, point):
+        ms = _custom_noise_space() if point == "custom noise" else spaces(*point)
+        got, want = stat_report(ms), _reference_report(ms)
+        for field in dataclasses.fields(StatReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_builds_no_tree_records(self, spaces, monkeypatch):
+        ms = spaces(2, 2, F(3, 4))
+        want = _reference_report(ms)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built per-tree records")
+
+        monkeypatch.setattr(fractree.stats, "tree_records", refuse)
+        monkeypatch.setattr(fractree.stats, "TreeRecord", refuse)
+        assert stat_report(ms) == want
 
 
 class TestSweepTrends:
@@ -381,6 +497,13 @@ class TestScalingFit:
         assert fit.beta_relative_error == pytest.approx(0.5263499418752142, rel=1e-9)
         assert fit.gap_products == (2.0, pytest.approx(49 / 30), 1.65, pytest.approx(1.6), 1.5)
         assert fit.rhos == (F(1), F(9, 10), F(17, 20), F(4, 5), F(3, 4))
+
+    @pytest.mark.parametrize("N,d,sweep", [(2, 2, SWEEP_22), (3, 3, SWEEP_33)])
+    def test_envelope_is_hF_window_times_gap(self, spaces, N, d, sweep):
+        fit = scaling_fit([(r, h_F(spaces(N, d, r)), c_F(spaces(N, d, r))) for r in sweep], N, d)
+        mid = sum(sweep, F(0)) / len(sweep)
+        gap = mid - rho_c(N, d)
+        assert fit.envelope == tuple(float(bound * gap) for bound in hF_bounds(N, d, mid))
 
     def test_rows_any_order(self, spaces):
         pts = self._points(spaces)
