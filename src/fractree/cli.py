@@ -326,6 +326,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    _check_out(args.out, directory=False)
     _require(args, "N", "d", "rho")
     if not args.rho:
         print("error: --rho lists no values", file=sys.stderr)
@@ -428,69 +429,92 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="fractree",
-        description="Enumerate and analyze the negative-homogeneity model space "
-        "of the fractional Allen-Cahn equation.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide local subcriticality")
+def _add_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("pos", nargs="*", metavar="N d rho",
                    help="positional shorthand: check 2 2 0.9")
     _add_common(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("build", help="build the model space, write JSON")
+
+def _add_build(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_build_opts(p)
     p.add_argument("--out", default=_env_default("OUT"))
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("list", help="print the negative sector as a table")
-    _add_common(p)
-    _add_build_opts(p)
-    p.add_argument("--out", default=_env_default("OUT"))
+
+def _add_list(p: argparse.ArgumentParser) -> None:
+    _add_build(p)
     p.add_argument("--format", choices=("txt", "csv"), default=_env_default("FORMAT", "txt"))
-    p.set_defaults(func=_cmd_list)
 
-    p = sub.add_parser("stats", help="distributions and graph measures")
+
+def _add_stats(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_build_opts(p)
     p.add_argument("--out", default=_env_default("OUT"),
                    help="directory: writes report.json plus histogram CSVs")
     p.add_argument("--format", choices=("json", "csv", "txt"),
                    default=_env_default("FORMAT", "json"))
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("scan", help="sweep a rho grid, emit CSV rows")
+
+def _add_scan(p: argparse.ArgumentParser) -> None:
     _add_common(p, rho_grid=True)
     _add_build_opts(p)
     p.add_argument("--out", default=_env_default("OUT"))
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("fit", help="fit divergence laws to a scan CSV")
+
+def _add_fit(p: argparse.ArgumentParser) -> None:
     p.add_argument("scan_csv", help="CSV produced by the scan subcommand")
     p.add_argument("--N", type=int, default=_env_default("N"))
     p.add_argument("--d", type=int, default=_env_default("D"))
     p.add_argument("--out", default=_env_default("OUT"))
     p.add_argument("--format", choices=("txt", "json"), default=_env_default("FORMAT", "txt"))
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("export", help="write DOT files for the sector trees")
-    _add_common(p)
-    _add_build_opts(p)
-    p.add_argument("--out", default=_env_default("OUT"))
+
+def _add_export(p: argparse.ArgumentParser) -> None:
+    _add_build(p)
     p.add_argument("--forest", action="store_true",
                    help="single file with every tree instead of one file per tree")
-    p.set_defaults(func=_cmd_export)
 
+
+# name: (help, add-arguments function, handler), in the order help lists them
+_COMMANDS = {
+    "check": ("decide local subcriticality", _add_check, _cmd_check),
+    "build": ("build the model space, write JSON", _add_build, _cmd_build),
+    "list": ("print the negative sector as a table", _add_list, _cmd_list),
+    "stats": ("distributions and graph measures", _add_stats, _cmd_stats),
+    "scan": ("sweep a rho grid, emit CSV rows", _add_scan, _cmd_scan),
+    "fit": ("fit divergence laws to a scan CSV", _add_fit, _cmd_fit),
+    "export": ("write DOT files for the sector trees", _add_export, _cmd_export),
+}
+
+
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser, with arguments added for ``command``'s subparser alone.
+
+    Every subcommand is registered with its help, so the top-level help and
+    usage errors read as with every argument added; a call parses the
+    arguments of one subcommand only, so the others need none.
+    """
+    ap = argparse.ArgumentParser(
+        prog="fractree",
+        description="Enumerate and analyze the negative-homogeneity model space "
+        "of the fractional Allen-Cahn equation.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            add_arguments(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so the first
+    # argument that names a subcommand is the one argparse dispatches to, or
+    # an error is raised before any subcommand is reached.
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = _parser(command).parse_args(argv)
     try:
         if args.command == "check" and args.pos:
             if len(args.pos) != 3:

@@ -8,12 +8,17 @@ distributions from a built model space, together with four averaged graph
 measures and least-squares fits of the divergence laws near the
 subcriticality boundary.
 
-Every measure is an additive parameter of the element, so :func:`stat_report`
-walks each element once, breadth first, and folds the walk into a few integer
-sums keyed by what the measure divides by; every report field is a closed form
-of those sums.  Counts and histogram masses are exact (integers and
-fractions); only the PageRank mean (the float of an exact fraction), the
-gap-scaled moments and the fitted coefficients are floating point.
+Symbols are interned, so the elements share their subtrees I(tau).  Every
+tree measure is built up from marks of those subtrees (vertex count, sums of
+subtree sizes and of their squares, height and the vertices at that depth,
+diameter, degree vectors), and each distinct subtree gets its marks once per
+report, from its children's marks; an element then combines the marks below
+its root alone, betweenness through the Wiener index.  :func:`stat_report`
+folds the elements into a few integer sums keyed by what the measure divides
+by, and every report field is a closed form of those sums.  Counts and
+histogram masses are exact (integers and fractions); only the PageRank mean
+(the float of an exact fraction), the gap-scaled moments and the fitted
+coefficients are floating point.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeRecord:
-    """The measures of one sector element, from the walk the report folds.
+    """The measures of one sector element, the ones the report sums.
 
     Height, diameter, ``degrees``, ``betweenness`` and ``periphery`` refer
     to the bare tree (noise edges stripped), which has ``vertices`` = q + 1
@@ -91,54 +96,103 @@ class TreeRecord:
         return self.q + 1
 
 
-def _walk(sym: Symbol, N: int) -> tuple[int, int, tuple, tuple, int, int]:
-    """The walked fields of a TreeRecord, from one breadth-first walk.
+class _Overflow(Exception):
+    """A vertex of degree above N + 1, met somewhere in a fold."""
 
-    The walk follows INT edges only, so it visits exactly the bare tree;
-    each noise edge adds one to its vertex's decorated degree, and its leaf
-    is a decorated vertex of degree 1.
-    """
-    nodes, parent, depth = [sym], [-1], [0]
-    bare, decorated = [0] * (N + 2), [0] * (N + 2)
-    decorated[1] = sym.p  # the noise leaves
-    for i, node in enumerate(nodes):  # nodes grows while read: a breadth-first queue
-        up = 1 if i else 0
-        before = len(nodes)
-        for tag, child in node.children:
-            if tag == INT:
-                nodes.append(child)
-                parent.append(i)
-                depth.append(depth[i] + 1)
+
+def _overflow(sym: Symbol, N: int) -> ValueError:
+    """The error naming the first vertex of ``sym``, breadth first, of degree above N + 1."""
+    nodes = [(sym, 0)]
+    for node, up in nodes:  # nodes grows while read: a breadth-first queue
         deg = len(node.children) + up
         if deg > N + 1:
-            raise ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
-        bare[len(nodes) - before + up] += 1
-        decorated[deg] += 1
+            return ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
+        nodes.extend((child, 1) for tag, child in node.children if tag == INT)
+    raise AssertionError("no vertex of degree above N+1")
 
-    # Children follow their parents, so a reverse pass finishes each subtree
-    # (size, height, sum of squared child sizes) before its parent reads it.
-    # Deleting v leaves its child subtrees and, unless v is the root, the
-    # n - size[v] vertices above it; the pairs it splits apart pass through v.
-    n = len(nodes)
-    size, below, squares = [1] * n, [0] * n, [0] * n
-    diam, pairs, s2 = 0, 0, (n - 1) ** 2
-    for v in range(n - 1, 0, -1):
-        u = parent[v]
-        pairs += s2 - squares[v] - (n - size[v]) ** 2
-        diam = max(diam, below[u] + below[v] + 1)
-        below[u] = max(below[u], below[v] + 1)
-        size[u] += size[v]
-        squares[u] += size[v] ** 2
-    pairs += s2 - squares[0]
-    top = below[0]
-    return top, diam, tuple(bare), tuple(decorated), pairs // 2, depth.count(top)
+
+def _fold(node: Symbol, up: int, N: int, memo: dict) -> tuple:
+    """The marks of ``node`` from those of the subtrees below its INT edges.
+
+    ``up`` is 1 for a subtree hung below an INT edge and 0 for a root.  The
+    marks are (s, S1, S2, height, periphery, diameter, bare, decorated): s
+    bare vertices, S1 and S2 the sums of size_v and size_v**2 over them
+    (size_v the vertex count of v's subtree), the height and the number of
+    vertices at that depth, the diameter, and the bare and decorated degree
+    vectors, which count the up edge.  Each noise edge adds one to its
+    vertex's decorated degree, and its leaf is a decorated vertex of
+    degree 1.  The fold recurses once per level, as ``render`` does.
+    """
+    kids = []
+    for tag, child in node.children:
+        if tag == INT:
+            marks = memo.get(child)
+            if marks is None:
+                marks = memo[child] = _fold(child, 1, N, memo)
+            kids.append(marks)
+    m = len(kids)
+    noises = len(node.children) - m
+    deg = m + noises + up
+    if deg > N + 1:
+        raise _Overflow
+    bare, decorated = [0] * (N + 2), [0] * (N + 2)
+    bare[m + up] = 1
+    decorated[deg] = 1
+    decorated[1] += noises
+    s, s1, s2, top, peri, diam, second = 1, 0, 0, 0, 1, 0, 0
+    for ks, k1, k2, kh, kp, kd, kb, kdec in kids:
+        s += ks
+        s1 += k1
+        s2 += k2
+        kh += 1
+        if kh > top:
+            top, second, peri = kh, top, kp
+        elif kh == top:
+            second, peri = kh, peri + kp
+        elif kh > second:
+            second = kh
+        if kd > diam:
+            diam = kd
+        bare = list(map(add, bare, kb))
+        decorated = list(map(add, decorated, kdec))
+    if top + second > diam:
+        diam = top + second
+    return s, s1 + s, s2 + s * s, top, peri, diam, bare, decorated
+
+
+def _element(sym: Symbol, N: int, memo: dict) -> tuple[int, int, tuple, tuple, int, int]:
+    """The tree fields of a TreeRecord, from the marks of ``sym``'s subtrees.
+
+    ``memo`` maps each subtree below an INT edge to its marks; pass one dict
+    to several calls with the same ``N`` to fold each subtree they share
+    once.  A call that raises leaves only finished marks in it.
+
+    A pair of vertices at distance k passes through k - 1 others, so the
+    betweenness total is the Wiener index (the sum of all pair distances)
+    less the n(n - 1)/2 pairs.  Each edge above a vertex v joins size_v
+    vertices to n - size_v, so the Wiener index is the sum over v other than
+    the root of size_v (n - size_v), which is n S1 - S2.
+    """
+    try:
+        n, s1, s2, top, peri, diam, bare, decorated = _fold(sym, 0, N, memo)
+    except _Overflow:
+        raise _overflow(sym, N) from None
+    pairs = n * s1 - s2 - n * (n - 1) // 2
+    return top, diam, tuple(bare), tuple(decorated), pairs, peri
+
+
+def _walk(sym: Symbol, N: int) -> tuple[int, int, tuple, tuple, int, int]:
+    """Height, diameter, bare and decorated degree vectors, betweenness and
+    periphery of ``sym``, the fields :func:`tree_records` reads."""
+    return _element(sym, N, {})
 
 
 def tree_records(ms: ModelSpace) -> tuple[TreeRecord, ...]:
     """One record per negative-sector element, in canonical sector order."""
     N, rho = ms.params.N, ms.params.rho
+    memo: dict = {}
     return tuple(
-        TreeRecord(sym, sym.p, sym.q, scaled_degree(sym.kvec, rho), hom, *_walk(sym, N))
+        TreeRecord(sym, sym.p, sym.q, scaled_degree(sym.kvec, rho), hom, *_element(sym, N, memo))
         for sym, hom in negative_sector(ms)
     )
 
@@ -364,9 +418,10 @@ class StatReport:
 
 
 def stat_report(ms: ModelSpace) -> StatReport:
-    """Every statistic of the negative sector, from one walk per element.
+    """Every statistic of the negative sector, in one pass over its elements.
 
-    The walks fold into integer sums: the size law ``sizes[q]``, the
+    The elements' measures, folded from the marks of their subtrees with one
+    memo for the whole report, sum into integers: the size law ``sizes[q]``, the
     homogeneity counts ``homs[(a, b)]``, the bare degree vectors and the
     betweenness summed per vertex count n = q + 1, the decorated degree
     vectors summed per p + q + 1, and plain totals of height, height
@@ -380,11 +435,18 @@ def stat_report(ms: ModelSpace) -> StatReport:
     decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
     between: Counter[int] = Counter()
     h1 = h2 = d1 = d2 = periphery = 0
+    memo: dict = {}
+    # [hom, count] per run of elements sharing one Homogeneity object (one
+    # per type), so a Fraction is hashed once per run, not once per element
+    runs: list[list] = [[None, 0]]
     for sym, hom in negative_sector(ms):
-        height, diameter, bdeg, ddeg, pairs, peri = _walk(sym, N)
+        height, diameter, bdeg, ddeg, pairs, peri = _element(sym, N, memo)
         n = sym.q + 1
         sizes[sym.q] += 1
-        homs[hom.a, hom.b] += 1
+        if hom is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([hom, 1])
         bare[n] = list(map(add, bare[n], bdeg))
         decorated[n + sym.p] = list(map(add, decorated[n + sym.p], ddeg))
         between[n] += pairs
@@ -393,6 +455,8 @@ def stat_report(ms: ModelSpace) -> StatReport:
         d1 += diameter
         d2 += diameter * diameter
         periphery += peri
+    for hom, c in runs[1:]:
+        homs[hom.a, hom.b] += c
     total = sum(sizes.values())
     if not total:
         raise ValueError("negative sector is empty; nothing to aggregate")

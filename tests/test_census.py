@@ -22,6 +22,8 @@ from fractree import (
     to_json_dict,
 )
 from fractree.census import census
+from fractree.counting import h0_bounds, hF_bounds
+from fractree.params import rho_c
 from fractree.stats import size_distribution
 
 from test_builder import GRID_COUNTS
@@ -114,6 +116,38 @@ class TestSizeLaw:
         got = census(Parameters.white_noise(2, 2, F(18, 25)))
         assert (got.c_F, got.h_F) == (101427, 27)
         assert sum(count for _, count in got.sizes) == got.c_F
+
+
+# rho = rho_c + 1/k for N 2..5, d 1..3, k in {3, 5, 10, 20, 50, 100}, where
+# rho <= 2 (Parameters refuses larger rho): 65 points.
+BOUND_POINTS = [
+    (N, d, rho_c(N, d) + F(1, k))
+    for N in range(2, 6)
+    for d in range(1, 4)
+    for k in (3, 5, 10, 20, 50, 100)
+    if rho_c(N, d) + F(1, k) <= 2
+]
+
+
+class TestInsideBounds:
+    """The census counts lie inside the closed-form windows, far past the
+    gaps the builder reaches.  (3, 3) at gap 1/1000 is left out: its census
+    takes about 12 s."""
+
+    def test_point_count(self):
+        assert len(BOUND_POINTS) == 65
+
+    @pytest.mark.parametrize(
+        "N,d,rho",
+        BOUND_POINTS + [(2, 2, rho_c(2, 2) + F(1, 1000)), (3, 3, rho_c(3, 3) + F(1, 300))],
+        ids=str,
+    )
+    def test_h_counts_inside_windows(self, N, d, rho):
+        got = census(Parameters.white_noise(N, d, rho))
+        lo0, hi0 = h0_bounds(N, d, rho)
+        loF, hiF = hF_bounds(N, d, rho)
+        assert lo0 <= got.h0_F <= hi0
+        assert loF <= got.h_F <= hiF
 
 
 class TestNoSymbols:

@@ -469,6 +469,11 @@ class TestFileErrors:
             (["export"], "plain/dots", "[Errno 20] Not a directory: '{tmp}/plain/dots'"),
             (["export", "--forest"], "nowhere/forest.dot",
              "[Errno 2] No such file or directory: '{tmp}/nowhere/forest.dot'"),
+            (["scan"], "nowhere/s.csv",
+             "[Errno 2] No such file or directory: '{tmp}/nowhere/s.csv'"),
+            (["scan", "--iter", "12"], "plain/s.csv",
+             "[Errno 20] Not a directory: '{tmp}/plain/s.csv'"),
+            (["scan"], "somedir", "[Errno 21] Is a directory: '{tmp}/somedir'"),
         ],
     )
     def test_unwritable_out_fails_before_the_build(self, capsys, tmp_path, monkeypatch,
@@ -477,6 +482,7 @@ class TestFileErrors:
             raise AssertionError("built before checking --out")
 
         monkeypatch.setattr(fractree.cli, "build", no_build)
+        monkeypatch.setattr(fractree.cli, "census", no_build)
         (tmp_path / "plain").write_text("")
         (tmp_path / "somedir").mkdir()
         before = sorted(tmp_path.rglob("*"))
@@ -550,6 +556,254 @@ class TestEnvOverrides:
         code, out, _ = run(capsys, ["list", "--N", "2", "--d", "2", "--rho", "1.5"])
         assert code == 0
         assert out.splitlines()[0] == "symbol,p,q,k,homogeneity"
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("check", {"pos": []}),
+            ("build", {}),
+            ("list", {"format": "csv"}),
+            ("stats", {"format": "csv"}),
+            ("scan", {"rho": (fractree.Rational(3, 2),)}),
+            ("fit", {}),
+            ("export", {"forest": False}),
+        ],
+    )
+    def test_env_defaults_of_every_command(self, monkeypatch, command, extra):
+        env = {"N": "3", "D": "2", "RHO": "3/2", "NOISE": "-7/4", "MAXH": "2", "ITER": "5",
+               "CAP": "9", "OUT": "o", "FORMAT": "csv"}
+        for name, value in env.items():
+            monkeypatch.setenv("FRACTREE_" + name, value)
+        argv = [command, "scan.csv"] if command == "fit" else [command]
+        got = vars(fractree.cli._parser(command).parse_args(argv))
+        assert got.pop("func") is fractree.cli._COMMANDS[command][2]
+        if command == "fit":
+            want = {"N": 3, "d": 2, "out": "o", "format": "csv", "scan_csv": "scan.csv"}
+        else:
+            want = {"N": 3, "d": 2, "rho": fractree.Rational(3, 2), "noise": "-7/4"}
+            if command != "check":
+                want.update(maxh=fractree.Rational(2), iters=5, cap=9, out="o")
+        assert got == {"command": command, **want, **extra}
+
+
+# Help and usage-error texts as the full parser printed them under Python
+# 3.11's argparse at COLUMNS=80, with no FRACTREE_* variable set: the
+# per-command parser must print them byte for byte.
+HELP_PINS = {
+    "": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+
+Enumerate and analyze the negative-homogeneity model space of the fractional
+Allen-Cahn equation.
+
+positional arguments:
+  {check,build,list,stats,scan,fit,export}
+    check               decide local subcriticality
+    build               build the model space, write JSON
+    list                print the negative sector as a table
+    stats               distributions and graph measures
+    scan                sweep a rho grid, emit CSV rows
+    fit                 fit divergence laws to a scan CSV
+    export              write DOT files for the sector trees
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": """\
+usage: fractree check [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                      [N d rho ...]
+
+positional arguments:
+  N d rho        positional shorthand: check 2 2 0.9
+
+options:
+  -h, --help     show this help message and exit
+  --N N          nonlinearity power
+  --d D          spatial dimension
+  --rho RHO      fractional order, exact: 3/2 or 1.5 both mean three halves
+  --noise NOISE  "white" (default) or an explicit rational noise regularity
+                 like -7/4
+""",
+    "build": """\
+usage: fractree build [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                      [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --N N          nonlinearity power
+  --d D          spatial dimension
+  --rho RHO      fractional order, exact: 3/2 or 1.5 both mean three halves
+  --noise NOISE  "white" (default) or an explicit rational noise regularity
+                 like -7/4
+  --maxh MAXH    integration cutoff; default: the completeness threshold for
+                 the parameters
+  --iter ITERS   maximum product rounds (default: until convergence)
+  --cap CAP      abort once this many symbols exist (partial results, exit 3)
+  --out OUT
+""",
+    "list": """\
+usage: fractree list [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                     [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+                     [--format {txt,csv}]
+
+options:
+  -h, --help          show this help message and exit
+  --N N               nonlinearity power
+  --d D               spatial dimension
+  --rho RHO           fractional order, exact: 3/2 or 1.5 both mean three
+                      halves
+  --noise NOISE       "white" (default) or an explicit rational noise
+                      regularity like -7/4
+  --maxh MAXH         integration cutoff; default: the completeness threshold
+                      for the parameters
+  --iter ITERS        maximum product rounds (default: until convergence)
+  --cap CAP           abort once this many symbols exist (partial results,
+                      exit 3)
+  --out OUT
+  --format {txt,csv}
+""",
+    "stats": """\
+usage: fractree stats [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                      [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+                      [--format {json,csv,txt}]
+
+options:
+  -h, --help            show this help message and exit
+  --N N                 nonlinearity power
+  --d D                 spatial dimension
+  --rho RHO             fractional order, exact: 3/2 or 1.5 both mean three
+                        halves
+  --noise NOISE         "white" (default) or an explicit rational noise
+                        regularity like -7/4
+  --maxh MAXH           integration cutoff; default: the completeness
+                        threshold for the parameters
+  --iter ITERS          maximum product rounds (default: until convergence)
+  --cap CAP             abort once this many symbols exist (partial results,
+                        exit 3)
+  --out OUT             directory: writes report.json plus histogram CSVs
+  --format {json,csv,txt}
+""",
+    "scan": """\
+usage: fractree scan [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                     [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --N N          nonlinearity power
+  --d D          spatial dimension
+  --rho RHO      comma-separated list of exact fractional orders, e.g.
+                 1.8,1.75,1.7
+  --noise NOISE  "white" (default) or an explicit rational noise regularity
+                 like -7/4
+  --maxh MAXH    integration cutoff; default: the completeness threshold for
+                 the parameters
+  --iter ITERS   maximum product rounds (default: until convergence)
+  --cap CAP      abort once this many symbols exist (partial results, exit 3)
+  --out OUT
+""",
+    "fit": """\
+usage: fractree fit [-h] [--N N] [--d D] [--out OUT] [--format {txt,json}]
+                    scan_csv
+
+positional arguments:
+  scan_csv             CSV produced by the scan subcommand
+
+options:
+  -h, --help           show this help message and exit
+  --N N
+  --d D
+  --out OUT
+  --format {txt,json}
+""",
+    "export": """\
+usage: fractree export [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                       [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+                       [--forest]
+
+options:
+  -h, --help     show this help message and exit
+  --N N          nonlinearity power
+  --d D          spatial dimension
+  --rho RHO      fractional order, exact: 3/2 or 1.5 both mean three halves
+  --noise NOISE  "white" (default) or an explicit rational noise regularity
+                 like -7/4
+  --maxh MAXH    integration cutoff; default: the completeness threshold for
+                 the parameters
+  --iter ITERS   maximum product rounds (default: until convergence)
+  --cap CAP      abort once this many symbols exist (partial results, exit 3)
+  --out OUT
+  --forest       single file with every tree instead of one file per tree
+""",
+}
+
+USAGE_ERRORS = {
+    "": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: the following arguments are required: command
+""",
+    "frobnicate": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: argument command: invalid choice: 'frobnicate' (choose from 'check', 'build', 'list', 'stats', 'scan', 'fit', 'export')
+""",
+    "stats --bogus 1": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: unrecognized arguments: --bogus 1
+""",
+    "stats --format xml": """\
+usage: fractree stats [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                      [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+                      [--format {json,csv,txt}]
+fractree stats: error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'txt')
+""",
+    "check --N two": """\
+usage: fractree check [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                      [N d rho ...]
+fractree check: error: argument --N: invalid int value: 'two'
+""",
+    "--N 2 check": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: argument command: invalid choice: '2' (choose from 'check', 'build', 'list', 'stats', 'scan', 'fit', 'export')
+""",
+    "fit": """\
+usage: fractree fit [-h] [--N N] [--d D] [--out OUT] [--format {txt,json}]
+                    scan_csv
+fractree fit: error: the following arguments are required: scan_csv
+""",
+    "scan --rho 1/0": """\
+usage: fractree scan [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
+                     [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
+fractree scan: error: argument --rho: malformed rho '1/0': Fraction(1, 0)
+""",
+}
+
+
+class TestHelpText:
+    """Registering every subcommand but adding the arguments of the named one
+    alone leaves each help text and usage error as the full parser had it."""
+
+    @pytest.fixture(autouse=True)
+    def plain_env(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for name in list(os.environ):
+            if name.startswith("FRACTREE_"):
+                monkeypatch.delenv(name)
+
+    @pytest.mark.parametrize("command", list(HELP_PINS))
+    def test_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (0, HELP_PINS[command], "")
+
+    def test_help_names_every_command(self):
+        assert list(HELP_PINS)[1:] == list(fractree.cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == (2, "", USAGE_ERRORS[argv])
 
 
 def _module_run(*argv):

@@ -42,8 +42,10 @@ from fractree.stats import (
     tree_records,
     write_histogram_csv,
 )
-from fractree.symbols import bare_tree, iter_vertices, one
+from fractree.symbols import INT, bare_tree, iter_vertices, one, parse_symbol
 from fractree.trees import count_regular
+
+from test_acceptance import GRID
 
 
 def _nx_graph(b):
@@ -391,6 +393,99 @@ class TestSinglePass:
         monkeypatch.setattr(fractree.stats, "tree_records", refuse)
         monkeypatch.setattr(fractree.stats, "TreeRecord", refuse)
         assert stat_report(ms) == want
+
+
+def _bfs_walk(sym, N):
+    """The breadth-first walk the per-subtree fold replaced, kept as its reference.
+
+    The walk follows INT edges only, so it visits exactly the bare tree;
+    each noise edge adds one to its vertex's decorated degree, and its leaf
+    is a decorated vertex of degree 1.
+    """
+    nodes, parent, depth = [sym], [-1], [0]
+    bare, decorated = [0] * (N + 2), [0] * (N + 2)
+    decorated[1] = sym.p  # the noise leaves
+    for i, node in enumerate(nodes):  # nodes grows while read: a breadth-first queue
+        up = 1 if i else 0
+        before = len(nodes)
+        for tag, child in node.children:
+            if tag == INT:
+                nodes.append(child)
+                parent.append(i)
+                depth.append(depth[i] + 1)
+        deg = len(node.children) + up
+        if deg > N + 1:
+            raise ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
+        bare[len(nodes) - before + up] += 1
+        decorated[deg] += 1
+
+    # Children follow their parents, so a reverse pass finishes each subtree
+    # (size, height, sum of squared child sizes) before its parent reads it.
+    # Deleting v leaves its child subtrees and, unless v is the root, the
+    # n - size[v] vertices above it; the pairs it splits apart pass through v.
+    n = len(nodes)
+    size, below, squares = [1] * n, [0] * n, [0] * n
+    diam, pairs, s2 = 0, 0, (n - 1) ** 2
+    for v in range(n - 1, 0, -1):
+        u = parent[v]
+        pairs += s2 - squares[v] - (n - size[v]) ** 2
+        diam = max(diam, below[u] + below[v] + 1)
+        below[u] = max(below[u], below[v] + 1)
+        size[u] += size[v]
+        squares[u] += size[v] ** 2
+    pairs += s2 - squares[0]
+    top = below[0]
+    return top, diam, tuple(bare), tuple(decorated), pairs // 2, depth.count(top)
+
+
+class TestFoldAgainstWalk:
+    """The per-subtree fold against the breadth-first walk, element by element."""
+
+    @pytest.mark.parametrize(
+        "point",
+        GRID + [(2, 4, F(3, 2)), "custom noise", (2, 2, F(4, 5), F(1, 2), 3)],
+        ids=str,
+    )
+    def test_every_sector_element(self, spaces, point):
+        ms = _custom_noise_space() if point == "custom noise" else spaces(*point)
+        N = ms.params.N
+        sector = negative_sector(ms)
+        want = [_bfs_walk(sym, N) for sym, _ in sector]
+        assert [fractree.stats._walk(sym, N) for sym, _ in sector] == want
+        records = tree_records(ms)  # one memo shared by the whole sector
+        assert [r.symbol for r in records] == [sym for sym, _ in sector]
+        assert [
+            (r.height, r.diameter, r.degrees, r.decorated_degrees, r.betweenness, r.periphery)
+            for r in records
+        ] == want
+
+    @pytest.mark.parametrize(
+        "text,N",
+        [
+            ("Xi^4", 2),  # the root
+            ("I(Xi^4)", 2),  # below an INT edge the up edge counts
+            ("I(I(Xi^7))*I(Xi^4)", 2),  # the shallower vertex is named
+            ("I(I(Xi^4)*I(Xi^5))", 3),  # siblings: breadth-first order decides
+            ("I(I(Xi^5)*I(Xi^4))*Xi", 3),
+        ],
+    )
+    def test_degree_overflow_text(self, text, N):
+        sym = parse_symbol(text)
+        with pytest.raises(ValueError) as want:
+            _bfs_walk(sym, N)
+        assert str(want.value).startswith("vertex of degree ")
+        with pytest.raises(ValueError) as got:
+            fractree.stats._walk(sym, N)
+        assert str(got.value) == str(want.value)
+
+    def test_overflow_leaves_the_memo_sound(self):
+        """A fold that raises stores nothing for the subtrees it abandoned."""
+        memo = {}
+        with pytest.raises(ValueError):
+            fractree.stats._element(parse_symbol("I(I(Xi)^2)*I(I(Xi^3))"), 2, memo)
+        for text in ("I(I(Xi)^2)*I(I(Xi))", "I(I(I(Xi)^2))", "I(I(Xi))"):
+            sym = parse_symbol(text)
+            assert fractree.stats._element(sym, 2, memo) == _bfs_walk(sym, 2)
 
 
 class TestSweepTrends:
