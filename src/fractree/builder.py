@@ -23,9 +23,9 @@ U up to that level loses nothing that a negative symbol could ever be built
 from.
 
 A symbol's homogeneity depends only on its type (p, q, k), so it is
-computed once per type and kept with the space.  Comparisons and sorting
-use integers: with L the common denominator of the noise homogeneity and
-rho, every kappa-free part is an exact multiple of 1/L.
+computed once per type by :meth:`Parameters.type_entry`.  Comparisons and
+sorting use its integer key: with L the common denominator of the noise
+homogeneity and rho, every kappa-free part is an exact multiple of 1/L.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ __all__ = [
     "h_F",
     "c_F",
     "to_json_dict",
+    "json_text",
     "from_json_dict",
     "save_json",
     "load_json",
@@ -96,39 +97,6 @@ class BuildConfig:
             raise ValueError("cap must be >= 1")
 
 
-class _TypeHomogeneities:
-    """Homogeneity of each symbol type (p, q, k) under one set of parameters.
-
-    A symbol's homogeneity depends on its type alone, so the exact Fraction
-    arithmetic runs once per type however many symbols share it.  Next to
-    the homogeneity each type keeps an integer sort key (units, b): units is
-    the kappa-free part times L = ``params.scale``, the common denominator of
-    alpha0 and rho, which every homogeneity of the model is an exact multiple
-    of.  The keys order homogeneities exactly as Homogeneity does, and a key
-    below (0, 0) marks a negative one.
-    """
-
-    __slots__ = ("params", "scale", "_by_type")
-
-    def __init__(self, params: Parameters):
-        self.params = params
-        self.scale = params.scale
-        self._by_type: dict[tuple, tuple[Homogeneity, tuple[int, int]]] = {}
-
-    def units(self, x: Fraction) -> int:
-        """Largest integer u with u / L <= x."""
-        return (x.numerator * self.scale) // x.denominator
-
-    def __call__(self, sym: Symbol) -> tuple[Homogeneity, tuple[int, int]]:
-        """(homogeneity, (units, kappa coefficient)) of ``sym``."""
-        t = (sym.p, sym.q, sym.kvec)
-        hit = self._by_type.get(t)
-        if hit is None:
-            h = homogeneity_of(sym, self.params)
-            hit = self._by_type[t] = (h, (self.units(h.a), h.b))
-        return hit
-
-
 @dataclass
 class ModelSpace:
     """All symbols kept by a build, each tagged with its first iteration.
@@ -138,7 +106,7 @@ class ModelSpace:
     ``max(config.maxh - rho, 0)``, since a product above that can neither be
     negative nor integrate to a symbol under maxh.  The negative sector,
     counting maps, and exports all derive from `generations`; homogeneities
-    are computed once per symbol type and cached with the space.
+    come from ``params``, which computes each type's once.
     """
 
     params: Parameters
@@ -147,11 +115,6 @@ class ModelSpace:
     aborted: bool
     generations: dict[Symbol, int]
     _neg: Optional[list] = field(default=None, repr=False, compare=False)
-    _types: Optional[_TypeHomogeneities] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._types is None:
-            self._types = _TypeHomogeneities(self.params)
 
     def __len__(self) -> int:
         return len(self.generations)
@@ -172,8 +135,9 @@ class ModelSpace:
 
     def index_set(self) -> list[Homogeneity]:
         """Sorted distinct homogeneities of all stored symbols."""
-        hs = {self._types(s)[0] for s in self.generations}
-        return sorted(hs)
+        entry = self.params.type_entry
+        hs = dict(entry(s.p, s.q, s.kvec) for s in self.generations)
+        return [hs[key] for key in sorted(hs)]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -254,10 +218,9 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     # Integer units throughout: a product's units are the sum of its
     # factors', an integral's are its integrand's plus rho's, so only the
     # seeds' types need a homogeneity.
-    types = _TypeHomogeneities(params)
     maxh = config.maxh
-    maxh_units = types.units(maxh)
-    rho_units = types.units(params.rho)
+    maxh_units = params.floor_units(maxh)
+    _, xi_units, rho_units = params.units
     product_units = max(maxh_units - rho_units, 0)
 
     one_sym = one()
@@ -272,7 +235,6 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
                 converged=False,
                 aborted=True,
                 generations=dict(records),
-                _types=types,
             )
             raise ExplosionError(
                 f"symbol cap {config.cap} reached at iteration {m}", partial=space
@@ -303,8 +265,8 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     # reference sector sizes.
     W_set.add(xi_sym)
     admit(xi_sym, 0)
-    seed_U = [(mono, types(mono)[1][0]) for mono in _monomials(params, maxh)]
-    ixi_units = types(xi_sym)[1][0] + rho_units
+    seed_U = [(mono, params.type_entry(0, 0, mono.kvec)[0][0]) for mono in _monomials(params, maxh)]
+    ixi_units = xi_units + rho_units
     if ixi_units <= maxh_units:
         seed_U.append((integrate(xi_sym), ixi_units))
     for sym, _ in seed_U:
@@ -352,7 +314,6 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
         converged=converged,
         aborted=False,
         generations=records,
-        _types=types,
     )
 
 
@@ -363,9 +324,10 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
 def negative_sector(ms: ModelSpace) -> list[tuple[Symbol, Homogeneity]]:
     """Stored symbols with negative homogeneity, ascending, ties by encoding."""
     if ms._neg is None:
+        entry = ms.params.type_entry
         entries = []
         for s in ms.generations:
-            h, key = ms._types(s)
+            key, h = entry(s.p, s.q, s.kvec)
             if key < (0, 0):
                 entries.append((key, s.enc, s, h))
         entries.sort(key=lambda e: e[:2])
@@ -380,12 +342,14 @@ def c_F(ms: ModelSpace) -> int:
 
 def h_F(ms: ModelSpace) -> int:
     """Number of distinct negative homogeneities (kappa coefficient included)."""
-    return len({h for _, h in negative_sector(ms)})
+    entry = ms.params.type_entry
+    return len({entry(s.p, s.q, s.kvec)[0] for s, _ in negative_sector(ms)})
 
 
 def h0_F(ms: ModelSpace) -> int:
     """Distinct negative homogeneities over undecorated symbols only."""
-    return len({h for s, h in negative_sector(ms) if not s.kvec})
+    entry = ms.params.type_entry
+    return len({entry(s.p, s.q, s.kvec)[0] for s, _ in negative_sector(ms) if not s.kvec})
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +359,10 @@ def h0_F(ms: ModelSpace) -> int:
 def to_json_dict(ms: ModelSpace) -> dict:
     d = ms.params.d
     texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
+    entry = ms.params.type_entry
     entries = []
     for s in ms.generations:
-        h, key = ms._types(s)
+        key, h = entry(s.p, s.q, s.kvec)
         entries.append((key, s.enc, s, h))
     entries.sort(key=lambda e: e[:2])
     symbols = [
@@ -498,7 +463,7 @@ def from_json_dict(data: dict) -> ModelSpace:
             raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
         text = _field(rec, "symbol", str, where)
         sym = parse_symbol(text, memo=blocks)
-        h, _ = ms._types(sym)
+        h = homogeneity_of(sym, params)
         stored = (
             _field(rec, "p", int, where),
             _field(rec, "q", int, where),
@@ -516,12 +481,17 @@ def from_json_dict(data: dict) -> ModelSpace:
     return ms
 
 
+def json_text(doc: dict) -> str:
+    """JSON text as every output file holds it: two-space indent, sorted
+    keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def save_json(ms: ModelSpace, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(to_json_dict(ms), indent=2, sort_keys=True))
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(to_json_dict(ms)))
 
 
 def load_json(path: str) -> ModelSpace:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return from_json_dict(json.load(fh))

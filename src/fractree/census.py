@@ -2,7 +2,7 @@
 
 A symbol's homogeneity depends on its class (p, q, s) alone: p noises, q
 integration edges and s the scaled degree of all its decorations.  In the
-integer units of :attr:`Parameters.scale` (L the common denominator of
+integer units of :attr:`Parameters.units` (L the common denominator of
 alpha0 and rho, A and R those two in units) a class weighs
 u = p*A + q*R + s units.  The census counts the symbols of each class by
 the multiset construction (Otter, "The number of trees", Ann. Math. 49,
@@ -56,9 +56,7 @@ def census(params: Parameters) -> Census:
     """
     require_subcritical(params)
     N, d, b0 = params.N, params.d, params.alpha0.b
-    L = params.scale
-    A = int(params.alpha0.a * L)
-    R = int(params.rho * L)
+    L, A, R = params.units
     T = int(completeness_threshold(params) * L)
     cut = max(T - R, 0)
     slope = int(params.slack * L)

@@ -21,7 +21,6 @@ import argparse
 import csv
 import errno
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .builder import (
     c_F,
     h0_F,
     h_F,
+    json_text,
     negative_sector,
     to_json_dict,
 )
@@ -223,7 +223,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=False)
     ms, code = _build_space(args)
-    blob = json.dumps(to_json_dict(ms), indent=2, sort_keys=True) + "\n"
+    blob = json_text(to_json_dict(ms))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(blob)
@@ -300,7 +300,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if p.alpha0 != alpha0_white_noise(p.rho, p.d):
         parameters["alpha0"] = {"a": _fstr(p.alpha0.a), "b": p.alpha0.b}
     doc = {"parameters": parameters, "report": report_json_dict(rep)}
-    blob = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    blob = json_text(doc)
     if args.out and args.format != "txt":
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
@@ -387,7 +387,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "beta_relative_error": fit.beta_relative_error,
             "gap_products": list(fit.gap_products),
         }
-        _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json_text(doc))
     else:
         lines = [
             f"fit over {len(fit.rhos)} certified points, N = {fit.N}, d = {fit.d}",

@@ -17,8 +17,9 @@ every sufficiently small kappa at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence, Union
 
@@ -82,7 +83,8 @@ class Homogeneity:
     @property
     def is_negative(self) -> bool:
         """Strictly below zero for every sufficiently small kappa > 0."""
-        return self.a < 0 or (self.a == 0 and self.b < 0)
+        n = self.a.numerator  # the denominator is positive
+        return n < 0 or (n == 0 and self.b < 0)
 
     def __add__(self, other: "Homogeneity") -> "Homogeneity":
         if not isinstance(other, Homogeneity):
@@ -179,6 +181,8 @@ class Parameters:
     d: int
     rho: Fraction
     alpha0: Homogeneity
+    # (p, q, kvec) -> type_entry, one per type met under these parameters
+    _types: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", _frac(self.rho))
@@ -198,13 +202,22 @@ class Parameters:
         r = _frac(rho)
         return cls(N=N, d=d, rho=r, alpha0=alpha0_white_noise(r, d))
 
+    @cached_property
+    def units(self) -> tuple[int, int, int]:
+        """(L, A, R): L the common denominator of alpha0 and rho, A and R
+        their rational parts in units of 1/L.  A type (p, q, k) weighs
+        p*A + q*R + k[0]*R + (k[1] + ...)*L units, an exact multiple of 1/L."""
+        L = lcm(self.alpha0.a.denominator, self.rho.denominator)
+        return L, int(self.alpha0.a * L), int(self.rho * L)
+
     @property
     def scale(self) -> int:
-        """L, the common denominator of alpha0 and rho.
+        """L, the common denominator of alpha0 and rho."""
+        return self.units[0]
 
-        Every kappa-free homogeneity of the model is an exact multiple of 1/L.
-        """
-        return lcm(self.alpha0.a.denominator, self.rho.denominator)
+    def floor_units(self, x: Fraction) -> int:
+        """Largest integer u with u / L <= x, for a threshold such as maxh."""
+        return x.numerator * self.units[0] // x.denominator
 
     @property
     def slack(self) -> Fraction:
@@ -236,12 +249,26 @@ class Parameters:
         """
         return 2 * self.slack / (self.N + 1)
 
+    def type_entry(self, p: int, q: int, kvec: tuple) -> tuple[tuple[int, int], Homogeneity]:
+        """Integer sort key (units, kappa coefficient) and the one shared
+        homogeneity of a Symbol's type (ints, kvec a tuple), memoized.  Keys
+        order as homogeneities do; a key below (0, 0) marks a negative one."""
+        hit = self._types.get((p, q, kvec))
+        if hit is None:
+            L, A, R = self.units
+            u = p * A + q * R + (kvec[0] * R + sum(kvec[1:]) * L if kvec else 0)
+            key = (u, p * self.alpha0.b)
+            hit = self._types[p, q, kvec] = (key, Homogeneity(Fraction(u, L), key[1]))
+        return hit
+
     def homogeneity_of_type(self, p: int, q: int, k: Sequence[int] = ()) -> Homogeneity:
         """Homogeneity p*alpha0 + q*rho + |k|_s of a symbol of type (p, q, k)."""
+        kt = tuple(k)
+        if type(p) is type(q) is int and all(type(x) is int and x >= 0 for x in kt):
+            return self.type_entry(p, q, kt)[1]
+        # anything else (a Fraction q, a float, a bad k) keeps the exact formula and its errors
         base = self.alpha0 * p
-        return Homogeneity(
-            base.a + self.rho * q + scaled_degree(k, self.rho), base.b
-        )
+        return Homogeneity(base.a + self.rho * q + scaled_degree(kt, self.rho), base.b)
 
 
 def is_locally_subcritical(params: Parameters) -> tuple[bool, str]:

@@ -242,6 +242,14 @@ class DegreeDistribution:
     per_tree_mean: tuple[Fraction, ...]
 
 
+def _mean(terms: Iterable[tuple[int, int]], total: int) -> Fraction:
+    """The sum of c/n over the (c, n) pairs, divided by ``total``: one
+    integer numerator over the common denominator lcm(n) * total."""
+    terms = list(terms)
+    den = math.lcm(*(n for _, n in terms))
+    return Fraction(sum(c * (den // n) for c, n in terms), den * total)
+
+
 def _degrees(sums: dict[int, list[int]], total: int, bare: bool) -> DegreeDistribution:
     """From the degree vectors summed per vertex count n."""
     pooled = [sum(col) for col in zip(*sums.values())]
@@ -252,8 +260,7 @@ def _degrees(sums: dict[int, list[int]], total: int, bare: bool) -> DegreeDistri
         pooled_counts=tuple(pooled),
         pooled=tuple(Fraction(c, vertices) for c in pooled),
         per_tree_mean=tuple(
-            sum((Fraction(s[j], n) for n, s in sums.items()), Fraction(0)) / total
-            for j in range(len(pooled))
+            _mean(((s[j], n) for n, s in sums.items()), total) for j in range(len(pooled))
         ),
     )
 
@@ -436,17 +443,12 @@ def stat_report(ms: ModelSpace) -> StatReport:
     between: Counter[int] = Counter()
     h1 = h2 = d1 = d2 = periphery = 0
     memo: dict = {}
-    # [hom, count] per run of elements sharing one Homogeneity object (one
-    # per type), so a Fraction is hashed once per run, not once per element
-    runs: list[list] = [[None, 0]]
-    for sym, hom in negative_sector(ms):
+    types: Counter[tuple] = Counter()  # counted by type, so a Fraction is hashed once per type
+    for sym, _ in negative_sector(ms):
         height, diameter, bdeg, ddeg, pairs, peri = _element(sym, N, memo)
         n = sym.q + 1
         sizes[sym.q] += 1
-        if hom is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([hom, 1])
+        types[sym.p, sym.q, sym.kvec] += 1
         bare[n] = list(map(add, bare[n], bdeg))
         decorated[n + sym.p] = list(map(add, decorated[n + sym.p], ddeg))
         between[n] += pairs
@@ -455,7 +457,8 @@ def stat_report(ms: ModelSpace) -> StatReport:
         d1 += diameter
         d2 += diameter * diameter
         periphery += peri
-    for hom, c in runs[1:]:
+    for t, c in types.items():
+        hom = ms.params.type_entry(*t)[1]
         homs[hom.a, hom.b] += c
     total = sum(sizes.values())
     if not total:
@@ -468,7 +471,7 @@ def stat_report(ms: ModelSpace) -> StatReport:
     for (a, _b), c in homs.items():
         values[a] += c
     mh, md = Fraction(h1, total), Fraction(d1, total)
-    density = sum((Fraction(c, q + 1) for q, c in counts if q), Fraction(0)) / total
+    density = _mean(((c, q + 1) for q, c in counts if q), total)
     return StatReport(
         sizes=SizeDistribution(
             counts=counts,
@@ -495,7 +498,7 @@ def stat_report(ms: ModelSpace) -> StatReport:
         ),
         measures=GraphMeasures(
             density=density,
-            betweenness=sum((Fraction(b, n) for n, b in between.items()), Fraction(0)) / total,
+            betweenness=_mean(((b, n) for n, b in between.items()), total),
             pagerank=float(density + Fraction(sizes[0], total)),
             periphery=Fraction(periphery, total),
         ),

@@ -213,7 +213,7 @@ def type_of(t: Symbol) -> tuple[int, int, tuple[int, ...]]:
 
 def homogeneity_of(t: Symbol, params: Parameters) -> Homogeneity:
     """Scaled degree p*alpha0 + q*rho + |k|_s of the symbol under ``params``."""
-    return params.homogeneity_of_type(t.p, t.q, t.kvec)
+    return params.type_entry(t.p, t.q, t.kvec)[1]
 
 
 def iter_vertices(t: Symbol) -> Iterator[tuple[int, int, Optional[int], Symbol]]:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,16 +10,19 @@ from hypothesis import given, strategies as st
 
 import fractree
 import fractree.trees
+from fractree.builder import BuildConfig, build
 from fractree.counting import lattice_bounds
 from fractree.params import (
     ExplosionError,
     Homogeneity,
     Parameters,
     alpha0_white_noise,
+    completeness_threshold,
     is_locally_subcritical,
     rho_c,
     scaled_degree,
 )
+from fractree.symbols import homogeneity_of
 
 from test_builder import GRID_COUNTS
 
@@ -131,6 +135,110 @@ class TestParameters:
         assert at == Homogeneity(F(0), -7) and at.is_negative
         above = Parameters.white_noise(3, 3, F(2)).homogeneity_of_type(7, 9)
         assert above == Homogeneity(F(1, 2), -7) and not above.is_negative
+
+
+def _old_formula(params, p, q, k=()):
+    """The homogeneity arithmetic before the per-type memo: five Fraction
+    operations per call."""
+    base = params.alpha0 * p
+    return Homogeneity(base.a + params.rho * q + scaled_degree(k, params.rho), base.b)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the seed's exception type and text, compared below
+        return type(exc), str(exc)
+
+
+class TestTypeMemo:
+    """The memoized integer-unit homogeneity against the direct formula."""
+
+    @pytest.mark.parametrize("point", [*sorted(GRID_COUNTS, key=str), "custom noise"])
+    def test_every_stored_type(self, spaces, point):
+        if point == "custom noise":  # slack 2*8/5 - 29/10 = 3/10
+            params = Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1))
+            ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
+        else:
+            ms = spaces(*point)
+        params, L = ms.params, ms.params.scale
+        seen = {}
+        for s in ms.generations:
+            h = params.homogeneity_of_type(s.p, s.q, s.kvec)
+            key, shared = params.type_entry(s.p, s.q, s.kvec)
+            assert h == _old_formula(params, s.p, s.q, s.kvec)
+            assert h is shared is homogeneity_of(s, params)
+            assert key == (h.a * L, h.b) and h.is_negative == (key < (0, 0))
+            seen[key] = h
+        keys = sorted(seen)
+        assert [seen[k] for k in keys] == sorted(seen.values())
+
+    @given(
+        st.fractions(min_value=F(1, 10**6), max_value=2, max_denominator=10**6),
+        st.integers(min_value=1, max_value=6),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-3, max_value=40),
+                st.integers(min_value=-3, max_value=40),
+                st.lists(st.integers(min_value=0, max_value=9), max_size=4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_large_denominators(self, rho, d, types):
+        """rho in (0, 2] with denominators up to 10^6; types drawn at random."""
+        params = Parameters.white_noise(2, d, rho)
+        entries = []
+        for p, q, k in types:
+            h = params.homogeneity_of_type(p, q, k)
+            assert h == _old_formula(params, p, q, k)
+            assert params.homogeneity_of_type(p, q, tuple(k)) is h
+            key = params.type_entry(p, q, tuple(k))[0]
+            assert h.is_negative == (h < Homogeneity(F(0), 0)) == (key < (0, 0))
+            entries.append((key, h))
+        for k1, h1 in entries:
+            for k2, h2 in entries:
+                assert (k1 < k2) == (h1 < h2) and (k1 == k2) == (h1 == h2)
+        x = rho / 3 + F(1, 7)
+        assert params.floor_units(x) == math.floor(x * params.scale)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 1, (-1,)),
+            (1, 1, (0, 1, -2)),
+            (1, 1, (1.0,)),
+            (1, 1, [0, F(1)]),
+            (1.5, 1, ()),
+            (1.0, 1, ()),
+            (1, 0.5, ()),
+            (1, 1.0, ()),
+            (F(1), 1, ()),
+            (1.0, 1, (-1,)),
+            (1, 1.0, (-1,)),
+            (1, F(1, 2), ()),
+            (2, F(3, 2), (0, 1)),
+            (True, 1, (1,)),
+            (1, 1, (True,)),
+        ],
+        ids=repr,
+    )
+    def test_unusual_input_keeps_its_outcome(self, args):
+        """Refusals and exact non-int values, also after the memo holds the
+        integer type they compare equal to."""
+        params = Parameters.white_noise(2, 2, F(3, 4))
+        want = _outcome(_old_formula, params, *args)
+        assert _outcome(params.homogeneity_of_type, *args) == want
+        p, q = (int(x) for x in args[:2])
+        params.homogeneity_of_type(p, q, tuple(abs(int(x)) for x in args[2]))
+        assert _outcome(params.homogeneity_of_type, *args) == want
+
+    def test_memo_is_invisible(self):
+        a, b = Parameters.white_noise(2, 2, F(3, 4)), Parameters.white_noise(2, 2, F(3, 4))
+        a.homogeneity_of_type(3, 2, (1,))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_types" not in repr(a) and b.units == (8, -11, 6)
 
 
 class TestGeometry:
