@@ -4,7 +4,10 @@ The space is the least fixed point of two mutually recursive families:
 W collects the noise symbol and all products of up to N integrands, U
 collects polynomial monomials and integrals of W members.  Both grow
 monotonically, so iteration from the empty family converges whenever the
-truncation threshold admits finitely many symbols.
+truncation threshold admits finitely many symbols.  Neither family is kept
+as a set: a round's products all hold an integral admitted the round
+before, so no product recurs across rounds and the integral of each is new.
+One dict from each stored symbol to its first round is the whole state.
 
 Truncation looks at the kappa-free part of a symbol's homogeneity; the
 kappa coefficient is ignored for pruning since it only matters
@@ -30,6 +33,7 @@ homogeneity and rho, every kappa-free part is an exact multiple of 1/L.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -105,8 +109,9 @@ class ModelSpace:
     up to ``config.maxh``, W (noise and products) up to
     ``max(config.maxh - rho, 0)``, since a product above that can neither be
     negative nor integrate to a symbol under maxh.  The negative sector,
-    counting maps, and exports all derive from `generations`; homogeneities
-    come from ``params``, which computes each type's once.
+    counting maps, and exports all read one sort of `generations`, made on
+    first use; homogeneities come from ``params``, which computes each
+    type's once.
     """
 
     params: Parameters
@@ -114,7 +119,7 @@ class ModelSpace:
     converged: bool
     aborted: bool
     generations: dict[Symbol, int]
-    _neg: Optional[list] = field(default=None, repr=False, compare=False)
+    _order: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.generations)
@@ -136,8 +141,21 @@ class ModelSpace:
     def index_set(self) -> list[Homogeneity]:
         """Sorted distinct homogeneities of all stored symbols."""
         entry = self.params.type_entry
-        hs = dict(entry(s.p, s.q, s.kvec) for s in self.generations)
-        return [hs[key] for key in sorted(hs)]
+        return list(dict(entry(s.p, s.q, s.kvec) for s, _ in self._sorted()[0]).values())
+
+    def _sorted(self) -> tuple[list[tuple[Symbol, Homogeneity]], int]:
+        """Every stored symbol with its homogeneity, ascending, ties by
+        encoding, and how many of them are negative; sorted once per space."""
+        if self._order is None:
+            entry = self.params.type_entry
+            entries = []
+            for s in self.generations:
+                key, h = entry(s.p, s.q, s.kvec)
+                entries.append((key, s.enc, s, h))
+            entries.sort()  # encodings are unique, so no tie reaches s
+            n_neg = bisect.bisect_left(entries, ((0, 0),))
+            self._order = ([(s, h) for _, _, s, h in entries], n_neg)
+        return self._order
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -241,72 +259,60 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
             )
         records[sym] = m
 
-    W_set: set[Symbol] = set()
-    U_set: set[Symbol] = set()
+    # Why ``records`` is the only table kept across rounds: a product's INT
+    # children fix its integral factors, and a tuple of round m >= 2 holds a
+    # pool member admitted in round m - 1, which is an integral.  So a product
+    # is made in one round only, though within that round it can repeat
+    # (X*X and X^2 are one symbol).  Its integral is then new as well: every
+    # integral but I(Xi) is made here, from a product seen for the first time.
+    # A product can still be stored already, as a U member (a 1-tuple is its
+    # factor) or a monomial, which keeps its earlier tag.
     pool: list[tuple[int, bytes, Symbol]] = []  # U but the unit, as (units, enc, symbol)
-    converged = False
 
-    def pool_products(new_marks: set[Symbol]) -> list[tuple[Symbol, int]]:
+    def round_tuples(m: int) -> list[tuple[tuple[int, ...], int]]:
+        """Round m's index tuples over the sorted pool: those with a member
+        admitted in round m - 1."""
         pool.sort()
         units = [u for u, _, _ in pool]
-        marks = [s in new_marks for _, _, s in pool]
-        tuples = _product_tuples(units, marks, params.N, product_units)
-        return [(product([pool[j][2] for j in t]), total) for t, total in tuples]
-
-    def extend_pool(new_U: list[tuple[Symbol, int]]) -> set[Symbol]:
-        """Add new U members to the pool; return them for the next round."""
-        pool.extend((u, s.enc, s) for s, u in new_U if s is not one_sym)
-        return {s for s, _ in new_U}
+        marks = [records[s] == m - 1 for _, _, s in pool]
+        return _product_tuples(units, marks, params.N, product_units)
 
     # Seeding, tagged generation 0: the noise symbol, every monomial under the
     # threshold, and the integrated noise.  Each following round then combines
     # integrands into products and integrates the new products, so iter counts
     # product rounds; this matches the iteration counts reported alongside the
     # reference sector sizes.
-    W_set.add(xi_sym)
     admit(xi_sym, 0)
-    seed_U = [(mono, params.type_entry(0, 0, mono.kvec)[0][0]) for mono in _monomials(params, maxh)]
+    seeds = [(mono, params.type_entry(0, 0, mono.kvec)[0][0]) for mono in _monomials(params, maxh)]
     ixi_units = xi_units + rho_units
     if ixi_units <= maxh_units:
-        seed_U.append((integrate(xi_sym), ixi_units))
-    for sym, _ in seed_U:
-        U_set.add(sym)
+        seeds.append((integrate(xi_sym), ixi_units))
+    for sym, u in seeds:
         admit(sym, 0)
-    new_last = extend_pool(seed_U)
+        if sym is not one_sym:
+            pool.append((u, sym.enc, sym))
 
     rounds = itertools.count(1) if config.iter is None else range(1, config.iter + 1)
     for m in rounds:
-        W_new: list[tuple[Symbol, int]] = []
-        if new_last:
-            for sym, u in pool_products(new_last):
-                if sym not in W_set:
-                    W_set.add(sym)
-                    if sym not in records:
-                        admit(sym, m)
-                    W_new.append((sym, u))
-
-        U_new: list[tuple[Symbol, int]] = []
-        for tau, u in W_new:
-            u += rho_units
-            if u > maxh_units:
-                continue
-            itau = integrate(tau)
-            if itau not in U_set:
-                U_set.add(itau)
-                if itau not in records:
-                    admit(itau, m)
-                U_new.append((itau, u))
-
-        new_last = extend_pool(U_new)
-        if not W_new and not U_new:
+        W_new: dict[Symbol, int] = {}  # this round's products, in admission order
+        for t, total in round_tuples(m):
+            sym = product([pool[j][2] for j in t])
+            if sym not in W_new:
+                W_new[sym] = total
+                if sym not in records:
+                    admit(sym, m)
+        if not W_new:
             converged = True
             break
-
-    if not converged:
-        if not new_last:
-            converged = True
-        else:
-            converged = all(sym in W_set for sym, _ in pool_products(new_last))
+        for tau, u in W_new.items():
+            u += rho_units
+            if u <= maxh_units:
+                itau = integrate(tau)
+                admit(itau, m)
+                pool.append((u, itau.enc, itau))
+    else:
+        # The budget ran out: the space is closed if the next round has no tuple.
+        converged = not round_tuples(config.iter + 1)
 
     return ModelSpace(
         params=params,
@@ -323,16 +329,8 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
 
 def negative_sector(ms: ModelSpace) -> list[tuple[Symbol, Homogeneity]]:
     """Stored symbols with negative homogeneity, ascending, ties by encoding."""
-    if ms._neg is None:
-        entry = ms.params.type_entry
-        entries = []
-        for s in ms.generations:
-            key, h = entry(s.p, s.q, s.kvec)
-            if key < (0, 0):
-                entries.append((key, s.enc, s, h))
-        entries.sort(key=lambda e: e[:2])
-        ms._neg = [(s, h) for _, _, s, h in entries]
-    return ms._neg
+    order, n_neg = ms._sorted()
+    return order[:n_neg]
 
 
 def c_F(ms: ModelSpace) -> int:
@@ -359,12 +357,6 @@ def h0_F(ms: ModelSpace) -> int:
 def to_json_dict(ms: ModelSpace) -> dict:
     d = ms.params.d
     texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
-    entry = ms.params.type_entry
-    entries = []
-    for s in ms.generations:
-        key, h = entry(s.p, s.q, s.kvec)
-        entries.append((key, s.enc, s, h))
-    entries.sort(key=lambda e: e[:2])
     symbols = [
         {
             "symbol": render(s, d, memo=texts),
@@ -375,7 +367,7 @@ def to_json_dict(ms: ModelSpace) -> dict:
             "b": h.b,
             "generation": ms.generations[s],
         }
-        for _, _, s, h in entries
+        for s, h in ms._sorted()[0]
     ]
     return {
         "parameters": {

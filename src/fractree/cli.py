@@ -223,14 +223,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=False)
     ms, code = _build_space(args)
-    blob = json_text(to_json_dict(ms))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(blob)
-        print(_count_label(ms))
-    else:
-        sys.stdout.write(blob)
-        print(_count_label(ms), file=sys.stderr)
+    _write_text(args.out, json_text(to_json_dict(ms)))
+    print(_count_label(ms), file=sys.stdout if args.out else sys.stderr)
     return code
 
 

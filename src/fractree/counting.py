@@ -102,11 +102,8 @@ def h0_bounds(N: int, d: int, rho: RationalLike) -> tuple[Fraction, Fraction]:
     Returns (lower, upper) with the additive 1 already folded into the
     upper bound, so the guarantee is lower <= h0_F <= upper.
     """
-    r = _frac(rho)
-    gap = _gap(N, d, r)
-    lower = (r + d) / (Fraction(N + 1) * gap)
-    upper = 1 + Fraction(N) * (r + d) / (Fraction(N + 1) * gap)
-    return (lower, upper)
+    q_star = lattice_bounds(N, d, rho).q_star
+    return (q_star / N, 1 + q_star)
 
 
 def hF_bounds(N: int, d: int, rho: RationalLike) -> tuple[Fraction, Fraction]:
@@ -115,11 +112,8 @@ def hF_bounds(N: int, d: int, rho: RationalLike) -> tuple[Fraction, Fraction]:
     Decorations widen the upper bound by a factor d against :func:`h0_bounds`;
     the lower bound is shared.  The additive 1 is folded into the upper bound.
     """
-    r = _frac(rho)
-    gap = _gap(N, d, r)
-    lower = (r + d) / (Fraction(N + 1) * gap)
-    upper = 1 + Fraction(N * d) * (r + d) / (Fraction(N + 1) * gap)
-    return (lower, upper)
+    q_star = lattice_bounds(N, d, rho).q_star
+    return (q_star / N, 1 + d * q_star)
 
 
 def beta_N(N: int, alpha: Optional[float] = None) -> float:

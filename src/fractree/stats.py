@@ -181,12 +181,6 @@ def _element(sym: Symbol, N: int, memo: dict) -> tuple[int, int, tuple, tuple, i
     return top, diam, tuple(bare), tuple(decorated), pairs, peri
 
 
-def _walk(sym: Symbol, N: int) -> tuple[int, int, tuple, tuple, int, int]:
-    """Height, diameter, bare and decorated degree vectors, betweenness and
-    periphery of ``sym``, the fields :func:`tree_records` reads."""
-    return _element(sym, N, {})
-
-
 def tree_records(ms: ModelSpace) -> tuple[TreeRecord, ...]:
     """One record per negative-sector element, in canonical sector order."""
     N, rho = ms.params.N, ms.params.rho

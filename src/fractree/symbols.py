@@ -224,14 +224,12 @@ def iter_vertices(t: Symbol) -> Iterator[tuple[int, int, Optional[int], Symbol]]
     """
     queue: deque[tuple[int, Optional[int], Symbol]] = deque([(-1, None, t)])
     idx = 0
-    out = []
     while queue:
         parent, tag, node = queue.popleft()
-        out.append((idx, parent, tag, node))
+        yield idx, parent, tag, node
         for ctag, child in node.children:
             queue.append((idx, ctag, child))
         idx += 1
-    return iter(out)
 
 
 def bare_tree(t: Symbol) -> Symbol:

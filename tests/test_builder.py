@@ -19,6 +19,7 @@ from fractree.builder import (
     from_json_dict,
     h0_F,
     h_F,
+    json_text,
     load_json,
     negative_sector,
     save_json,
@@ -154,6 +155,87 @@ class TestIterationLadder:
         small = spaces(3, 3, F(17, 10), maxh=F(2), iters=4)
         for sym, gen in small.generations.items():
             assert ms.generations[sym] == gen
+
+
+def _space_digest(ms) -> str:
+    return hashlib.sha256(json_text(to_json_dict(ms)).encode()).hexdigest()
+
+
+_CUSTOM = Parameters(N=2, d=2, rho=F(2), alpha0=Homogeneity(F(-7, 2), -1))
+
+# SHA-256 of the whole stored space (every symbol, its generation tag and the
+# converged/complete flags) along iteration ladders, as built when W and U
+# were kept as sets next to the generation tags.  At (2, 1, 1/2) monomial
+# splits repeat products within each round (X*X and X^2).
+LADDER_DIGESTS = {
+    (2, 1, F(1, 2), 3, 1): "f87c58b64167b555ee94c574cf133c5e14d3f458cad9f7bcb547d4daddc4a245",
+    (2, 1, F(1, 2), 3, 2): "90038c48ae859e129e9544bde76514702f278fc4609e8356b980bb6e1133665b",
+    (2, 1, F(1, 2), 3, 3): "4dd52df1b0b7f15575e00be429809937c88bb7182c61005eabf5877b4e47be77",
+    (2, 2, F(3, 2), 4, 1): "bec1025d955d06106db33d52bf509c33b68e7497e8c528087717cb3de292345b",
+    (2, 2, F(3, 2), 4, 2): "d18abcdd359be2c9f91daf290fc13dbb5a50adbec738071b84b01de01c2119ed",
+    (2, 2, F(3, 2), 4, 3): "53d9d247b98476bc7abe5dafa8e931c257e1f36f524ad88c740436e97d58ba8d",
+    (2, 2, F(3, 2), 4, 4): "fefc2382a278deca4d026cffc76bd77b7d246556c1b6776085aa2c634adf069a",
+    (3, 3, F(17, 10), 2, 1): "750924c0b6e26c07a0b9be61aca7a247b5d328cb41617ee24811c065f586fdef",
+    (3, 3, F(17, 10), 2, 2): "0050a1f4147a4409818910512c6b0a9f930e6fe54dcc18041a38a95828f170e7",
+    (3, 3, F(17, 10), 2, 3): "7e103c373a3f9bfacfc3f20b041f798ba6639a1be4b194a8a6ea85dbd4a2587d",
+    (3, 3, F(17, 10), 2, 4): "547e03d5ad790cb4395224d75f8bfa477fb9e6eac1b265cd511ec2ef78fe7ed0",
+    (3, 3, F(17, 10), 2, 5): "be660e2cd8a07be865f1cb72dcb269427bbe51d843c762b5e3f05088279279e8",
+    (3, 3, F(17, 10), 2, 6): "225555905f42a2b4cbf67ec8b3274b090183f7ca8c41ab747552a22895748ba8",
+    (3, 3, F(17, 10), 2, 7): "4c8b1407f55ce4eebc0483285f36a59a996a3c04b6af1df66f1eed6b03825571",
+}
+
+
+class TestLadderPins:
+    """The whole stored space, not only its sector, pinned round by round."""
+
+    @pytest.mark.parametrize("point", sorted(LADDER_DIGESTS, key=str), ids=str)
+    def test_ladder_digest(self, spaces, point):
+        N, d, rho, maxh, iters = point
+        assert _space_digest(spaces(N, d, rho, maxh=maxh, iters=iters)) == LADDER_DIGESTS[point]
+
+    def test_cap_partial_digest(self):
+        params = Parameters.white_noise(2, 2, F(3, 4))
+        with pytest.raises(ExplosionError) as exc:
+            build(params, BuildConfig(maxh=F(5, 8), iter=64, cap=50))
+        assert _space_digest(exc.value.partial) == (
+            "69ade1143a1ff83f9fccaaf31619709a2a0a62da0ba5b30d079baced31ade951"
+        )
+
+    def test_custom_noise_digest(self):
+        ms = build(_CUSTOM, BuildConfig(maxh=completeness_threshold(_CUSTOM)))
+        assert ms.complete and len(ms) == 102
+        assert _space_digest(ms) == (
+            "9d1d3966ec79b91d4893d70aeb0c62b2287cb1400c672912a55a9fb012c5203e"
+        )
+
+    @pytest.mark.parametrize(
+        "point,stored,calls",
+        [
+            ((2, 2, F(3, 2), F(4), None), 100, 51),
+            ((3, 1, F(1), F(3), None), 180, 102),
+            ((3, 3, F(17, 10), F(2), None), 222, 106),
+            # Products repeat within each round here; a round that stored a
+            # repeat twice would feed it to the next round's tuples twice.
+            # The closing check of a spent budget makes no product, so these
+            # are the calls that three rounds and no check make.
+            ((2, 1, F(1, 2), F(3), 3), 1858, 988),
+        ],
+        ids=str,
+    )
+    def test_product_calls(self, monkeypatch, point, stored, calls):
+        """One product per tuple walked, and every stored symbol counted."""
+        N, d, rho, maxh, iters = point
+        made = []
+        real = fractree.builder.product
+
+        def counted(factors):
+            made.append(1)
+            return real(factors)
+
+        monkeypatch.setattr(fractree.builder, "product", counted)
+        ms = build(Parameters.white_noise(N, d, rho), BuildConfig(maxh=maxh, iter=iters))
+        assert ms.converged is (iters is None)
+        assert (len(ms), len(made)) == (stored, calls)
 
 
 class TestSliceStructure:

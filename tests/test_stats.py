@@ -451,7 +451,7 @@ class TestFoldAgainstWalk:
         N = ms.params.N
         sector = negative_sector(ms)
         want = [_bfs_walk(sym, N) for sym, _ in sector]
-        assert [fractree.stats._walk(sym, N) for sym, _ in sector] == want
+        assert [fractree.stats._element(sym, N, {}) for sym, _ in sector] == want
         records = tree_records(ms)  # one memo shared by the whole sector
         assert [r.symbol for r in records] == [sym for sym, _ in sector]
         assert [
@@ -475,7 +475,7 @@ class TestFoldAgainstWalk:
             _bfs_walk(sym, N)
         assert str(want.value).startswith("vertex of degree ")
         with pytest.raises(ValueError) as got:
-            fractree.stats._walk(sym, N)
+            fractree.stats._element(sym, N, {})
         assert str(got.value) == str(want.value)
 
     def test_overflow_leaves_the_memo_sound(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractree import symbols
 from fractree.params import Parameters
-from fractree.stats import _walk
+from fractree.stats import _element
 from fractree.symbols import (
     INT,
     XI,
@@ -351,11 +351,11 @@ class TestBareDecorated:
         t = parse_symbol("I(I(Xi)^2)")
         b = bare_tree(t)
         assert b.n_vertices == t.q + 1 == 4
-        assert _walk(b, 2)[:2] == _walk(t, 2)[:2] == (2, 2)  # height, diameter
+        assert _element(b, 2, {})[:2] == _element(t, 2, {})[:2] == (2, 2)  # height, diameter
 
     def test_bare_of_noise_is_point(self):
         b = bare_tree(xi())
-        assert b.n_vertices == 1 and _walk(b, 2)[:2] == (0, 0)
+        assert b.n_vertices == 1 and _element(b, 2, {})[:2] == (0, 0)
 
     def test_decorate_inverts_bare(self):
         for text in ("Xi", "I(Xi)^2", "I(I(Xi)^2)*I(Xi)", "I(I(Xi)*I(I(Xi)^2))"):
@@ -373,15 +373,15 @@ class TestBareDecorated:
         b = bare_tree(t)
         assert b.n_vertices == t.q + 1
         # at most 4 children under an incoming edge: N = 4 admits every degree
-        height, diameter = _walk(b, 4)[:2]
-        assert _walk(t, 4)[:2] == (height, diameter)
+        height, diameter = _element(b, 4, {})[:2]
+        assert _element(t, 4, {})[:2] == (height, diameter)
         assert height <= t.q
         assert diameter <= 2 * height
 
 
 def _degree_vector(t, N, bare=False):
     """Counts (d_1, ..., d_{N+1}) of vertices by undirected degree."""
-    return _walk(t, N)[2 if bare else 3][1:]
+    return _element(t, N, {})[2 if bare else 3][1:]
 
 
 class TestDegreeVector:

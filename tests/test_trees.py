@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from fractree import trees
-from fractree.stats import _walk
+from fractree.stats import _element
 from fractree.symbols import INT, _make_node, iter_vertices, one, type_of
 from fractree.trees import (
     PruneReport,
@@ -173,7 +173,7 @@ class TestEnumeration:
         seen = []
         for t in enumerate_bare(2, 6):
             assert type_of(t) == (0, 6, ())
-            assert _walk(t, 2)[0] <= 6  # height
+            assert _element(t, 2, {})[0] <= 6  # height
             seen.append(t.enc)
         assert seen == sorted(seen)
 
