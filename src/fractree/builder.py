@@ -36,9 +36,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .params import (
     ExplosionError,
@@ -456,27 +457,83 @@ def from_json_dict(data: dict) -> ModelSpace:
         text = _field(rec, "symbol", str, where)
         sym = parse_symbol(text, memo=blocks)
         h = homogeneity_of(sym, params)
-        stored = (
-            _field(rec, "p", int, where),
-            _field(rec, "q", int, where),
-            tuple(_field(rec, "k", list, where)),
-        )
+        k = _field(rec, "k", list, where)
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in k):
+            raise ValueError(f"malformed model space: field {where + 'k'!r} must be a list of int")
+        stored = (_field(rec, "p", int, where), _field(rec, "q", int, where), tuple(k))
         actual = (sym.p, sym.q, _dense(sym.kvec, params.d))
         a, b = _field(rec, "a", str, where), _field(rec, "b", int, where)
         if stored != actual or _fstr(h.a) != a or h.b != b:
             raise ValueError(f"inconsistent symbol record: {text!r}")
         if sym in ms.generations:
             raise ValueError(f"duplicate symbol record: {text!r}")
-        ms.generations[sym] = _field(rec, "generation", int, where)
+        generation = _field(rec, "generation", int, where)
+        if generation < 0:
+            raise ValueError(f"malformed model space: field {where + 'generation'!r} must be >= 0")
+        ms.generations[sym] = generation
     if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")
     return ms
 
 
+# how json.dumps writes a string with ensure_ascii, in C where available
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def json_text(doc: dict) -> str:
     """JSON text as every output file holds it: two-space indent, sorted
-    keys, a final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    keys, a final newline.
+
+    The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
+    written directly: with an indent the standard library runs its slower
+    pure-Python encoder, never the C one.  Keys must be strings: any other
+    key raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, nl: str, out: Callable[[str], object]) -> None:
+    """Pass the JSON text of ``value`` to ``out`` piece by piece; its inner
+    lines start with ``nl`` and two more spaces.  Small pieces joined once
+    keep the peak memory of ``json.dumps``."""
+    if isinstance(value, str):
+        out(_json_str(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out("NaN")
+        elif value in (math.inf, -math.inf):
+            out("Infinity" if value > 0 else "-Infinity")
+        else:
+            out(float.__repr__(value))
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out(sep + _json_str(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(nl + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(nl + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_json(ms: ModelSpace, path: str) -> None:

@@ -23,6 +23,7 @@ ever mutates, every symbol is immutable.
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from collections import deque
@@ -318,6 +319,21 @@ _TOKEN = re.compile(r"\s*(?:(X\^\(\d+(?:,\d+)*\))|(Xi)|(I\()|(1)|(\*)|(\^\d+)|(\
 
 _PAREN = re.compile(r"[()]")
 
+# Levels a block may nest, its own included, for _block_pattern to find its
+# end.  Stored spaces nest at most 12 deep, at (2,2,37/50) and (3,3,8/5).
+_BLOCK_DEPTH = 32
+
+
+@functools.cache
+def _block_pattern() -> re.Pattern:
+    """Matched at a '(', runs through its ')' when the block nests at most
+    ``_BLOCK_DEPTH`` deep.  Possessive, so a failed match does not
+    backtrack; compiled on first use, not at import."""
+    inner = r"[^()]*+"
+    for _ in range(_BLOCK_DEPTH - 1):
+        inner = r"[^()]*+(?:\(" + inner + r"\)[^()]*+)*+"
+    return re.compile(r"\(" + inner + r"\)")
+
 
 def _block_ends(text: str) -> dict[int, int]:
     """Map the index of each matched '(' in ``text`` to the index just past
@@ -351,6 +367,15 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     texts parse to the same symbols and the rest raise the same message.
     In a text whose parentheses nest deeper than ``_MAX_DEPTH`` the memo
     is not used.
+
+    A block's text runs from its ``I(`` through the matching ``)``.  The
+    parse finds that end when it reaches the ``I(``, with one anchored
+    match of a balanced-parenthesis pattern that follows
+    ``_BLOCK_DEPTH`` (32) levels.  Two cases scan every parenthesis of the
+    text once instead: a text with more than ``_MAX_DEPTH`` ``(``, which
+    may nest past the bound, and a block the pattern cannot match, one
+    nested deeper than it follows or never closed.  Both ways give the
+    same ends.
     """
 
     def error(at: int, msg: str) -> ValueError:
@@ -361,7 +386,9 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
 
     if memo is None:
         memo = {}
-    ends = _block_ends(text)
+    # only a text with more than _MAX_DEPTH '(' can nest past the bound
+    ends = _block_ends(text) if text.count("(") > _MAX_DEPTH else None
+    match_block = _block_pattern().match
     # characters the memo may still slice out of text: keeps its keys and
     # lookups linear in len(text) however deeply blocks nest
     budget = 4 * len(text)
@@ -384,7 +411,10 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
         elif kind == 2:
             factors.append(_XI)
         elif kind == 3:
-            end = ends.get(at + 1, at)
+            closed = match_block(text, at + 1) if ends is None else None
+            if closed is None and ends is None:  # nested past _BLOCK_DEPTH or unclosed
+                ends = _block_ends(text)
+            end = closed.end() if closed is not None else ends.get(at + 1, at)
             block = text[at:end] if end - at <= budget else ""
             budget -= len(block)
             got = memo.get(block)

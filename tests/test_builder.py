@@ -469,6 +469,9 @@ class TestMalformedJson:
             (("symbols", 0), "Xi", "symbols[0]"),
             (("symbols", 1, "generation"), "0", "symbols[1].generation"),
             (("config", "iter"), "8", "config.iter"),
+            (("symbols", 1, "generation"), -7, "symbols[1].generation"),
+            (("symbols", 0, "k"), [0.0, False, 0], "symbols[0].k"),
+            (("symbols", 0, "k"), [0, 0, "0"], "symbols[0].k"),
         ],
     )
     def test_mistyped_field(self, spaces, path, value, name):

@@ -11,6 +11,7 @@ import pytest
 
 import fractree
 import fractree.cli
+from fractree.builder import json_text
 from fractree.cli import main
 from fractree.stats import stat_report
 
@@ -404,6 +405,79 @@ class TestFit:
         code, _, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
         assert code == 2
         assert "at least 4 distinct grid points" in err
+
+
+def _stdlib_text(doc) -> str:
+    """The reference for json_text: the standard library's indented dump."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonText:
+    """Every JSON document the CLI writes has the standard library's bytes."""
+
+    @pytest.fixture()
+    def written(self, monkeypatch):
+        docs = []
+        real = fractree.cli.json_text
+
+        def recorded(doc):
+            docs.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(fractree.cli, "json_text", recorded)
+        return docs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--N", "2", "--d", "2", "--rho", "3/4"],
+            ["build", "--N", "2", "--d", "2", "--rho", "1.5", "--noise=-7/4"],
+            ["stats", "--N", "2", "--d", "2", "--rho", "1.5", "--noise=-7/4"],
+        ],
+    )
+    def test_spaces_and_reports(self, capsys, written, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        [doc] = written
+        assert out == _stdlib_text(doc)
+
+    def test_report_file_with_string_keys_and_float_scores(self, capsys, tmp_path, written):
+        argv = ["stats", "--N", "2", "--d", "2", "--rho", "3/4", "--out", str(tmp_path)]
+        assert run(capsys, argv)[0] == 0
+        [doc] = written
+        report = doc["report"]
+        assert {"2", "10"} <= set(report["size"]["counts"])  # "10" sorts first
+        assert isinstance(report["graph_measures"]["pagerank"], float)
+        assert (tmp_path / "report.json").read_text() == _stdlib_text(doc)
+
+    def test_fit(self, capsys, tmp_path, written):
+        path = tmp_path / "scan.csv"
+        path.write_text(
+            "rho,h_F,c_F,certified\n"
+            "1/1,6,8,true\n9/10,7,11,true\n17/20,9,21,true\n"
+            "4/5,12,64,true\n3/4,18,932,true\n"
+        )
+        code, out, _ = run(capsys, ["fit", str(path), "--N", "2", "--d", "2", "--format", "json"])
+        assert code == 0
+        [doc] = written
+        assert out == _stdlib_text(doc)
+
+    def test_synthetic_document(self):
+        doc = {
+            "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, 1e300, 5e-324],
+            "ints": [0, -7, 10**30],
+            "constants": [True, False, None],
+            "empty": [{}, [], [[]], [{}], {"a": {}}],
+            "text": ["", "caf\u00e9 \u2603 \U0001f600", "tab\t \"quote\" back\\slash\n\x00"],
+            "tuple": (1, (2, "3")),
+            "sorted": {"b": 1, "a": 2, "10": 3, "2": 4, "\u00e9": 5, "Z": 6},
+        }
+        assert json_text(doc) == _stdlib_text(doc)
+        assert json_text({}) == "{}\n"
+        with pytest.raises(TypeError):
+            json_text({1: "int keys are not written"})
+        with pytest.raises(TypeError):
+            json_text({"set": {1}})
 
 
 class TestFileErrors:

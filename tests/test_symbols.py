@@ -1,6 +1,7 @@
 """Symbol algebra: interning, canonical form, rendering, parsing, bare trees."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -310,6 +311,88 @@ class TestParseMemo:
         t = parse_symbol(text, memo=memo)
         assert (t.p, t.q) == (1, 400)
         assert sum(map(len, memo)) <= 4 * len(text)
+
+
+def _chain(levels: int, core: str = "Xi") -> str:
+    return "I(" * levels + core + ")" * levels
+
+
+def _nesting(block: str) -> int:
+    level = deepest = 0
+    for ch in block:
+        level += (ch == "(") - (ch == ")")
+        deepest = max(deepest, level)
+    return deepest
+
+
+class TestBlockEnds:
+    """Block ends come from one pattern match up to symbols._BLOCK_DEPTH
+    levels, and from the full parenthesis scan past it; both agree."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        real = symbols._block_ends
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(symbols, "_block_ends", counted)
+        return calls
+
+    @pytest.mark.parametrize("core", ["Xi", "I(Xi)^2*X^(0,1)", "X^(1,0)*Xi"])
+    def test_pattern_ends_are_the_scanned_ends(self, core):
+        text = _chain(symbols._BLOCK_DEPTH + 8, core) + "*" + _chain(3, core)
+        ends = symbols._block_ends(text)
+        for i in (i for i, ch in enumerate(text) if ch == "("):
+            got = symbols._block_pattern().match(text, i)
+            shallow = _nesting(text[i:ends[i]]) <= symbols._BLOCK_DEPTH
+            assert (got.end() if got else None) == (ends[i] if shallow else None)
+        assert symbols._block_pattern().match("I(I(Xi)", 1) is None  # never closed
+
+    @pytest.mark.parametrize("levels", [40, 450])
+    @pytest.mark.parametrize("hit", [0, 20, 39])
+    def test_chains_past_the_pattern_depth(self, levels, hit, scans):
+        core = "I(Xi)*X^(0,1)"
+        text = _chain(levels, core)
+
+        def load(memo: dict) -> Symbol:
+            if hit:
+                parse_symbol(_chain(hit, core), memo=memo)
+            return parse_symbol(text, memo=memo)
+
+        # the scan alone, as the reference for the symbol and the memo
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symbols, "_block_pattern", lambda: re.compile("(?!)"))
+            want: dict = {}
+            fresh = load(want)
+        assert parse_symbol(text) is fresh and (fresh.p, fresh.q) == (1, levels + 1)
+        memo: dict = {}
+        del scans[:]
+        assert load(memo) is fresh
+        assert memo == want
+        # the outer levels nest past the pattern: one scan of text per parse
+        assert scans.count(text) == 1
+        for broken in (text[:-1], text[:-1] + "*Xi", text + ")"):
+            assert _same(_outcome(broken, memo), _outcome(broken))
+
+    def test_shallow_texts_are_not_scanned(self, scans):
+        memo: dict = {}
+        for seed in range(20):
+            text = render(_random_symbol(random.Random(seed)), d=2)
+            assert parse_symbol(text, memo=memo) is parse_symbol(text)
+        chain = _chain(symbols._BLOCK_DEPTH - 1, "I(Xi)*X^(0,1)")  # nests 32 deep
+        assert parse_symbol(chain, memo=memo) is parse_symbol(chain)
+        assert scans == []
+
+    def test_texts_with_more_open_parentheses_than_the_bound_are_scanned(self, scans):
+        text = "*".join(["I(Xi)"] * (symbols._MAX_DEPTH + 1))
+        memo: dict = {}
+        t = parse_symbol(text, memo=memo)
+        assert (t.p, t.q) == (symbols._MAX_DEPTH + 1,) * 2
+        assert set(memo) == {"I(Xi)"}
+        assert scans == [text]
 
 
 class TestSizeBound:
