@@ -327,11 +327,12 @@ _BLOCK_DEPTH = 32
 @functools.cache
 def _block_pattern() -> re.Pattern:
     """Matched at a '(', runs through its ')' when the block nests at most
-    ``_BLOCK_DEPTH`` deep.  Possessive, so a failed match does not
-    backtrack; compiled on first use, not at import."""
-    inner = r"[^()]*+"
+    ``_BLOCK_DEPTH`` deep; compiled on first use, not at import.  Each
+    step begins with a different character ('(', ')' or neither), so a
+    failed match backs out in time linear in what it read."""
+    inner = r"[^()]*"
     for _ in range(_BLOCK_DEPTH - 1):
-        inner = r"[^()]*+(?:\(" + inner + r"\)[^()]*+)*+"
+        inner = r"[^()]*(?:\(" + inner + r"\)[^()]*)*"
     return re.compile(r"\(" + inner + r"\)")
 
 

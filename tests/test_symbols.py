@@ -2,6 +2,7 @@
 
 import random
 import re
+import signal
 from fractions import Fraction as F
 
 import pytest
@@ -350,6 +351,36 @@ class TestBlockEnds:
             shallow = _nesting(text[i:ends[i]]) <= symbols._BLOCK_DEPTH
             assert (got.end() if got else None) == (ends[i] if shallow else None)
         assert symbols._block_pattern().match("I(I(Xi)", 1) is None  # never closed
+
+    def test_pattern_runs_on_python_3_10(self):
+        # re takes possessive quantifiers and atomic groups only from 3.11
+        source = symbols._block_pattern().pattern
+        assert not re.search(r"[*+?}]\+|\(\?>", source)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" + "I(Xi)*" * 40_000,
+            "(" + "(" * 30 + "Xi" + ")" * 30 + "*Xi" * 60_000,
+            "(" + "I(Xi)*" * 20_000 + "I(" * 40 + "Xi" + ")" * 41,
+            "(" + "".join("(" * (i % 31) + "Xi" + ")" * (i % 31) for i in range(5_000)),
+        ],
+        ids=["never-closed", "31-deep-never-closed", "too-deep-at-the-end", "sawtooth"],
+    )
+    def test_failed_matches_stay_fast(self, text):
+        # linear: about 20 ms for these 100-250 KB texts.  A pattern that
+        # backtracks into every way of splitting them would run for hours;
+        # the alarm interrupts the match and fails the test instead.
+        def too_slow(*_):
+            raise TimeoutError("failed match still running after 2 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            assert symbols._block_pattern().match(text) is None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("levels", [40, 450])
     @pytest.mark.parametrize("hit", [0, 20, 39])
