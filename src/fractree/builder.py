@@ -168,16 +168,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _monomials(params: Parameters, maxh: Fraction) -> list[Symbol]:
-    """All monomials with scaled degree <= maxh, in lexicographic k order."""
+def _monomials(params: Parameters, maxh_units: int) -> list[tuple[Symbol, int]]:
+    """All monomials of at most ``maxh_units`` units, each with its units,
+    in lexicographic k order."""
+    L, _, R = params.units
     out = []
-    k0 = 0
-    while params.rho * k0 <= maxh:
-        spatial_budget = int(maxh - params.rho * k0)
-        for t in range(spatial_budget + 1):
+    for k0 in range(maxh_units // R + 1):
+        for t in range((maxh_units - k0 * R) // L + 1):
             for comp in _compositions(t, params.d):
-                out.append(monomial((k0,) + comp))
-        k0 += 1
+                out.append((monomial((k0,) + comp), k0 * R + t * L))
     return out
 
 
@@ -234,11 +233,10 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     """
     require_subcritical(params)
 
-    # Integer units throughout: a product's units are the sum of its
-    # factors', an integral's are its integrand's plus rho's, so only the
-    # seeds' types need a homogeneity.
-    maxh = config.maxh
-    maxh_units = params.floor_units(maxh)
+    # Integer units throughout: a monomial's are counted as it is made, a
+    # product's are the sum of its factors', an integral's are its
+    # integrand's plus rho's, so the walk needs no homogeneity.
+    maxh_units = params.floor_units(config.maxh)
     _, xi_units, rho_units = params.units
     product_units = max(maxh_units - rho_units, 0)
 
@@ -284,7 +282,7 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     # product rounds; this matches the iteration counts reported alongside the
     # reference sector sizes.
     admit(xi_sym, 0)
-    seeds = [(mono, params.type_entry(0, 0, mono.kvec)[0][0]) for mono in _monomials(params, maxh)]
+    seeds = _monomials(params, maxh_units)
     ixi_units = xi_units + rho_units
     if ixi_units <= maxh_units:
         seeds.append((integrate(xi_sym), ixi_units))

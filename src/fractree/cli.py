@@ -233,9 +233,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
     ms, code = _build_space(args)
     sector = negative_sector(ms)
     d = ms.params.d
+    texts: dict = {}  # one render memo: each shared subtree rendered once
     rows = [
         (
-            render(sym, d),
+            render(sym, d, memo=texts),
             str(sym.p),
             str(sym.q),
             "(" + ",".join(map(str, _dense(sym.kvec, d))) + ")",
@@ -287,15 +288,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=args.format != "txt")
     ms, code = _build_space(args)
     rep = stat_report(ms)
+    if args.format == "txt":
+        _write_text(args.out, _stats_txt(ms, rep))
+        return code
     p = ms.params
     parameters = {"N": p.N, "d": p.d, "rho": _fstr(p.rho)}
     # white-noise documents stay as they were; custom noise is recorded as
     # in the build JSON
     if p.alpha0 != alpha0_white_noise(p.rho, p.d):
         parameters["alpha0"] = {"a": _fstr(p.alpha0.a), "b": p.alpha0.b}
-    doc = {"parameters": parameters, "report": report_json_dict(rep)}
-    blob = json_text(doc)
-    if args.out and args.format != "txt":
+    blob = json_text({"parameters": parameters, "report": report_json_dict(rep)})
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
             f.write(blob)
@@ -311,8 +314,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as f:
                 write_histogram_csv(f, rows, n)
         print(_count_label(ms))
-    elif args.format == "txt":
-        _write_text(args.out, _stats_txt(ms, rep))
     else:
         sys.stdout.write(blob)
         print(_count_label(ms), file=sys.stderr)

@@ -317,8 +317,6 @@ _MAX_EDGES = 10_000
 # a factor, 5-7 follow one.
 _TOKEN = re.compile(r"\s*(?:(X\^\(\d+(?:,\d+)*\))|(Xi)|(I\()|(1)|(\*)|(\^\d+)|(\)))")
 
-_PAREN = re.compile(r"[()]")
-
 # Levels a block may nest, its own included, for _block_pattern to find its
 # end.  Stored spaces nest at most 12 deep, at (2,2,37/50) and (3,3,8/5).
 _BLOCK_DEPTH = 32
@@ -336,23 +334,6 @@ def _block_pattern() -> re.Pattern:
     return re.compile(r"\(" + inner + r"\)")
 
 
-def _block_ends(text: str) -> dict[int, int]:
-    """Map the index of each matched '(' in ``text`` to the index just past
-    its ')'; map nothing when parentheses nest more than ``_MAX_DEPTH``
-    deep, so that the parse meets every level of such a text."""
-    ends: dict[int, int] = {}
-    opened: list[int] = []
-    for m in _PAREN.finditer(text):
-        i = m.start()
-        if text[i] == "(":
-            if len(opened) == _MAX_DEPTH:
-                return {}
-            opened.append(i)
-        elif opened:
-            ends[opened.pop()] = i + 1
-    return ends
-
-
 def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symbol:
     """Inverse of :func:`render` (accepting any dimension padding).
 
@@ -366,17 +347,14 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     block whose text is already there.  Pass one dict to several calls to
     parse each block they share once.  A memo changes no outcome: the same
     texts parse to the same symbols and the rest raise the same message.
-    In a text whose parentheses nest deeper than ``_MAX_DEPTH`` the memo
-    is not used.
 
     A block's text runs from its ``I(`` through the matching ``)``.  The
     parse finds that end when it reaches the ``I(``, with one anchored
     match of a balanced-parenthesis pattern that follows
-    ``_BLOCK_DEPTH`` (32) levels.  Two cases scan every parenthesis of the
-    text once instead: a text with more than ``_MAX_DEPTH`` ``(``, which
-    may nest past the bound, and a block the pattern cannot match, one
-    nested deeper than it follows or never closed.  Both ways give the
-    same ends.
+    ``_BLOCK_DEPTH`` (32) levels.  At the first block the pattern cannot
+    match, one nested deeper than that or never closed, the memo stops:
+    from there to the end of the text no block is looked up or recorded,
+    and none is matched again.
     """
 
     def error(at: int, msg: str) -> ValueError:
@@ -387,8 +365,15 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
 
     if memo is None:
         memo = {}
-    # only a text with more than _MAX_DEPTH '(' can nest past the bound
-    ends = _block_ends(text) if text.count("(") > _MAX_DEPTH else None
+    # None from the first block the pattern cannot match; the memo is off
+    # from there.  Why the memo keeps the _MAX_DEPTH bound: while it is on,
+    # every open block has matched, so open blocks and a block stepped over
+    # from the memo nest at most _BLOCK_DEPTH deep together.  A matched
+    # block is balanced within that depth, and so is every block inside
+    # it; so the first block that fails is not inside an open block, and
+    # the stack is empty then.  From there every level is parsed, and a
+    # text nesting past _MAX_DEPTH raises at the same position as without
+    # a memo.
     match_block = _block_pattern().match
     # characters the memo may still slice out of text: keeps its keys and
     # lookups linear in len(text) however deeply blocks nest
@@ -412,10 +397,10 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
         elif kind == 2:
             factors.append(_XI)
         elif kind == 3:
-            closed = match_block(text, at + 1) if ends is None else None
-            if closed is None and ends is None:  # nested past _BLOCK_DEPTH or unclosed
-                ends = _block_ends(text)
-            end = closed.end() if closed is not None else ends.get(at + 1, at)
+            closed = match_block(text, at + 1) if match_block is not None else None
+            if closed is None:  # nested past _BLOCK_DEPTH or unclosed
+                match_block = None
+            end = closed.end() if closed is not None else at  # no end: the empty key
             block = text[at:end] if end - at <= budget else ""
             budget -= len(block)
             got = memo.get(block)

@@ -160,6 +160,21 @@ class TestList:
         assert rows[1] == ["Xi", "1", "0", "(0,0,0)", "-7/4 - kappa"]
         assert len(rows) == 4
 
+    def test_table_makes_at_most_three_render_calls_per_row(self, capsys, monkeypatch):
+        # 2,766 calls for 932 rows, counting the recursion; 11,789 unshared
+        calls = []
+        real = fractree.symbols.render
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fractree.symbols, "render", counted)
+        monkeypatch.setattr(fractree.cli, "render", counted)
+        code, out, _ = run(capsys, ["list", "--N", "2", "--d", "2", "--rho", "3/4"])
+        assert code == 0 and out.startswith("negative sector: c_F 932,")
+        assert len(calls) <= 3 * 932
+
 
 class TestStats:
     def test_txt_frozen(self, capsys):
@@ -228,6 +243,20 @@ class TestStats:
         )
         assert code == 0 and out.startswith("negative sector: c_F 932,")
         assert len(calls) == 1
+
+    def test_txt_writes_no_json(self, capsys, monkeypatch, tmp_path):
+        # test_txt_frozen pins the text itself
+        def refused(*_):
+            raise AssertionError("the txt report builds no JSON document")
+
+        monkeypatch.setattr(fractree.cli, "json_text", refused)
+        monkeypatch.setattr(fractree.cli, "report_json_dict", refused)
+        argv = ["stats", "--N", "2", "--d", "2", "--rho", "1.5", "--format", "txt"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out.startswith("negative sector: c_F 3,")
+        path = tmp_path / "report.txt"
+        assert run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_text() == out
 
     def test_csv_needs_out(self, capsys):
         code, out, err = run(

@@ -1,0 +1,71 @@
+"""The package on the oldest Python that pyproject.toml declares, 3.10."""
+
+import ast
+import glob
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Builds (2,2,3/4) as `fractree build` does, saves and reloads it, and
+# prints the SHA-256 of the reloaded space's JSON text.
+_ROUND_TRIP = """
+import hashlib, json
+from fractions import Fraction
+from fractree import BuildConfig, Parameters, build, completeness_threshold
+from fractree.builder import from_json_dict, json_text, to_json_dict
+
+params = Parameters.white_noise(2, 2, Fraction(3, 4))
+ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
+back = from_json_dict(json.loads(json_text(to_json_dict(ms))))
+print(hashlib.sha256(json_text(to_json_dict(back)).encode()).hexdigest())
+"""
+
+ROUND_TRIP_DIGEST = "c0c2f7846d54ed5d2165cf69745bb11321430e54ec50be2f7201f2c41068c790"
+
+
+def _python_3_10():
+    """A CPython 3.10: python3.10 on PATH if it reports 3.10, otherwise one
+    under ~/.pyenv/versions; None when neither runs."""
+    pyenv = glob.glob(os.path.expanduser("~/.pyenv/versions/3.10*/bin/python3.10"))
+    for exe in filter(None, [shutil.which("python3.10"), *sorted(pyenv)]):
+        try:
+            got = subprocess.run(
+                [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if got.returncode == 0 and got.stdout.split() == ["cpython", "3", "10"]:
+            return exe
+    return None
+
+
+def _round_trip_digest(exe: str, path: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    got = subprocess.run(
+        [exe, "-c", _ROUND_TRIP], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert got.returncode == 0, got.stderr
+    return got.stdout.strip()
+
+
+def test_round_trip_on_python_3_10(tmp_path):
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no CPython 3.10: none on PATH reports 3.10, none under ~/.pyenv/versions")
+    # the round trip never calls numpy, which a bare 3.10 may lack
+    (tmp_path / "numpy.py").write_text('"""Empty stand-in for numpy."""\n')
+    host = _round_trip_digest(sys.executable, [str(SRC)])
+    assert host == ROUND_TRIP_DIGEST
+    assert _round_trip_digest(exe, [str(tmp_path), str(SRC)]) == host
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_source_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

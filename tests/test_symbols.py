@@ -1,5 +1,6 @@
 """Symbol algebra: interning, canonical form, rendering, parsing, bare trees."""
 
+import contextlib
 import random
 import re
 import signal
@@ -288,30 +289,35 @@ class TestParseMemo:
 
     def test_memo_keeps_the_depth_bound(self):
         memo: dict = {}
-        chain = "I(" * 400 + "Xi" + ")" * 400
+        chain = "I(" * 31 + "Xi" + ")" * 31  # within the block pattern's depth
         parse_symbol(chain, memo=memo)
         assert chain in memo
-        deep = "I(" * 3000 + "Xi" + ")" * 3000  # holds chain as its inner 400 levels
+        deep = "I(" * 3000 + "Xi" + ")" * 3000  # holds chain as its inner 31 levels
         with pytest.raises(ValueError, match="nested too deeply") as fresh:
             parse_symbol(deep)
         with pytest.raises(ValueError, match="nested too deeply") as memoised:
             parse_symbol(deep, memo=memo)
         assert str(memoised.value) == str(fresh.value)
-        # at the bound itself: 500 levels parse, 501 are refused, memo or not
-        for extra, ok in ((100, True), (101, False)):
+        # at the bound itself: 500 levels parse, 501 are refused, memo or
+        # not, also after a factor the memo steps over
+        for extra, ok in ((469, True), (470, False)):
             text = "I(" * extra + chain + ")" * extra
             want = _outcome(text)
             assert isinstance(want, Symbol) is ok
             assert _same(_outcome(text, memo), want)
+            after = chain + "*" + text
+            assert _same(_outcome(after, memo), _outcome(after))
 
     def test_memo_keys_stay_linear_in_the_text(self):
-        # padding inside a deep chain: one key per level would hold 400
-        # copies of the padding
-        text = "I(" * 400 + " " * 20_000 + "Xi" + ")" * 400
-        memo: dict = {}
-        t = parse_symbol(text, memo=memo)
-        assert (t.p, t.q) == (1, 400)
-        assert sum(map(len, memo)) <= 4 * len(text)
+        # padding inside a chain: one key per level would hold a copy of the
+        # padding for each level.  At 31 levels the memo is on, and without
+        # the budget its keys would hold 621,550 characters.
+        for levels in (400, 31):
+            text = "I(" * levels + " " * 20_000 + "Xi" + ")" * levels
+            memo: dict = {}
+            t = parse_symbol(text, memo=memo)
+            assert (t.p, t.q) == (1, levels)
+            assert sum(map(len, memo)) <= 4 * len(text)
 
 
 def _chain(levels: int, core: str = "Xi") -> str:
@@ -326,26 +332,43 @@ def _nesting(block: str) -> int:
     return deepest
 
 
+def _scanned_ends(text: str) -> dict[int, int]:
+    """The reference for block ends: the index of each matched '(' mapped
+    to the index just past its ')', by one scan of every parenthesis."""
+    ends: dict[int, int] = {}
+    opened: list[int] = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")" and opened:
+            ends[opened.pop()] = i + 1
+    return ends
+
+
+@contextlib.contextmanager
+def _alarm(seconds: float):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
+
+    def too_slow(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestBlockEnds:
     """Block ends come from one pattern match up to symbols._BLOCK_DEPTH
-    levels, and from the full parenthesis scan past it; both agree."""
-
-    @pytest.fixture()
-    def scans(self, monkeypatch):
-        calls = []
-        real = symbols._block_ends
-
-        def counted(text):
-            calls.append(text)
-            return real(text)
-
-        monkeypatch.setattr(symbols, "_block_ends", counted)
-        return calls
+    levels; from the first block it cannot match, the memo is off."""
 
     @pytest.mark.parametrize("core", ["Xi", "I(Xi)^2*X^(0,1)", "X^(1,0)*Xi"])
     def test_pattern_ends_are_the_scanned_ends(self, core):
         text = _chain(symbols._BLOCK_DEPTH + 8, core) + "*" + _chain(3, core)
-        ends = symbols._block_ends(text)
+        ends = _scanned_ends(text)
         for i in (i for i, ch in enumerate(text) if ch == "("):
             got = symbols._block_pattern().match(text, i)
             shallow = _nesting(text[i:ends[i]]) <= symbols._BLOCK_DEPTH
@@ -384,46 +407,47 @@ class TestBlockEnds:
 
     @pytest.mark.parametrize("levels", [40, 450])
     @pytest.mark.parametrize("hit", [0, 20, 39])
-    def test_chains_past_the_pattern_depth(self, levels, hit, scans):
+    def test_chains_past_the_pattern_depth(self, levels, hit):
         core = "I(Xi)*X^(0,1)"
-        text = _chain(levels, core)
-
-        def load(memo: dict) -> Symbol:
-            if hit:
-                parse_symbol(_chain(hit, core), memo=memo)
-            return parse_symbol(text, memo=memo)
-
-        # the scan alone, as the reference for the symbol and the memo
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(symbols, "_block_pattern", lambda: re.compile("(?!)"))
-            want: dict = {}
-            fresh = load(want)
-        assert parse_symbol(text) is fresh and (fresh.p, fresh.q) == (1, levels + 1)
+        before = _chain(hit, core) if hit else "Xi"  # hit 39 nests past the pattern too
+        text = before + "*" + _chain(levels, core) + "*I(X^(0,2))"
         memo: dict = {}
-        del scans[:]
-        assert load(memo) is fresh
-        assert memo == want
-        # the outer levels nest past the pattern: one scan of text per parse
-        assert scans.count(text) == 1
+        t = parse_symbol(text, memo=memo)
+        assert t is parse_symbol(text) and (t.p, t.q) == (2, parse_symbol(before).q + levels + 2)
+        # the memo holds the blocks closed before the first unmatched one:
+        # what a parse of before alone records, at the same key budget
+        alone: dict = {}
+        parse_symbol(before.ljust(len(text)), memo=alone)
+        assert memo == alone and bool(memo) is (0 < hit < symbols._BLOCK_DEPTH)
         for broken in (text[:-1], text[:-1] + "*Xi", text + ")"):
             assert _same(_outcome(broken, memo), _outcome(broken))
 
-    def test_shallow_texts_are_not_scanned(self, scans):
-        memo: dict = {}
-        for seed in range(20):
-            text = render(_random_symbol(random.Random(seed)), d=2)
+    def test_memo_stops_past_the_pattern_depth(self):
+        # a 32-level chain is the deepest block the pattern follows
+        for levels, on in ((symbols._BLOCK_DEPTH, True), (symbols._BLOCK_DEPTH + 1, False)):
+            text = _chain(levels)
+            memo: dict = {}
             assert parse_symbol(text, memo=memo) is parse_symbol(text)
-        chain = _chain(symbols._BLOCK_DEPTH - 1, "I(Xi)*X^(0,1)")  # nests 32 deep
-        assert parse_symbol(chain, memo=memo) is parse_symbol(chain)
-        assert scans == []
+            # the outer levels, as far as the key budget reaches, or none
+            assert set(memo) <= {_chain(n) for n in range(1, levels + 1)}
+            assert text in memo if on else not memo
+            # a wrong entry is read only while the memo is on
+            wrong = {_chain(levels - 1): xi()}
+            assert (parse_symbol(text, memo=wrong) is parse_symbol(text)) is not on
 
-    def test_texts_with_more_open_parentheses_than_the_bound_are_scanned(self, scans):
+    def test_texts_with_more_open_parentheses_than_the_bound_use_the_memo(self):
         text = "*".join(["I(Xi)"] * (symbols._MAX_DEPTH + 1))
         memo: dict = {}
         t = parse_symbol(text, memo=memo)
-        assert (t.p, t.q) == (symbols._MAX_DEPTH + 1,) * 2
+        assert t is parse_symbol(text) and (t.p, t.q) == (symbols._MAX_DEPTH + 1,) * 2
         assert set(memo) == {"I(Xi)"}
-        assert scans == [text]
+
+    def test_an_unclosed_path_is_matched_once(self):
+        # 400 open blocks around 2 MB: matching each of them would read the
+        # padding 400 times, about 3.5 s; the first failed match stops it
+        text = "I(Xi*" * 400 + " " * 2_000_000 + "Xi"
+        with _alarm(2.0), pytest.raises(ValueError, match=r"expected '\)'"):
+            parse_symbol(text, memo={})
 
 
 class TestSizeBound:
