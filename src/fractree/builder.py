@@ -168,16 +168,14 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _monomials(params: Parameters, maxh_units: int) -> list[tuple[Symbol, int]]:
+def _monomials(params: Parameters, maxh_units: int) -> Iterator[tuple[Symbol, int]]:
     """All monomials of at most ``maxh_units`` units, each with its units,
-    in lexicographic k order."""
+    in lexicographic k order, made one at a time."""
     L, _, R = params.units
-    out = []
     for k0 in range(maxh_units // R + 1):
         for t in range((maxh_units - k0 * R) // L + 1):
             for comp in _compositions(t, params.d):
-                out.append((monomial((k0,) + comp), k0 * R + t * L))
-    return out
+                yield monomial((k0,) + comp), k0 * R + t * L
 
 
 def _product_tuples(
@@ -280,12 +278,13 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     # threshold, and the integrated noise.  Each following round then combines
     # integrands into products and integrates the new products, so iter counts
     # product rounds; this matches the iteration counts reported alongside the
-    # reference sector sizes.
+    # reference sector sizes.  Seeds are admitted as they are made, so the cap
+    # bounds seeding too.
     admit(xi_sym, 0)
     seeds = _monomials(params, maxh_units)
     ixi_units = xi_units + rho_units
     if ixi_units <= maxh_units:
-        seeds.append((integrate(xi_sym), ixi_units))
+        seeds = itertools.chain(seeds, [(integrate(xi_sym), ixi_units)])
     for sym, u in seeds:
         admit(sym, 0)
         if sym is not one_sym:

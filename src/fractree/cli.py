@@ -43,7 +43,6 @@ from .params import (
     Homogeneity,
     Parameters,
     SubcriticalityError,
-    _frac,
     _fstr,
     alpha0_white_noise,
     completeness_threshold,
@@ -128,7 +127,11 @@ def _params_from(args: argparse.Namespace) -> Parameters:
     _require(args, "N", "d", "rho")
     if args.noise == "white":
         return Parameters.white_noise(args.N, args.d, args.rho)
-    return Parameters(N=args.N, d=args.d, rho=args.rho, alpha0=Homogeneity(_frac(args.noise), -1))
+    try:
+        noise = Fraction(args.noise)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed noise {args.noise!r}: {exc}") from None
+    return Parameters(N=args.N, d=args.d, rho=args.rho, alpha0=Homogeneity(noise, -1))
 
 
 def _config_from(args: argparse.Namespace, params: Parameters) -> BuildConfig:

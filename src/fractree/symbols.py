@@ -11,10 +11,13 @@ multiindex decorations on vertices:
 
 The type of a symbol is the triple (p, q, k): p noise edges, q integration
 edges, k the total decoration.  A symbol with p + q edges has p + q + 1
-vertices.  Symbols are interned: structurally equal trees are the same
-Python object, keyed by a canonical byte encoding, so equality and hashing
-are identity and sets of symbols deduplicate for free.  Input is checked
-once, by the public constructors; the internal node constructor trusts them.
+vertices.  Symbols are interned: equal live symbols are the same Python
+object, keyed by a canonical byte encoding, so equality and hashing are
+identity and sets of symbols deduplicate for free.  The intern pool maps
+each encoding to a weak reference, so it keeps no symbol alive: a symbol
+lives while something refers to it, and its finalizer drops its entry.
+Input is checked once, by the public constructors; the internal node
+constructor trusts them.
 
 Multiplication concatenates edge multisets at the root and adds root
 decorations; integration grafts a new root above the tree.  Neither operation
@@ -56,7 +59,8 @@ INT = 1
 
 _TAG_BYTES = (b"\x00", b"\x01")  # XI sorts before INT
 
-_POOL: "weakref.WeakValueDictionary[bytes, Symbol]" = weakref.WeakValueDictionary()
+# encoding -> the basic weak reference to the live symbol with that encoding
+_POOL: "dict[bytes, weakref.ref[Symbol]]" = {}
 
 
 def _trim(k: Sequence[int]) -> tuple[int, ...]:
@@ -113,6 +117,18 @@ class Symbol:
     def __repr__(self) -> str:
         return f"<Symbol {render(self)}>"
 
+    def __del__(self, _pool=_POOL) -> None:
+        # The entry may already hold a newer symbol of this encoding: the
+        # collector clears weak references to cyclic garbage before it runs
+        # finalizers, and a symbol made in between replaces the dead entry.
+        # The pool is bound as a default so it is still reachable while the
+        # interpreter shuts down and clears module globals.
+        ref = _pool.get(self.enc)
+        if ref is not None:
+            live = ref()
+            if live is None or live is self:
+                del _pool[self.enc]
+
 
 def _make_node(decoration: tuple[int, ...], children: Iterable[tuple[int, Symbol]]) -> Symbol:
     """The interned node with root decoration ``decoration`` over ``children``.
@@ -122,21 +138,21 @@ def _make_node(decoration: tuple[int, ...], children: Iterable[tuple[int, Symbol
     ``(INT, t)`` with ``t`` a Symbol, in any order.  Outside input is
     checked by the public constructors before it gets here.
     """
-    keyed = sorted((_TAG_BYTES[tag] + child.enc, tag, child) for tag, child in children)
+    keyed = sorted([(_TAG_BYTES[tag] + child.enc, tag, child) for tag, child in children])
     head = b"k" + ",".join(map(str, decoration)).encode() + b";" if decoration else b""
     enc = head + b"(" + b"".join([key for key, _, _ in keyed]) + b")"
 
-    cached = _POOL.get(enc)
-    if cached is not None:
-        return cached
+    ref = _POOL.get(enc)
+    if ref is not None:
+        cached = ref()
+        if cached is not None:
+            return cached
 
-    sym = object.__new__(Symbol)
-    sym.decoration = decoration
-    sym.children = tuple([(tag, child) for _, tag, child in keyed])
-    sym.enc = enc
+    kids = []
     p = q = 0
     kv = decoration
     for _, tag, child in keyed:
+        kids.append((tag, child))
         p += child.p
         q += child.q
         if tag == XI:
@@ -144,8 +160,13 @@ def _make_node(decoration: tuple[int, ...], children: Iterable[tuple[int, Symbol
         else:
             q += 1
         kv = _vec_add(kv, child.kvec)
+    sym = object.__new__(Symbol)
+    sym.enc = enc
+    sym.decoration = decoration
+    sym.children = tuple(kids)
     sym.p, sym.q, sym.kvec = p, q, kv
-    return _POOL.setdefault(enc, sym)
+    _POOL[enc] = weakref.ref(sym)
+    return sym
 
 
 _ONE = _make_node((), ())
@@ -176,17 +197,20 @@ def product(factors: Iterable[Symbol]) -> Symbol:
     """Tree product: one root carrying every factor's edges and the sum of
     their root decorations.  Unit factors drop out; the empty product is
     the unit."""
-    fs = [f for f in factors if f is not _ONE]
-    if not all(isinstance(f, Symbol) for f in fs):
-        raise TypeError("product factors must be Symbols")
-    if len(fs) < 2:
-        return fs[0] if fs else _ONE
+    last = _ONE
+    n = 0
     dec: tuple[int, ...] = ()
     kids: list[tuple[int, Symbol]] = []
-    for f in fs:
+    for f in factors:
+        if f is _ONE:
+            continue
+        if not isinstance(f, Symbol):
+            raise TypeError("product factors must be Symbols")
+        last = f
+        n += 1
         dec = _vec_add(dec, f.decoration)
         kids.extend(f.children)
-    return _make_node(dec, kids)
+    return last if n < 2 else _make_node(dec, kids)
 
 
 def multiply(a: Symbol, b: Symbol) -> Symbol:

@@ -5,6 +5,8 @@ freely; the cache keeps the suite fast even though many tests look at
 the same sweeps.
 """
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,22 @@ def spaces():
         return cache[key]
 
     return get
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
+
+    def too_slow(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 SWEEP_22 = [Fraction(1), Fraction(9, 10), Fraction(17, 20), Fraction(4, 5), Fraction(3, 4)]

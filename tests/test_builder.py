@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fractree.builder
+from conftest import alarm
 from fractree import symbols
 from fractree.builder import (
     BuildConfig,
@@ -307,6 +308,32 @@ class TestExplosion:
         assert partial.aborted and not partial.complete
         assert len(partial) == 50
         assert c_F(partial) <= 50  # sector extraction still works
+
+    def test_cap_bounds_seeding(self):
+        # Seeds are admitted as they are made: under maxh 10**6 there are
+        # about 10**17 monomials, and the cap stops seeding at the 1,000th
+        # symbol.
+        params = Parameters.white_noise(2, 2, F(1))
+        with alarm(2.0), pytest.raises(ExplosionError) as exc:
+            build(params, BuildConfig(maxh=F(10**6), cap=1000))
+        partial = exc.value.partial
+        assert len(partial) == 1000 and set(partial.generations.values()) == {0}
+
+    @pytest.mark.parametrize(
+        "cap,digest",
+        [
+            # among the 286 monomials: the noise and the first 99, lexicographic in k
+            (100, "73b9a8178bbd949dfa738548fc0d4d8ea838082038b72d4ae54fa69b3aab5fda"),
+            # the noise and every monomial, but not the integrated noise
+            (287, "60bb504048b7b18c736ec79e56cc902744d1c7662f7349f1fc7bf09ea39c57b6"),
+        ],
+    )
+    def test_cap_inside_seeding_digest(self, cap, digest):
+        # pinned from the build that made every seed before admitting any
+        params = Parameters.white_noise(2, 2, F(1))
+        with pytest.raises(ExplosionError, match="at iteration 0") as exc:
+            build(params, BuildConfig(maxh=F(10), cap=cap))
+        assert _space_digest(exc.value.partial) == digest
 
 
 class TestDeterminism:

@@ -597,6 +597,32 @@ class TestFileErrors:
         assert (tmp_path / "plain").read_text() == ""
 
 
+class TestMalformedNoise:
+    """A --noise that is neither "white" nor a rational exits 2, naming the
+    flag, from every command that builds parameters; a zero denominator is
+    no traceback and no exit 1, which means "not subcritical"."""
+
+    COMMANDS = [
+        ["check"], ["build"], ["list"], ["stats"], ["scan"], ["export", "--forest"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "noise,reason",
+        [("-1/0", "Fraction(-1, 0)"), ("abc", "Invalid literal for Fraction: 'abc'")],
+    )
+    def test_flag(self, capsys, command, noise, reason):
+        argv = [*command, "--N", "2", "--d", "2", "--rho", "1", f"--noise={noise}"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: malformed noise {noise!r}: {reason}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_env(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("FRACTREE_NOISE", "-1/0")
+        code, out, err = run(capsys, [*command, "--N", "2", "--d", "2", "--rho", "1"])
+        assert (code, out, err) == (2, "", "error: malformed noise '-1/0': Fraction(-1, 0)\n")
+
+
 class TestExport:
     def test_per_tree_files(self, capsys, tmp_path):
         outdir = tmp_path / "dots"

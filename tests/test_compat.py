@@ -66,6 +66,35 @@ def test_round_trip_on_python_3_10(tmp_path):
     assert _round_trip_digest(exe, [str(tmp_path), str(SRC)]) == host
 
 
+# Builds a space and exits with it parked in a global and in a reference
+# cycle, so its symbols are finalized while the interpreter shuts down.
+_PARKED = """
+from fractions import Fraction
+from fractree import BuildConfig, Parameters, build, completeness_threshold
+
+params = Parameters.white_noise(2, 2, Fraction(3, 4))
+SPACE = build(params, BuildConfig(maxh=completeness_threshold(params)))
+SPACE.cycle = [SPACE]
+"""
+
+
+@pytest.mark.parametrize("python", ["host", "3.10"])
+def test_clean_shutdown_with_live_symbols(tmp_path, python):
+    exe, path = sys.executable, [str(SRC)]
+    if python == "3.10":
+        exe = _python_3_10()
+        if exe is None:
+            pytest.skip("no CPython 3.10: none on PATH reports 3.10, none under ~/.pyenv/versions")
+        # the build never calls numpy, which a bare 3.10 may lack
+        (tmp_path / "numpy.py").write_text('"""Empty stand-in for numpy."""\n')
+        path.insert(0, str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    got = subprocess.run(
+        [exe, "-c", _PARKED], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (got.returncode, got.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

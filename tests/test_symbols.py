@@ -1,15 +1,17 @@
 """Symbol algebra: interning, canonical form, rendering, parsing, bare trees."""
 
-import contextlib
+import gc
 import random
 import re
-import signal
+import weakref
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import alarm
 from fractree import symbols
+from fractree.builder import BuildConfig, build, completeness_threshold
 from fractree.params import Parameters
 from fractree.stats import _element
 from fractree.symbols import (
@@ -105,6 +107,80 @@ class TestConstruction:
         t = multiply(integrate(multiply(integrate(xi()), integrate(xi()))), monomial((0, 1)))
         assert type_of(t) == (2, 3, (0, 1))
         assert t.n_vertices == 2 + 3 + 1
+
+
+def _space_3_4():
+    params = Parameters.white_noise(2, 2, F(3, 4))
+    return build(params, BuildConfig(maxh=completeness_threshold(params)))
+
+
+def _pool_size() -> int:
+    """Entries in the intern pool once the collector has run; each must
+    refer to a live symbol."""
+    gc.collect()
+    assert all(ref() is not None for ref in symbols._POOL.values())
+    return len(symbols._POOL)
+
+
+class TestInternPool:
+    """The pool holds weak references: a symbol lives while something refers
+    to it, and equal live symbols are one object."""
+
+    def test_dropped_build_leaves_pool_as_it_was(self):
+        before = _pool_size()
+        ms = _space_3_4()
+        assert all(symbols._POOL[s.enc]() is s for s in ms.generations)
+        del ms
+        assert _pool_size() == before
+
+    def test_held_symbol_keeps_its_entry(self):
+        ms = _space_3_4()
+        held = max(ms.generations, key=lambda s: (s.n_edges, s.enc))
+        text = render(held)
+        del ms
+        gc.collect()
+        assert symbols._POOL[held.enc]() is held
+        assert parse_symbol(text) is held
+
+    def test_space_in_a_cycle_is_released(self):
+        before = _pool_size()
+        ms = _space_3_4()
+        ms.itself = ms
+        probe = weakref.ref(ms)
+        del ms
+        assert _pool_size() == before and probe() is None
+
+    def test_remade_symbol_is_interned_again(self):
+        text = "I(X^(0,5,7)*Xi)^2*X^(3)"  # no build makes it
+        enc = parse_symbol(text).enc
+        gc.collect()
+        assert enc not in symbols._POOL
+        a, b = parse_symbol(text), parse_symbol(text)
+        assert a is b and symbols._POOL[enc]() is a
+
+    def test_symbol_remade_while_its_cycle_is_finalized(self):
+        # The collector clears the weak references into a garbage cycle
+        # before it runs finalizers, so a finalizer in the cycle can remake
+        # a symbol of the cycle before that symbol's own finalizer runs; the
+        # remade symbol must keep its entry either way round.
+        remade = {}
+
+        class Remaker:
+            def __init__(self, text):
+                self.text = text
+                self.cycle = [self, parse_symbol(text)]
+
+            def __del__(self):
+                remade[self.text] = parse_symbol(self.text)
+
+        texts = [f"I(X^(0,6,{i})*Xi^3)" for i in range(1, 9)]  # no build makes them
+        for text in texts:
+            Remaker(text)
+            gc.collect()
+        assert list(remade) == texts
+        for text in texts:
+            assert symbols._POOL[remade[text].enc]() is remade[text]
+            assert parse_symbol(text) is remade[text]
 
 
 class TestHomogeneity:
@@ -345,22 +421,6 @@ def _scanned_ends(text: str) -> dict[int, int]:
     return ends
 
 
-@contextlib.contextmanager
-def _alarm(seconds: float):
-    """Fail the block with TimeoutError if it runs longer than ``seconds``."""
-
-    def too_slow(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestBlockEnds:
     """Block ends come from one pattern match up to symbols._BLOCK_DEPTH
     levels; from the first block it cannot match, the memo is off."""
@@ -394,16 +454,8 @@ class TestBlockEnds:
         # linear: about 20 ms for these 100-250 KB texts.  A pattern that
         # backtracks into every way of splitting them would run for hours;
         # the alarm interrupts the match and fails the test instead.
-        def too_slow(*_):
-            raise TimeoutError("failed match still running after 2 s")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with alarm(2.0):
             assert symbols._block_pattern().match(text) is None
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("levels", [40, 450])
     @pytest.mark.parametrize("hit", [0, 20, 39])
@@ -446,7 +498,7 @@ class TestBlockEnds:
         # 400 open blocks around 2 MB: matching each of them would read the
         # padding 400 times, about 3.5 s; the first failed match stops it
         text = "I(Xi*" * 400 + " " * 2_000_000 + "Xi"
-        with _alarm(2.0), pytest.raises(ValueError, match=r"expected '\)'"):
+        with alarm(2.0), pytest.raises(ValueError, match=r"expected '\)'"):
             parse_symbol(text, memo={})
 
 
