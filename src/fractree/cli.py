@@ -61,12 +61,39 @@ def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
     return os.environ.get(_ENV + name.upper(), fallback)
 
 
-def _rho_type(text: str) -> Fraction:
+def _rational(name: str, text: str) -> Fraction:
+    """``text`` as an exact rational, the value of ``--name``.
+
+    A malformed text, or a value with more digits than Python converts to a
+    string, raises ArgumentTypeError naming ``name`` and the text.  A decimal
+    exponent past 100,000 is refused before Fraction computes its power of
+    ten, which for 1e999999999 would take hours.
+    """
+    _, e, exponent = text.lower().partition("e")
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"malformed rho {text!r}: {exc}")
-    return value
+        huge = bool(e) and abs(int(exponent)) > 100_000
+    except ValueError:  # no integer exponent: Fraction says what is wrong
+        huge = False
+    if not huge:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"malformed {name} {text!r}: {exc}") from None
+        try:
+            str(value)
+        except ValueError:  # past Python's limit on int-to-string digits
+            pass
+        else:
+            return value
+    raise argparse.ArgumentTypeError(f"{name} {text!r} has too many digits")
+
+
+def _rho_type(text: str) -> Fraction:
+    return _rational("rho", text)
+
+
+def _maxh_type(text: str) -> Fraction:
+    return _rational("maxh", text)
 
 
 def _rho_list_type(text: str) -> tuple[Fraction, ...]:
@@ -104,7 +131,7 @@ def _add_common(p: argparse.ArgumentParser, rho_grid: bool = False) -> None:
 def _add_build_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--maxh",
-        type=_rho_type,
+        type=_maxh_type,
         default=_env_default("MAXH"),
         help="integration cutoff; default: the completeness threshold for the parameters",
     )
@@ -127,10 +154,7 @@ def _params_from(args: argparse.Namespace) -> Parameters:
     _require(args, "N", "d", "rho")
     if args.noise == "white":
         return Parameters.white_noise(args.N, args.d, args.rho)
-    try:
-        noise = Fraction(args.noise)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed noise {args.noise!r}: {exc}") from None
+    noise = _rational("noise", args.noise)
     return Parameters(N=args.N, d=args.d, rho=args.rho, alpha0=Homogeneity(noise, -1))
 
 
@@ -486,11 +510,13 @@ _COMMANDS = {
 
 
 def _parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The parser, with arguments added for ``command``'s subparser alone.
+    """The full tree, with arguments added for ``command``'s subparser alone.
 
     Every subcommand is registered with its help, so the top-level help and
     usage errors read as with every argument added; a call parses the
-    arguments of one subcommand only, so the others need none.
+    arguments of one subcommand only, so the others need none.  ``main``
+    builds this tree only when no command comes first in its arguments, or
+    when the named command's own parser leaves arguments over.
     """
     ap = argparse.ArgumentParser(
         prog="fractree",
@@ -506,13 +532,40 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the tree of ``_parser`` does, with one parser when
+    the first argument names a command.
+
+    Argparse gives that command's subparser the prog "fractree NAME" and
+    every argument after the name, so a parser made alike prints the same
+    help, usage and errors.  Arguments it leaves over are reported by the
+    tree, under the top-level usage, as is an argv with no command first.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_arguments, handler = _COMMANDS[name]
+        ap = argparse.ArgumentParser(prog="fractree " + name)
+        add_arguments(ap)
+        ap.set_defaults(func=handler, command=name)
+        args, extras = ap.parse_known_args(argv[1:])
+        if not extras:
+            return args
     # The top-level parser takes no option with a value, so the first
     # argument that names a subcommand is the one argparse dispatches to, or
     # an error is raised before any subcommand is reached.
     command = next((arg for arg in argv if arg in _COMMANDS), None)
-    args = _parser(command).parse_args(argv)
+    return _parser(command).parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command ``argv`` names and return its exit code.
+
+    A call whose first argument is a command builds that command's parser
+    alone; the tree of ``_parser`` is built only when no command comes
+    first, for the top-level help or usage error, or when arguments are
+    left over.
+    """
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "check" and args.pos:
             if len(args.pos) != 3:

@@ -31,8 +31,6 @@ from fractions import Fraction
 from operator import add
 from typing import IO, Iterable
 
-import numpy as np
-
 from .builder import ModelSpace, negative_sector
 from .counting import LAMBDA2, beta_N, hF_bounds
 from .params import Homogeneity, RationalLike, _frac, _fstr, rho_c, scaled_degree
@@ -366,6 +364,8 @@ def scaling_fit(
         raise ValueError("scaling fit needs strictly subcritical grid points")
     if any(h <= 0 or c <= 0 for _, h, c in rows):
         raise ValueError("counts must be positive")
+    # imported here, so that only a fit pays for loading numpy
+    import numpy as np
 
     x = np.array([1.0 / float(g) for g in gaps])
     hvals = np.array([float(h) for _, h, _ in rows])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, frozen outputs, file emission, env overrides."""
 
+import argparse
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from cli_dispatch import differences
+from conftest import alarm
 
 import fractree
 import fractree.cli
@@ -653,6 +656,13 @@ class TestExport:
         assert code == 2 and "--out DIRECTORY" in err
 
 
+ENV_DEFAULTS = {
+    "FRACTREE_" + name: value
+    for name, value in {"N": "3", "D": "2", "RHO": "3/2", "NOISE": "-7/4", "MAXH": "2",
+                        "ITER": "5", "CAP": "9", "OUT": "o", "FORMAT": "csv"}.items()
+}
+
+
 class TestEnvOverrides:
     def test_env_supplies_defaults(self, capsys, monkeypatch):
         monkeypatch.setenv("FRACTREE_N", "2")
@@ -699,10 +709,8 @@ class TestEnvOverrides:
         ],
     )
     def test_env_defaults_of_every_command(self, monkeypatch, command, extra):
-        env = {"N": "3", "D": "2", "RHO": "3/2", "NOISE": "-7/4", "MAXH": "2", "ITER": "5",
-               "CAP": "9", "OUT": "o", "FORMAT": "csv"}
-        for name, value in env.items():
-            monkeypatch.setenv("FRACTREE_" + name, value)
+        for name, value in ENV_DEFAULTS.items():
+            monkeypatch.setenv(name, value)
         argv = [command, "scan.csv"] if command == "fit" else [command]
         got = vars(fractree.cli._parser(command).parse_args(argv))
         assert got.pop("func") is fractree.cli._COMMANDS[command][2]
@@ -716,8 +724,9 @@ class TestEnvOverrides:
 
 
 # Help and usage-error texts as the full parser printed them under Python
-# 3.11's argparse at COLUMNS=80, with no FRACTREE_* variable set: the
-# per-command parser must print them byte for byte.
+# 3.11's argparse at COLUMNS=80, with no FRACTREE_* variable set: main must
+# print them byte for byte, from the named command's own parser or, with no
+# command first or arguments left over, from the tree of cli._parser.
 HELP_PINS = {
     "": """\
 usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
@@ -903,19 +912,34 @@ usage: fractree scan [-h] [--N N] [--d D] [--rho RHO] [--noise NOISE]
                      [--maxh MAXH] [--iter ITERS] [--cap CAP] [--out OUT]
 fractree scan: error: argument --rho: malformed rho '1/0': Fraction(1, 0)
 """,
+    "stats --N 2 --bogus": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: unrecognized arguments: --bogus
+""",
+    "--bogus stats --N 2": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: unrecognized arguments: --bogus
+""",
+    "scan --N 2 -- extra": """\
+usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
+fractree: error: unrecognized arguments: -- extra
+""",
 }
 
 
-class TestHelpText:
-    """Registering every subcommand but adding the arguments of the named one
-    alone leaves each help text and usage error as the full parser had it."""
+@pytest.fixture()
+def plain_env(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in list(os.environ):
+        if name.startswith("FRACTREE_"):
+            monkeypatch.delenv(name)
 
-    @pytest.fixture(autouse=True)
-    def plain_env(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        for name in list(os.environ):
-            if name.startswith("FRACTREE_"):
-                monkeypatch.delenv(name)
+
+@pytest.mark.usefixtures("plain_env")
+class TestHelpText:
+    """The named command's own parser, and the tree that registers every
+    subcommand but adds the arguments of the named one alone, leave each
+    help text and usage error as the full parser had it."""
 
     @pytest.mark.parametrize("command", list(HELP_PINS))
     def test_help(self, capsys, command):
@@ -935,16 +959,160 @@ class TestHelpText:
         assert (exc.value.code, captured.out, captured.err) == (2, "", USAGE_ERRORS[argv])
 
 
-def _module_run(*argv):
+# More argvs for the dispatch check: `--` and arguments left over, option
+# abbreviations, help among other arguments, repeated options and command
+# names in option values.
+DISPATCH_ARGVS = [
+    "check 2 2 0.9",
+    "check -- 2 2 0.9",
+    "check --N 2 check",
+    "check --he",
+    "check -h extra",
+    "-h check",
+    "-- check",
+    "build --N 2 --",
+    "build --out fit",
+    "list --form csv",
+    "list --N 2 --N 3",
+    "scan --rho=1,3/4 --N=2",
+    "stats --help --bogus",
+    "stats --bogus --help",
+    "stats --bogus --N two",
+    "fit -- --x",
+    "fit a b",
+    "export --forest --forest",
+]
+
+
+def dispatch_cases():
+    """Every argv the help and usage pins, the environment matrix and
+    DISPATCH_ARGVS name, as [argv, FRACTREE_* variables] pairs."""
+    cases = [[[command, "--help"] if command else ["--help"], {}] for command in HELP_PINS]
+    cases += [[argv.split(), {}] for argv in USAGE_ERRORS]
+    cases += [
+        [[command, "scan.csv"] if command == "fit" else [command], ENV_DEFAULTS]
+        for command in fractree.cli._COMMANDS
+    ]
+    cases += [[argv.split(), {}] for argv in DISPATCH_ARGVS]
+    return cases
+
+
+class TestDispatch:
+    """main parses with the named command's parser alone, and says what the
+    tree of cli._parser said."""
+
+    FIT_CSV = (
+        "rho,h_F,c_F,certified\n"
+        "1/1,6,8,true\n9/10,7,11,true\n17/20,9,21,true\n4/5,12,64,true\n3/4,18,932,true\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "2", "2", "0.9"],
+            ["build", "--N", "2", "--d", "2", "--rho", "1.5"],
+            ["list", "--N", "2", "--d", "2", "--rho", "1.5"],
+            ["stats", "--N", "2", "--d", "2", "--rho", "1.5", "--format", "txt"],
+            ["scan", "--N", "2", "--d", "2", "--rho", "1,3/4"],
+            ["fit", "{csv}", "--N", "2", "--d", "2"],
+            ["export", "--N", "2", "--d", "2", "--rho", "1.5", "--forest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_one_parser_per_call(self, capsys, monkeypatch, tmp_path, argv):
+        path = tmp_path / "scan.csv"
+        path.write_text(self.FIT_CSV)
+        made = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _, err = run(capsys, [arg.format(csv=path) for arg in argv])
+        assert code == 0, err
+        assert made == ["fractree " + argv[0]]
+
+    @pytest.mark.parametrize("case", dispatch_cases(), ids=lambda case: " ".join(case[0]) or "-")
+    def test_same_outcome_as_the_tree(self, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert differences([case]) == []
+
+
+@pytest.mark.usefixtures("plain_env")
+class TestHugeRationals:
+    """A rational with more digits than Python prints is refused where it is
+    read, naming the flag and the value, before any build."""
+
+    @staticmethod
+    def usage(command):
+        return HELP_PINS[command].split("\n\n")[0] + "\n"
+
+    def outcome(self, capsys, argv):
+        with alarm(10):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "--N", "2", "--d", "2", "--rho", "1e-100000"],
+             "fractree check: error: argument --rho: rho '1e-100000' has too many digits"),
+            # an exponent that large is refused before its power of ten is computed
+            (["check", "--N", "2", "--d", "2", "--rho", "1e-999999999"],
+             "fractree check: error: argument --rho: rho '1e-999999999' has too many digits"),
+            (["check", "2", "2", "1e-100000"], "error: rho '1e-100000' has too many digits"),
+            (["check", "--N", "2", "--d", "2", "--rho", "1", "--noise=-1e100000"],
+             "error: noise '-1e100000' has too many digits"),
+            (["build", "--N", "2", "--d", "2", "--rho", "3/4", "--maxh", "1e100000"],
+             "fractree build: error: argument --maxh: maxh '1e100000' has too many digits"),
+            (["build", "--N", "2", "--d", "2", "--rho", "3/4", "--maxh", "abc"],
+             "fractree build: error: argument --maxh: malformed maxh 'abc': "
+             "Invalid literal for Fraction: 'abc'"),
+            (["scan", "--N", "2", "--d", "2", "--rho", "1,1e-100000"],
+             "fractree scan: error: argument --rho: rho '1e-100000' has too many digits"),
+        ],
+        ids=["rho", "rho-exponent", "positional-rho", "noise", "maxh", "maxh-malformed", "scan"],
+    )
+    def test_flag(self, capsys, argv, message):
+        usage = self.usage(argv[0]) if message.startswith("fractree") else ""
+        assert self.outcome(capsys, argv) == (2, "", usage + message + "\n")
+
+    def test_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACTREE_RHO", "1e-100000")
+        assert self.outcome(capsys, ["check", "--N", "2", "--d", "2"]) == (
+            2, "",
+            self.usage("check")
+            + "fractree check: error: argument --rho: rho '1e-100000' has too many digits\n",
+        )
+
+    def test_scan_csv_column(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("rho,h_F,c_F,certified\n1e-100000,6,8,true\n")
+        assert self.outcome(capsys, ["fit", str(path), "--N", "2", "--d", "2"]) == (
+            2, "", "error: rho '1e-100000' has too many digits\n",
+        )
+
+
+def _python(*args):
     # the child imports the same package as this process, installed or not
     root = os.path.dirname(os.path.dirname(fractree.__file__))
     path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "fractree", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _module_run(*argv):
+    return _python("-m", "fractree", *argv)
 
 
 class TestEntryPoint:
@@ -956,3 +1124,8 @@ class TestEntryPoint:
     def test_module_usage_error(self):
         proc = _module_run("frobnicate")
         assert proc.returncode == 2
+
+    def test_import_leaves_numpy_unloaded(self):
+        # only a fit imports numpy
+        proc = _python("-c", "import sys, fractree, fractree.cli; print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -1,7 +1,9 @@
-"""The package on the oldest Python that pyproject.toml declares, 3.10."""
+"""The package on the oldest Python that pyproject.toml declares, 3.10,
+and the CLI's argument dispatch on every CPython >= 3.10 at hand."""
 
 import ast
 import glob
+import json
 import os
 import pathlib
 import shutil
@@ -9,8 +11,10 @@ import subprocess
 import sys
 
 import pytest
+from test_cli import dispatch_cases
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # Builds (2,2,3/4) as `fractree build` does, saves and reloads it, and
 # prints the SHA-256 of the reloaded space's JSON text.
@@ -98,3 +102,36 @@ def test_clean_shutdown_with_live_symbols(tmp_path, python):
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _pyenv_pythons():
+    """Each ~/.pyenv/versions/3.X.Y/bin/python3 with X >= 10, by version."""
+    found = []
+    for exe in glob.glob(os.path.expanduser("~/.pyenv/versions/3.*/bin/python3")):
+        version = pathlib.Path(exe).parent.parent.name
+        parts = version.split(".")
+        if len(parts) == 3 and all(part.isdigit() for part in parts) and int(parts[1]) >= 10:
+            found.append((tuple(map(int, parts)), exe))
+    return [exe for _, exe in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "exe", _pyenv_pythons(), ids=lambda exe: pathlib.Path(exe).parent.parent.name
+)
+def test_cli_dispatch_matches_the_tree(tmp_path, exe):
+    # argparse's handling of `--` and of arguments left over changed across
+    # 3.10-3.13: main's one-parser dispatch must still say what the tree says
+    got = subprocess.run(
+        [exe, "-c", "import sys, platform; print(platform.python_implementation(), *sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60,
+    )
+    if got.returncode != 0 or got.stdout.split()[:1] != ["CPython"]:
+        pytest.skip(f"{exe} is not a CPython that runs")
+    (tmp_path / "numpy.py").write_text('"""Empty stand-in for numpy."""\n')
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]))
+    got = subprocess.run(
+        [exe, str(TESTS / "cli_dispatch.py")], input=json.dumps(dispatch_cases()),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout) == []
