@@ -74,6 +74,7 @@ __all__ = [
     "c_F",
     "to_json_dict",
     "json_text",
+    "space_json_text",
     "from_json_dict",
     "save_json",
     "load_json",
@@ -352,21 +353,8 @@ def h0_F(ms: ModelSpace) -> int:
 # persistence
 
 
-def to_json_dict(ms: ModelSpace) -> dict:
-    d = ms.params.d
-    texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
-    symbols = [
-        {
-            "symbol": render(s, d, memo=texts),
-            "p": s.p,
-            "q": s.q,
-            "k": list(_dense(s.kvec, d)),
-            "a": _fstr(h.a),
-            "b": h.b,
-            "generation": ms.generations[s],
-        }
-        for s, h in ms._sorted()[0]
-    ]
+def _header_dict(ms: ModelSpace) -> dict:
+    """Every field of :func:`to_json_dict` but the symbol records."""
     return {
         "parameters": {
             "N": ms.params.N,
@@ -382,8 +370,26 @@ def to_json_dict(ms: ModelSpace) -> dict:
         "converged": ms.converged,
         "complete": ms.complete,
         "aborted": ms.aborted,
-        "symbols": symbols,
     }
+
+
+def to_json_dict(ms: ModelSpace) -> dict:
+    d = ms.params.d
+    texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
+    doc = _header_dict(ms)
+    doc["symbols"] = [
+        {
+            "symbol": render(s, d, memo=texts),
+            "p": s.p,
+            "q": s.q,
+            "k": list(_dense(s.kvec, d)),
+            "a": _fstr(h.a),
+            "b": h.b,
+            "generation": ms.generations[s],
+        }
+        for s, h in ms._sorted()[0]
+    ]
+    return doc
 
 
 def _field(doc: dict, key: str, kind: type, where: str = ""):
@@ -533,9 +539,63 @@ def _write_json(value, nl: str, out: Callable[[str], object]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+# A separator, then one symbol record of json_text(to_json_dict(ms)) with
+# its keys in sorted order, at the depth a "symbols" entry sits; ``k``
+# always has d + 1 >= 2 entries.
+_RECORD = (
+    "%s{\n"
+    '      "a": %s,\n'
+    '      "b": %d,\n'
+    '      "generation": %d,\n'
+    '      "k": [\n'
+    "        %s\n"
+    "      ],\n"
+    '      "p": %d,\n'
+    '      "q": %d,\n'
+    '      "symbol": %s\n'
+    "    }"
+)
+
+
+def space_json_text(ms: ModelSpace) -> str:
+    """``json_text(to_json_dict(ms))``, written straight from the sorted space.
+
+    The header goes through :func:`_write_json`, and each symbol record is
+    one formatting of a constant template: one piece per record, all
+    joined once.
+    """
+    d = ms.params.d
+    generations = ms.generations
+    parts: list[str] = []
+    _write_json(_header_dict(ms), "\n", parts.append)
+    # the header's last piece is its closing "\n}"; "symbols" sorts after
+    # every header key
+    parts[-1] = ',\n  "symbols": '
+    texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
+    records = ms._sorted()[0]
+    sep = "[\n    "
+    for s, h in records:
+        parts.append(
+            _RECORD
+            % (
+                sep,
+                _json_str(_fstr(h.a)),
+                h.b,
+                generations[s],
+                ",\n        ".join(map(str, _dense(s.kvec, d))),
+                s.p,
+                s.q,
+                _json_str(render(s, d, memo=texts)),
+            )
+        )
+        sep = ",\n    "
+    parts.append("\n  ]\n}\n" if records else "[]\n}\n")
+    return "".join(parts)
+
+
 def save_json(ms: ModelSpace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(to_json_dict(ms)))
+        fh.write(space_json_text(ms))
 
 
 def load_json(path: str) -> ModelSpace:

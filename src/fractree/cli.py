@@ -35,8 +35,11 @@ from .builder import (
     h_F,
     json_text,
     negative_sector,
-    to_json_dict,
+    space_json_text,
 )
+# not called here: perfbench/spans.py wraps fractree.cli.to_json_dict for its
+# builder.to_json span, and a traced run raises AttributeError without it
+from .builder import to_json_dict  # noqa: F401
 from .census import census
 from .params import (
     ExplosionError,
@@ -250,7 +253,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     _check_out(args.out, directory=False)
     ms, code = _build_space(args)
-    _write_text(args.out, json_text(to_json_dict(ms)))
+    _write_text(args.out, space_json_text(ms))
     print(_count_label(ms), file=sys.stdout if args.out else sys.stderr)
     return code
 
@@ -353,6 +356,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not args.rho:
         print("error: --rho lists no values", file=sys.stderr)
         raise SystemExit(2)
+    seen = set()
+    for rho in args.rho:
+        if rho in seen:
+            print(f"error: --rho lists {_fstr(rho)} more than once", file=sys.stderr)
+            raise SystemExit(2)
+        seen.add(rho)
     worst = 0
     buf = io.StringIO()
     w = csv.writer(buf)

@@ -349,14 +349,18 @@ def scaling_fit(
     """Fit divergence laws to a grid of (rho, h, c) triples.
 
     Every point must come from a certified census at the same (N, d);
-    at least four distinct subcritical rho values are required.
+    at least four distinct subcritical rho values are required, and a rho
+    given twice raises ValueError naming it rather than weighing twice.
     """
     rows = []
     for rho, h, c in points:
         rows.append((_frac(rho), int(h), int(c)))
     rows.sort(reverse=True)
     rhos = tuple(r for r, _, _ in rows)
-    if len(set(rhos)) < 4:
+    for r, after in zip(rhos, rhos[1:]):
+        if r == after:
+            raise ValueError(f"scaling fit: rho {_fstr(r)} appears more than once")
+    if len(rhos) < 4:
         raise ValueError("scaling fit needs at least 4 distinct grid points")
     rc = rho_c(N, d)
     gaps = [r - rc for r in rhos]

@@ -399,6 +399,8 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     # text nesting past _MAX_DEPTH raises at the same position as without
     # a memo.
     match_block = _block_pattern().match
+    match = _TOKEN.match
+    memo_get = memo.get
     # characters the memo may still slice out of text: keeps its keys and
     # lookups linear in len(text) however deeply blocks nest
     budget = 4 * len(text)
@@ -406,31 +408,26 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     factors: list[Symbol] = []  # the factors of the innermost open product
     want_factor = True
     pos = 0
-    while (m := _TOKEN.match(text, pos)) is not None:
-        kind, tok, at = m.lastindex, m.group(m.lastindex), m.start(m.lastindex)
+    # I( is tested first: about two thirds of the tokens that stored texts
+    # reach through a memo, and * (no branch) a quarter.
+    while (m := match(text, pos)) is not None:
+        kind = m.lastindex
         if (kind <= 4) != want_factor:
-            raise error(at, f"unexpected {tok!r}")
+            raise error(m.start(kind), f"unexpected {m.group(kind)!r}")
         pos = m.end()
-        want_factor = kind in (3, 5)  # after I( or *
-        if kind == 1:
-            try:
-                k = [int(x.lstrip("0") or 0) for x in tok[3:-1].split(",")]
-            except ValueError:  # beyond Python's integer-conversion limit
-                raise error(at, "decoration entry too long") from None
-            factors.append(monomial(k))
-        elif kind == 2:
-            factors.append(_XI)
-        elif kind == 3:
-            closed = match_block(text, at + 1) if match_block is not None else None
+        want_factor = kind == 5  # after *, and after an I( opened below
+        if kind == 3:
+            at = pos - 2
+            closed = match_block(text, pos - 1) if match_block is not None else None
             if closed is None:  # nested past _BLOCK_DEPTH or unclosed
                 match_block = None
             end = closed.end() if closed is not None else at  # no end: the empty key
             block = text[at:end] if end - at <= budget else ""
             budget -= len(block)
-            got = memo.get(block)
+            got = memo_get(block)
             if got is not None:
                 factors.append(got)
-                pos, want_factor = end, False
+                pos = end
                 continue
             if len(stack) == _MAX_DEPTH:
                 raise ValueError(
@@ -438,22 +435,12 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
                 )
             stack.append((factors, block))
             factors = []
-        elif kind == 4:
-            factors.append(_ONE)
-        elif kind == 6:
-            digits = tok[1:].lstrip("0")
-            if len(digits) > len(str(_MAX_EDGES)):
-                raise too_large(at)
-            n = int(digits or 0)
-            if n < 1:
-                raise error(at, "exponent must be >= 1")
-            if n * max(factors[-1].n_edges, 1) > _MAX_EDGES:
-                raise too_large(at)
-            factors[-1] = product([factors[-1]] * n)
+            want_factor = True
         elif kind == 7:
+            at = pos - 1
             if not stack:
                 raise error(at, "unmatched ')'")
-            if sum(f.n_edges for f in factors) >= _MAX_EDGES:
+            if sum([f.p + f.q for f in factors]) >= _MAX_EDGES:
                 raise too_large(at)
             got = integrate(product(factors))
             if got is None:
@@ -462,14 +449,38 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
             if block:
                 memo[block] = got
             factors.append(got)
-    at = len(text) - len(text[pos:].lstrip())
-    if at < len(text):
+        elif kind == 2:
+            factors.append(_XI)
+        elif kind == 6:
+            at = m.start(6)
+            digits = text[at + 1 : pos].lstrip("0")
+            if len(digits) > len(str(_MAX_EDGES)):
+                raise too_large(at)
+            n = int(digits or 0)
+            if n < 1:
+                raise error(at, "exponent must be >= 1")
+            f = factors[-1]
+            if n * max(f.p + f.q, 1) > _MAX_EDGES:
+                raise too_large(at)
+            factors[-1] = product([f] * n)
+        elif kind == 1:
+            at = m.start(1)
+            try:
+                k = [int(x.lstrip("0") or 0) for x in text[at + 3 : pos - 1].split(",")]
+            except ValueError:  # beyond Python's integer-conversion limit
+                raise error(at, "decoration entry too long") from None
+            factors.append(monomial(k))
+        elif kind == 4:
+            factors.append(_ONE)
+    length = len(text)
+    at = pos if pos == length else length - len(text[pos:].lstrip())
+    if at < length:
         raise error(at, f"unexpected {text[at]!r}")
     if want_factor:
         raise error(at, "expected a factor")
     if stack:
         raise error(at, "expected ')'")
-    if sum(f.n_edges for f in factors) > _MAX_EDGES:
+    if sum([f.p + f.q for f in factors]) > _MAX_EDGES:
         raise too_large(at)
     return product(factors)
 

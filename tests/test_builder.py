@@ -14,6 +14,7 @@ from conftest import alarm
 from fractree import symbols
 from fractree.builder import (
     BuildConfig,
+    ModelSpace,
     build,
     c_F,
     completeness_threshold,
@@ -24,6 +25,7 @@ from fractree.builder import (
     load_json,
     negative_sector,
     save_json,
+    space_json_text,
     to_json_dict,
 )
 from fractree.params import Homogeneity, Parameters, SubcriticalityError
@@ -390,8 +392,8 @@ class TestPersistence:
         assert len(from_json_dict(data)) == len(data["symbols"]) == 1354
         assert len(calls) <= 2 * 1354
 
-    def test_dump_makes_at_most_three_render_calls_per_record(self, spaces, monkeypatch):
-        # 3,609 calls for 1,354 records, counting the recursion; 20,396 unshared
+    @pytest.fixture()
+    def render_calls(self, monkeypatch):
         calls = []
         real = symbols.render
 
@@ -401,9 +403,17 @@ class TestPersistence:
 
         monkeypatch.setattr(symbols, "render", counted)
         monkeypatch.setattr(fractree.builder, "render", counted)
+        return calls
+
+    def test_dump_makes_at_most_three_render_calls_per_record(self, spaces, render_calls):
+        # 3,609 calls for 1,354 records, counting the recursion; 20,396 unshared
         data = to_json_dict(spaces(2, 2, F(3, 4)))
         assert len(data["symbols"]) == 1354
-        assert len(calls) <= 3 * 1354
+        assert len(render_calls) <= 3 * 1354
+
+    def test_text_makes_at_most_three_render_calls_per_record(self, spaces, render_calls):
+        space_json_text(spaces(2, 2, F(3, 4)))
+        assert len(render_calls) <= 3 * 1354
 
     def test_unset_iter_round_trips_as_null(self):
         params = Parameters.white_noise(2, 2, F(1))
@@ -445,6 +455,52 @@ class TestPersistence:
         with pytest.raises(ValueError):
             from_json_dict(bad)
 
+
+
+def _stdlib_text(ms) -> str:
+    """The reference for space_json_text: the standard library's indented dump."""
+    return json.dumps(to_json_dict(ms), indent=2, sort_keys=True) + "\n"
+
+
+class TestSpaceJsonText:
+    """The stored-space writer has the standard library's bytes."""
+
+    @pytest.mark.parametrize("point", sorted(GRID_COUNTS, key=str))
+    def test_grid(self, spaces, point):
+        ms = spaces(*point)
+        assert space_json_text(ms) == _stdlib_text(ms)
+
+    def test_custom_noise(self):
+        ms = build(_CUSTOM, BuildConfig(maxh=completeness_threshold(_CUSTOM)))
+        assert len(ms) > 1
+        assert space_json_text(ms) == _stdlib_text(ms)
+
+    def test_truncated_build(self, spaces):
+        ms = spaces(3, 3, F(17, 10), maxh=F(2), iters=3)
+        doc = to_json_dict(ms)
+        assert doc["config"]["iter"] == 3 and doc["converged"] is False
+        assert space_json_text(ms) == _stdlib_text(ms)
+
+    def test_partial_space(self):
+        params = Parameters.white_noise(2, 2, F(3, 4))
+        with pytest.raises(ExplosionError) as exc:
+            build(params, BuildConfig(maxh=F(5, 8), iter=64, cap=50))
+        ms = exc.value.partial
+        assert to_json_dict(ms)["aborted"] is True
+        assert space_json_text(ms) == _stdlib_text(ms)
+
+    def test_no_symbols(self):
+        params = Parameters.white_noise(2, 2, F(1))
+        ms = ModelSpace(params, BuildConfig(maxh=F(1, 2)), False, False, {})
+        text = space_json_text(ms)
+        assert json.loads(text)["symbols"] == []
+        assert text == _stdlib_text(ms)
+
+    def test_save_json_writes_it(self, spaces, tmp_path):
+        ms = spaces(2, 2, F(4, 5))
+        path = tmp_path / "space.json"
+        save_json(ms, str(path))
+        assert path.read_text(encoding="utf-8") == space_json_text(ms)
 
 def _drop(doc: dict, path: tuple) -> dict:
     parent = doc

@@ -14,7 +14,7 @@ from conftest import alarm
 
 import fractree
 import fractree.cli
-from fractree.builder import json_text
+from fractree.builder import json_text, to_json_dict
 from fractree.cli import main
 from fractree.stats import stat_report
 
@@ -330,6 +330,26 @@ class TestScan:
             main(["scan", "--N", "2", "--d", "2", "--rho", ","])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "rho,value",
+        [("1,1,1,9/10,17/20,4/5", "1/1"), ("1,1.0", "1/1"), ("2/2,0.9,1", "1/1"),
+         ("0.9,0.85,9/10", "9/10")],
+    )
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_repeated_rho_exit_2(self, capsys, monkeypatch, tmp_path, builds, rho, value, source):
+        path = tmp_path / "scan.csv"
+        argv = ["scan", "--N", "2", "--d", "2", "--out", str(path)]
+        if source == "flag":
+            argv += ["--rho", rho]
+        else:
+            monkeypatch.setenv("FRACTREE_RHO", rho)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err == f"error: --rho lists {value} more than once\n"
+        assert not path.exists() and builds == []
+
     @pytest.fixture()
     def builds(self, monkeypatch):
         """Count the calls scan makes to the builder."""
@@ -438,6 +458,19 @@ class TestFit:
         assert code == 2
         assert "at least 4 distinct grid points" in err
 
+    def test_repeated_rho_exit_2(self, capsys, tmp_path):
+        # three rows of 1/1 would weigh that point three times in the fit
+        path = tmp_path / "scan.csv"
+        path.write_text(
+            "rho,h_F,c_F,certified\n"
+            "1/1,6,8,true\n1/1,6,8,true\n1/1,6,8,true\n"
+            "9/10,7,11,true\n17/20,9,21,true\n4/5,12,64,true\n"
+        )
+        for fmt in ("txt", "json"):
+            code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2", "--format", fmt])
+            assert (code, out) == (2, "")
+            assert err == "error: scaling fit: rho 1/1 appears more than once\n"
+
 
 def _stdlib_text(doc) -> str:
     """The reference for json_text: the standard library's indented dump."""
@@ -459,6 +492,19 @@ class TestJsonText:
         monkeypatch.setattr(fractree.cli, "json_text", recorded)
         return docs
 
+    @pytest.fixture()
+    def stored(self, monkeypatch):
+        """The documents of the spaces `build` writes through space_json_text."""
+        docs = []
+        real = fractree.cli.space_json_text
+
+        def recorded(ms):
+            docs.append(to_json_dict(ms))
+            return real(ms)
+
+        monkeypatch.setattr(fractree.cli, "space_json_text", recorded)
+        return docs
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -467,11 +513,19 @@ class TestJsonText:
             ["stats", "--N", "2", "--d", "2", "--rho", "1.5", "--noise=-7/4"],
         ],
     )
-    def test_spaces_and_reports(self, capsys, written, argv):
+    def test_spaces_and_reports(self, capsys, written, stored, argv):
         code, out, _ = run(capsys, argv)
         assert code == 0
-        [doc] = written
+        [doc] = written + stored
         assert out == _stdlib_text(doc)
+
+    def test_build_out_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["build", "--N", "2", "--d", "2", "--rho", "4/5"]
+        path = tmp_path / "space.json"
+        assert run(capsys, argv + ["--out", str(path)])[0] == 0
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     def test_report_file_with_string_keys_and_float_scores(self, capsys, tmp_path, written):
         argv = ["stats", "--N", "2", "--d", "2", "--rho", "3/4", "--out", str(tmp_path)]

@@ -17,17 +17,19 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 # Builds (2,2,3/4) as `fractree build` does, saves and reloads it, and
-# prints the SHA-256 of the reloaded space's JSON text.
+# prints the SHA-256 of the reloaded space's JSON text twice: as the generic
+# writer gives it and as the stored-space writer does.
 _ROUND_TRIP = """
 import hashlib, json
 from fractions import Fraction
 from fractree import BuildConfig, Parameters, build, completeness_threshold
-from fractree.builder import from_json_dict, json_text, to_json_dict
+from fractree.builder import from_json_dict, json_text, space_json_text, to_json_dict
 
 params = Parameters.white_noise(2, 2, Fraction(3, 4))
 ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
-back = from_json_dict(json.loads(json_text(to_json_dict(ms))))
-print(hashlib.sha256(json_text(to_json_dict(back)).encode()).hexdigest())
+back = from_json_dict(json.loads(space_json_text(ms)))
+for text in (json_text(to_json_dict(back)), space_json_text(back)):
+    print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 ROUND_TRIP_DIGEST = "c0c2f7846d54ed5d2165cf69745bb11321430e54ec50be2f7201f2c41068c790"
@@ -50,13 +52,13 @@ def _python_3_10():
     return None
 
 
-def _round_trip_digest(exe: str, path: list[str]) -> str:
+def _round_trip_digests(exe: str, path: list[str]) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     got = subprocess.run(
         [exe, "-c", _ROUND_TRIP], capture_output=True, text=True, env=env, timeout=300
     )
     assert got.returncode == 0, got.stderr
-    return got.stdout.strip()
+    return got.stdout.split()
 
 
 def test_round_trip_on_python_3_10(tmp_path):
@@ -65,9 +67,9 @@ def test_round_trip_on_python_3_10(tmp_path):
         pytest.skip("no CPython 3.10: none on PATH reports 3.10, none under ~/.pyenv/versions")
     # the round trip never calls numpy, which a bare 3.10 may lack
     (tmp_path / "numpy.py").write_text('"""Empty stand-in for numpy."""\n')
-    host = _round_trip_digest(sys.executable, [str(SRC)])
-    assert host == ROUND_TRIP_DIGEST
-    assert _round_trip_digest(exe, [str(tmp_path), str(SRC)]) == host
+    both = [ROUND_TRIP_DIGEST] * 2
+    assert _round_trip_digests(sys.executable, [str(SRC)]) == both
+    assert _round_trip_digests(exe, [str(tmp_path), str(SRC)]) == both
 
 
 # Builds a space and exits with it parked in a global and in a reference

@@ -632,6 +632,13 @@ class TestScalingFit:
                 [(F(1), 0, 8), (F(9, 10), 7, 11), (F(4, 5), 12, 64), (F(3, 4), 18, 932)], 2, 2
             )
 
+    @pytest.mark.parametrize("twin", [F(1), 1, "1", "1.0", "2/2"])
+    def test_refuses_repeated_rho(self, twin):
+        points = [(F(1), 6, 8), (twin, 6, 8), (F(9, 10), 7, 11), (F(17, 20), 9, 21),
+                  (F(4, 5), 12, 64)]
+        with pytest.raises(ValueError, match=r"^scaling fit: rho 1/1 appears more than once$"):
+            scaling_fit(points, 2, 2)
+
 
 class TestReportSerialization:
     def test_report_bundle(self, spaces):
