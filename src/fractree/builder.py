@@ -51,6 +51,7 @@ from .params import (
     require_subcritical,
 )
 from .symbols import (
+    INT,
     Symbol,
     _dense,
     homogeneity_of,
@@ -72,6 +73,7 @@ __all__ = [
     "h0_F",
     "h_F",
     "c_F",
+    "generation_of",
     "to_json_dict",
     "json_text",
     "space_json_text",
@@ -349,6 +351,48 @@ def h0_F(ms: ModelSpace) -> int:
     return len({entry(s.p, s.q, s.kvec)[0] for s, _ in negative_sector(ms) if not s.kvec})
 
 
+_XI = xi()
+
+
+def _made(sym: Symbol, memo: dict[Symbol, int]) -> int:
+    """The round in which ``sym`` is made as a product: one after the latest
+    generation among its integral factors I(c), one per INT child c of the
+    root.  I(Xi) is a seed, and every other I(c) is admitted in the round
+    c is made.  A root without INT child is a product of monomials, made in
+    round 1."""
+    latest = 0
+    for tag, child in sym.children:
+        if tag == INT and child is not _XI:
+            made = memo.get(child)
+            if made is None:
+                made = _made(child, memo)
+            if made > latest:
+                latest = made
+    memo[sym] = latest + 1
+    return latest + 1
+
+
+def generation_of(sym: Symbol, memo: dict[Symbol, int]) -> int:
+    """The generation tag a build gives ``sym``, from its shape alone.
+
+    The seeds Xi, the monomials and I(Xi) have generation 0.  An integral
+    I(tau) has the round in which tau is made, and any other product the
+    round in which it is made, one after the latest generation among its
+    integral factors (see :func:`_made`).  A product I(c) of one factor is
+    that factor, so I(I(Xi)) has generation 1.  ``memo`` maps each subtree
+    to the round it is made in; pass one dict to several calls to fold each
+    shared subtree once.
+    """
+    if not sym.q:
+        return 0
+    if len(sym.children) == 1 and not sym.decoration:  # I(tau)
+        sym = sym.children[0][1]
+        if sym is _XI:
+            return 0
+    made = memo.get(sym)
+    return _made(sym, memo) if made is None else made
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -416,8 +460,9 @@ def _rational(doc: dict, key: str, where: str = "") -> Fraction:
 def from_json_dict(data: dict) -> ModelSpace:
     """Inverse of :func:`to_json_dict`.
 
-    Raises ValueError naming the field when one is missing or mistyped, and
-    when a symbol record disagrees with its own type and homogeneity;
+    Raises ValueError naming the field when one is missing or mistyped,
+    when a symbol record disagrees with its own type and homogeneity, and
+    when its generation is not the one :func:`generation_of` gives;
     SubcriticalityError, as :func:`build` does, for parameters without a
     finite negative sector.
     """
@@ -453,6 +498,7 @@ def from_json_dict(data: dict) -> ModelSpace:
     )
     complete = _field(data, "complete", bool)
     blocks: dict[str, Symbol] = {}  # one parse memo: each shared I(...) parsed once
+    rounds: dict[Symbol, int] = {}  # one generation memo: each shared subtree folded once
     for i, rec in enumerate(_field(data, "symbols", list)):
         where = f"symbols[{i}]."
         if not isinstance(rec, dict):
@@ -473,6 +519,12 @@ def from_json_dict(data: dict) -> ModelSpace:
         generation = _field(rec, "generation", int, where)
         if generation < 0:
             raise ValueError(f"malformed model space: field {where + 'generation'!r} must be >= 0")
+        made = generation_of(sym, rounds)
+        if generation != made:
+            raise ValueError(
+                f"inconsistent symbol record: field {where + 'generation'!r} is {generation},"
+                f" but a build makes {text!r} in round {made}"
+            )
         ms.generations[sym] = generation
     if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")

@@ -19,6 +19,16 @@ Children are added to the multiset tables in order of q, since a class at
 level q only feeds parents above it; m copies of a class of t symbols give
 comb(t + m - 1, m) multisets.  Everything is an exact integer, and no
 symbol is built, so the census reaches gaps the enumeration cannot.
+
+:func:`census` keeps the counts alone; ``scan`` runs it.
+:func:`marked_census` splits each class further by the bare tree's height
+and diameter and carries, next to each count, the integer marks that
+``stats.stat_report`` sums over the elements: S1 and S2 (the sums of the
+subtree sizes and of their squares), the periphery and the bare and
+decorated degree vectors.  A mark is additive over a multiset, and m
+copies drawn from a class of t symbols whose marks total X add
+comb(t + m - 1, m - 1) * X to each multiset counted before.  ``stats``
+answers every certified request from it, so it builds no symbol either.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .params import Parameters, completeness_threshold, require_subcritical
 
-__all__ = ["Census", "census"]
+__all__ = ["Census", "census", "marked_census"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,44 @@ class Census:
     classes: tuple[tuple[tuple[int, int, int], int], ...]
 
 
+def _frame(params: Parameters) -> tuple[int, int, int, int, Counter]:
+    """(T, cut, top, step, D) for a subcritical point: the threshold T and
+    the W cut max(T - R, 0) in units, the largest level q a kept W symbol
+    can have, the least weight a child slot can add, and D(s), the number
+    of monomials of s units for 0 < s <= T."""
+    d = params.d
+    L, A, R = params.units
+    T = int(completeness_threshold(params) * L)
+    cut = max(T - R, 0)
+    slope = int(params.slack * L)
+    # A W symbol at level q weighs at least A + q*slope/N units, so none
+    # above `top` is kept; a child weighs at least A + R.
+    top = params.N * (cut - A) // slope
+    mono: Counter = Counter()
+    for k0 in range(T // R + 1):
+        for t in range((T - k0 * R) // L + 1):
+            if k0 or t:
+                mono[k0 * R + t * L] += comb(t + d - 1, d - 1)
+    return T, cut, top, min(A + R, 0), mono
+
+
+def _counts(params: Parameters, sector: dict[tuple[int, int, int], int]) -> Census:
+    """The Census of the sector classes (p, q, s) and their counts."""
+    _, A, R = params.units
+    b0 = params.alpha0.b
+    keys = {(p, q, s): (p * A + q * R + s, p * b0) for p, q, s in sector}
+    sizes: Counter = Counter()
+    for (p, q, s), c in sector.items():
+        sizes[q] += c
+    return Census(
+        c_F=sum(sector.values()),
+        h_F=len(set(keys.values())),
+        h0_F=len({h for (p, q, s), h in keys.items() if s == 0}),
+        sizes=tuple(sorted(sizes.items())),
+        classes=tuple(sorted(sector.items())),
+    )
+
+
 def census(params: Parameters) -> Census:
     """Count the negative sector a certified build finds, class by class.
 
@@ -55,21 +104,9 @@ def census(params: Parameters) -> Census:
     parameters without a finite negative sector.
     """
     require_subcritical(params)
-    N, d, b0 = params.N, params.d, params.alpha0.b
-    L, A, R = params.units
-    T = int(completeness_threshold(params) * L)
-    cut = max(T - R, 0)
-    slope = int(params.slack * L)
-    # A W symbol at level q weighs at least A + q*slope/N units, so none
-    # above `top` is kept; a child weighs at least A + R.
-    top = N * (cut - A) // slope
-    step = min(A + R, 0)
-
-    mono: Counter = Counter()  # D(s): monomials of s units, 0 < s <= T
-    for k0 in range(T // R + 1):
-        for t in range((T - k0 * R) // L + 1):
-            if k0 or t:
-                mono[k0 * R + t * L] += comb(t + d - 1, d - 1)
+    N, b0 = params.N, params.alpha0.b
+    _, A, R = params.units
+    T, cut, top, step, mono = _frame(params)
 
     # G[j][Q][(P, S)]: multisets of j children with Q edges, P noises, S units
     G = [defaultdict(Counter) for _ in range(N + 1)]
@@ -107,15 +144,142 @@ def census(params: Parameters) -> Census:
                         for (P0, S0), c0 in row.items():
                             if P0 * A + Q0 * R + S0 + um <= room:
                                 dest[(P0 + m * p, S0 + m * s)] += c0 * w
+    return _counts(params, sector)
 
-    keys = {(p, q, s): (p * A + q * R + s, p * b0) for p, q, s in sector}
-    sizes: Counter = Counter()
-    for (p, q, s), c in sector.items():
-        sizes[q] += c
-    return Census(
-        c_F=sum(sector.values()),
-        h_F=len(set(keys.values())),
-        h0_F=len({h for (p, q, s), h in keys.items() if s == 0}),
-        sizes=tuple(sorted(sizes.items())),
-        classes=tuple(sorted(sector.items())),
-    )
+
+def _plus(table: dict, key: tuple, marks: list) -> None:
+    """Add ``marks`` to the entry of ``key``, elementwise."""
+    old = table.get(key)
+    table[key] = marks if old is None else list(map(add, old, marks))
+
+
+def marked_census(params: Parameters) -> tuple[Census, tuple]:
+    """The census of :func:`census`, with each sector class split by height
+    and diameter and its tree marks summed: (counts, marks).
+
+    ``counts`` is the :class:`Census`.  ``marks`` holds, in ascending key
+    order, each (p, q, s, height, diameter) of the sector that has symbols,
+    with the sums over them of (count, S1, S2, periphery, bare degrees
+    0..N+1, decorated degrees 0..N+1): the first entry is the number of
+    symbols, the rest total the fields ``stats`` folds from one bare tree.
+
+    A multiset table entry is keyed (P, S, top, D): top is the largest
+    child height + 1, the depth of the deepest vertex below the root, and D
+    the diameter of the root over those children.  Its marks total the
+    children's: the count, S1, S2, the periphery (vertices at depth top)
+    and the degree vectors, each child's read with the edge above its root.
+    Adding m copies of children of height h and diameter D' makes the
+    diameter max(D, D', h + 1 + top), and 2(h + 1) when m >= 2; the
+    periphery is replaced, added to or kept as h + 1 is above, at or below
+    top.  A level entry, keyed (p, s, height, diameter), holds the marks of
+    its W symbols as elements (degree vectors without an up edge), then the
+    degree vectors they have as children, where the root gains the up
+    edge: each root's degree shifts by one.  A root's decorated degree
+    counts its noise edges too, which only the noise itself has at its root.
+    """
+    require_subcritical(params)
+    N, b0 = params.N, params.alpha0.b
+    _, A, R = params.units
+    T, cut, top, step, mono = _frame(params)
+    w = N + 2  # degrees 0..N+1
+    B, E = 4, 4 + w  # where the bare and decorated vectors start
+    K = 4 + 2 * w  # the element marks; a level entry adds two child vectors
+
+    # G[j][Q][(P, S, top, D)]: marks of the multisets of j children with Q
+    # edges, P noises and S units; level[(p, s, height, diameter)]: element
+    # marks of the W symbols at level q, then their degree vectors as children
+    G = [defaultdict(dict) for _ in range(N + 1)]
+    G[0][0][(0, 0, 0, 0)] = [1] + [0] * (K - 1)
+    sector: dict[tuple[int, int, int, int, int], list[int]] = {}
+    xi = [1, 1, 1, 1] + [0] * (4 * w)
+    xi[B] = xi[K + 1] = 1  # one bare vertex, degree 0 as an element, 1 as a child
+    xi[E + 1] = 2  # the root's noise edge and the leaf it ends at
+    xi[K + w + 1] = xi[K + w + 2] = 1  # as a child: leaf 1, root 2
+    level: dict[tuple, list[int]] = {(1, 0, 0, 0): xi}
+    for s, c in mono.items():
+        if s <= cut:
+            marks = [c, c, c, c] + [0] * (4 * w)  # a single vertex each
+            marks[B] = marks[E] = c
+            marks[K + 1] = marks[K + w + 1] = c
+            level[(0, s, 0, 0)] = marks
+    for q in range(top + 1):
+        if q:
+            n = q + 1
+            level = {}
+            for j in range(1, N + 1):
+                for (P, S, h, D), v in G[j].get(q, {}).items():
+                    # a root over j children: n vertices, degree j as an
+                    # element and j + 1 as a child
+                    c = v[0]
+                    marks = v + v[B:]
+                    marks[1] += c * n
+                    marks[2] += c * n * n
+                    marks[B + j] += c
+                    marks[E + j] += c
+                    marks[K + j + 1] += c
+                    marks[K + w + j + 1] += c
+                    u = P * A + q * R + S
+                    if u <= cut:
+                        _plus(level, (P, S, h, D), marks)
+                    if j < N:
+                        for s, m in mono.items():
+                            if u + s <= cut:
+                                _plus(level, (P, S + s, h, D), [x * m for x in marks])
+        for (p, s, h, D), marks in level.items():
+            u = p * A + q * R + s
+            if u < 0 or (u == 0 and p * b0 < 0):
+                sector[(p, q, s, h, D)] = marks[:K]
+            if u + R > T:
+                continue
+            t = marks[0]
+            child = marks[:B] + marks[K:]
+            h1 = h + 1
+            # for m copies, what each multiset counted before gains: its
+            # count times comb(t + m - 1, m - 1) times the class marks, the
+            # periphery only where the copies reach at least as deep as top
+            copies = []
+            for m in range(1, N + 1):
+                more = [comb(t + m - 1, m - 1) * x for x in child]
+                more[0] = 0
+                kept = more[:]
+                kept[3] = 0
+                Dm = max(D, 2 * h1) if m >= 2 else D
+                copies.append((m, comb(t + m - 1, m), more, kept, Dm))
+            for j in range(N, 0, -1):
+                room = cut - (N - j) * step  # what j children may weigh
+                into = G[j]
+                for m, wm, more, kept, Dm in copies[:j]:
+                    qm, um, pm, sm = m * (q + 1), m * (u + R), m * p, m * s
+                    for Q0, row in G[j - m].items():
+                        Q = Q0 + qm
+                        if Q > top:
+                            continue
+                        dest = into[Q]
+                        lim = room - um - Q0 * R
+                        for (P0, S0, top0, D0), v0 in row.items():
+                            if P0 * A + S0 > lim:
+                                continue
+                            c0 = v0[0]
+                            D1 = h1 + top0
+                            if D1 < D0:
+                                D1 = D0
+                            if D1 < Dm:
+                                D1 = Dm
+                            if top0 > h1:  # the copies end above top: the periphery stays
+                                key = (P0 + pm, S0 + sm, top0, D1)
+                                gain = kept
+                            else:
+                                key = (P0 + pm, S0 + sm, h1, D1)
+                                gain = more
+                            old = dest.get(key)
+                            if old is None:
+                                new = [a * wm + c0 * b for a, b in zip(v0, gain)]
+                            else:
+                                new = [o + a * wm + c0 * b for o, a, b in zip(old, v0, gain)]
+                            if top0 < h1:  # deeper than any before: the periphery is replaced
+                                new[3] -= v0[3] * wm
+                            dest[key] = new
+    classes: Counter = Counter()
+    for (p, q, s, _h, _D), marks in sector.items():
+        classes[(p, q, s)] += marks[0]
+    return _counts(params, classes), tuple(sorted((key, tuple(m)) for key, m in sector.items()))

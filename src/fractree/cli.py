@@ -40,7 +40,7 @@ from .builder import (
 # not called here: perfbench/spans.py wraps fractree.cli.to_json_dict for its
 # builder.to_json span, and a traced run raises AttributeError without it
 from .builder import to_json_dict  # noqa: F401
-from .census import census
+from .census import census, marked_census
 from .params import (
     ExplosionError,
     Homogeneity,
@@ -52,7 +52,14 @@ from .params import (
     is_locally_subcritical,
     rho_c,
 )
-from .stats import StatReport, report_json_dict, scaling_fit, stat_report, write_histogram_csv
+from .stats import (
+    StatReport,
+    census_report,
+    report_json_dict,
+    scaling_fit,
+    stat_report,
+    write_histogram_csv,
+)
 from .symbols import _dense, render, to_dot
 
 __all__ = ["main"]
@@ -169,9 +176,22 @@ def _config_from(args: argparse.Namespace, params: Parameters) -> BuildConfig:
     return BuildConfig(**kwargs)
 
 
-def _build_space(args: argparse.Namespace) -> tuple[ModelSpace, int]:
+def _certified_request(args: argparse.Namespace, params: Parameters) -> bool:
+    """Whether ``args`` ask for the certified sector at ``params``: no
+    ``--iter``, no ``--cap`` and ``--maxh`` absent or at least the
+    completeness threshold.  Such a request is answered from the census,
+    since the build it would make is complete."""
+    return args.iters is None and args.cap is None and (
+        args.maxh is None or args.maxh >= completeness_threshold(params)
+    )
+
+
+def _build_space(
+    args: argparse.Namespace, params: Optional[Parameters] = None
+) -> tuple[ModelSpace, int]:
     """Build, catching the explosion cap; returns (space, exit_code)."""
-    params = _params_from(args)
+    if params is None:
+        params = _params_from(args)
     config = _config_from(args, params)
     try:
         return build(params, config), 0
@@ -180,13 +200,16 @@ def _build_space(args: argparse.Namespace) -> tuple[ModelSpace, int]:
         return exc.partial, 3
 
 
-def _count_label(ms: ModelSpace) -> str:
-    prefix = "" if ms.complete else ">= "
+def _label(c: int, h: int, h0: int, certified: bool) -> str:
+    prefix = "" if certified else ">= "
     return (
-        f"negative sector: c_F {prefix}{c_F(ms)}, h_F {prefix}{h_F(ms)}, "
-        f"h0_F {prefix}{h0_F(ms)}"
-        + ("" if ms.complete else " (lower bounds, not certified)")
+        f"negative sector: c_F {prefix}{c}, h_F {prefix}{h}, h0_F {prefix}{h0}"
+        + ("" if certified else " (lower bounds, not certified)")
     )
+
+
+def _count_label(ms: ModelSpace) -> str:
+    return _label(c_F(ms), h_F(ms), h0_F(ms), ms.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +314,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return code
 
 
-def _stats_txt(ms: ModelSpace, rep: StatReport) -> str:
+def _stats_txt(label: str, rep: StatReport) -> str:
     s = rep.sizes
     m = rep.measures
     h = rep.heights
     lines = [
-        _count_label(ms),
+        label,
         f"q*: {_fstr(s.q_star)}",
         f"P(Q off the full-tree grid): {_fstr(s.off_grid)} = {_float_str(float(s.off_grid))}",
         f"E(Q/q*): {_float_str(float(s.mean_ratio))}  Var(Q/q*): {_float_str(float(s.var_ratio))}",
@@ -316,12 +339,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("error: --format csv needs --out DIR", file=sys.stderr)
         return 2
     _check_out(args.out, directory=args.format != "txt")
-    ms, code = _build_space(args)
-    rep = stat_report(ms)
+    p = _params_from(args)
+    if _certified_request(args, p):
+        # counted from the census, with the marks the report sums: no symbol is built
+        counts, marks = marked_census(p)
+        rep, code = census_report(p, marks), 0
+        label = _label(counts.c_F, counts.h_F, counts.h0_F, True)
+    else:
+        ms, code = _build_space(args, p)
+        rep = stat_report(ms)
+        label = _count_label(ms)
     if args.format == "txt":
-        _write_text(args.out, _stats_txt(ms, rep))
+        _write_text(args.out, _stats_txt(label, rep))
         return code
-    p = ms.params
     parameters = {"N": p.N, "d": p.d, "rho": _fstr(p.rho)}
     # white-noise documents stay as they were; custom noise is recorded as
     # in the build JSON
@@ -332,7 +362,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
             f.write(blob)
-        total = c_F(ms)
+        total = sum(c for _, c in rep.sizes.counts)
         dec, bare = rep.degrees_decorated.pooled_counts, rep.degrees_bare.pooled_counts
         for name, rows, n in (
             ("size.csv", rep.sizes.counts, total),
@@ -343,10 +373,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ):
             with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="") as f:
                 write_histogram_csv(f, rows, n)
-        print(_count_label(ms))
+        print(label)
     else:
         sys.stdout.write(blob)
-        print(_count_label(ms), file=sys.stderr)
+        print(label, file=sys.stderr)
     return code
 
 
@@ -372,13 +402,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         params = _params_from(sub)
         # The certified sector is counted class by class; only a truncated
         # request needs the symbols themselves.
-        if args.iters is None and args.cap is None and (
-            args.maxh is None or args.maxh >= completeness_threshold(params)
-        ):
+        if _certified_request(args, params):
             counts = census(params)
             w.writerow([_fstr(rho), counts.h_F, counts.c_F, "true"])
             continue
-        ms, code = _build_space(sub)
+        ms, code = _build_space(sub, params)
         worst = max(worst, code)
         w.writerow([_fstr(rho), h_F(ms), c_F(ms), str(ms.complete).lower()])
     _write_text(args.out, buf.getvalue())

@@ -4,21 +4,28 @@ Every element of the negative sector is a decorated tree, so drawing one
 uniformly at random turns tree functionals into random variables: the
 number of integration edges Q, the noise count P, the homogeneity, vertex
 degrees, height, diameter.  This module computes their exact empirical
-distributions from a built model space, together with four averaged graph
-measures and least-squares fits of the divergence laws near the
-subcriticality boundary.
+distributions, together with four averaged graph measures and least-squares
+fits of the divergence laws near the subcriticality boundary.
 
-Symbols are interned, so the elements share their subtrees I(tau).  Every
-tree measure is built up from marks of those subtrees (vertex count, sums of
+Every tree measure is built up from marks of subtrees (vertex count, sums of
 subtree sizes and of their squares, height and the vertices at that depth,
-diameter, degree vectors), and each distinct subtree gets its marks once per
-report, from its children's marks; an element then combines the marks below
-its root alone, betweenness through the Wiener index.  :func:`stat_report`
-folds the elements into a few integer sums keyed by what the measure divides
-by, and every report field is a closed form of those sums.  Counts and
-histogram masses are exact (integers and fractions); only the PageRank mean
-(the float of an exact fraction), the gap-scaled moments and the fitted
-coefficients are floating point.
+diameter, degree vectors); an element combines the marks below its root,
+betweenness through the Wiener index.  The marks sum into a few integers
+keyed by what each measure divides by, and every report field is a closed
+form of those sums (:func:`_report`).  The sums come from
+one of two places:
+
+* :func:`stat_report` folds the elements of a built model space.  Symbols
+  are interned, so the elements share their subtrees I(tau), and each
+  distinct subtree gets its marks once per report.  A truncated build is
+  reported this way.
+* :func:`census_report` reads them from ``census.marked_census``, which
+  counts the certified sector class by class with the marks summed, so no
+  symbol is built.  On a certified build the two reports are equal.
+
+Counts and histogram masses are exact (integers and fractions); only the
+PageRank mean (the float of an exact fraction), the gap-scaled moments and
+the fitted coefficients are floating point.
 """
 
 from __future__ import annotations
@@ -29,11 +36,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import IO, Iterable
+from typing import IO, Iterable, Optional
 
 from .builder import ModelSpace, negative_sector
+from .census import marked_census
 from .counting import LAMBDA2, beta_N, hF_bounds
-from .params import Homogeneity, RationalLike, _frac, _fstr, rho_c, scaled_degree
+from .params import Homogeneity, Parameters, RationalLike, _frac, _fstr, rho_c, scaled_degree
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
 from .symbols import INT, Symbol, bare_tree  # noqa: F401
 
@@ -53,6 +61,7 @@ __all__ = [
     "scaling_fit",
     "StatReport",
     "stat_report",
+    "census_report",
     "report_json_dict",
     "write_histogram_csv",
 ]
@@ -426,22 +435,19 @@ def stat_report(ms: ModelSpace) -> StatReport:
     """Every statistic of the negative sector, in one pass over its elements.
 
     The elements' measures, folded from the marks of their subtrees with one
-    memo for the whole report, sum into integers: the size law ``sizes[q]``, the
-    homogeneity counts ``homs[(a, b)]``, the bare degree vectors and the
-    betweenness summed per vertex count n = q + 1, the decorated degree
-    vectors summed per p + q + 1, and plain totals of height, height
-    squared, diameter, diameter squared and periphery.  Density and PageRank
-    follow from the size law.
+    memo for the whole report, sum into the integers of which
+    :func:`_report` makes every field.  Density and PageRank follow
+    from the size law.
     """
     N = ms.params.N
     sizes: Counter[int] = Counter()
-    homs: Counter[tuple[Fraction, int]] = Counter()
+    homs: Counter[tuple[int, int]] = Counter()
     bare: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
     decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
     between: Counter[int] = Counter()
     h1 = h2 = d1 = d2 = periphery = 0
     memo: dict = {}
-    types: Counter[tuple] = Counter()  # counted by type, so a Fraction is hashed once per type
+    types: Counter[tuple] = Counter()  # counted by type, so each type is looked up once
     for sym, _ in negative_sector(ms):
         height, diameter, bdeg, ddeg, pairs, peri = _element(sym, N, memo)
         n = sym.q + 1
@@ -456,18 +462,75 @@ def stat_report(ms: ModelSpace) -> StatReport:
         d2 += diameter * diameter
         periphery += peri
     for t, c in types.items():
-        hom = ms.params.type_entry(*t)[1]
-        homs[hom.a, hom.b] += c
+        homs[ms.params.type_entry(*t)[0]] += c
+    sums = (sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery)
+    return _report(ms.params, sums, ms.complete)
+
+
+def census_report(params: Parameters, marks: Optional[tuple] = None) -> StatReport:
+    """The :func:`stat_report` of the certified build at ``params``, from
+    the marked census alone: no symbol is built.
+
+    Each (p, q, s, height, diameter) entry of ``marks`` (by default those
+    of ``marked_census(params)``) adds its count, marks and moments to the
+    sums, and a tree with n vertices adds n S1 - S2 - n(n - 1)/2 to the
+    betweenness, as in :func:`_element`.  Raises SubcriticalityError, as
+    :func:`builder.build` does, for parameters without a finite negative
+    sector.
+    """
+    if marks is None:
+        marks = marked_census(params)[1]
+    N, b0 = params.N, params.alpha0.b
+    _, A, R = params.units
+    B, E = 4, 4 + N + 2  # where the bare and decorated vectors start
+    sizes: Counter[int] = Counter()
+    homs: Counter[tuple[int, int]] = Counter()
+    bare: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
+    decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
+    between: Counter[int] = Counter()
+    h1 = h2 = d1 = d2 = periphery = 0
+    for (p, q, s, height, diameter), entry in marks:
+        c, s1, s2, peri = entry[:B]
+        n = q + 1
+        sizes[q] += c
+        homs[p * A + q * R + s, p * b0] += c
+        bare[n] = list(map(add, bare[n], entry[B:E]))
+        decorated[n + p] = list(map(add, decorated[n + p], entry[E:]))
+        between[n] += n * s1 - s2 - c * n * (n - 1) // 2
+        h1 += c * height
+        h2 += c * height * height
+        d1 += c * diameter
+        d2 += c * diameter * diameter
+        periphery += peri
+    sums = (sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery)
+    return _report(params, sums, True)
+
+
+def _report(params: Parameters, sums: tuple, certified: bool) -> StatReport:
+    """Every report field, in closed form from the integer sums.
+
+    ``sums`` is (sizes, homs, bare, decorated, between, h1, h2, d1, d2,
+    periphery): ``sizes[q]`` and ``homs[(u, b)]`` count elements, a
+    homogeneity u / L + b kappa keyed by its integers (see
+    ``Parameters.units``); ``bare`` and ``between`` sum the bare degree
+    vectors and the betweenness per vertex count n = q + 1, ``decorated``
+    the decorated degree vectors per p + q + 1; the rest are plain totals
+    of height, height squared, diameter, diameter squared and periphery.
+    """
+    N = params.N
+    sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery = sums
     total = sum(sizes.values())
     if not total:
         raise ValueError("negative sector is empty; nothing to aggregate")
 
-    q_star, gap = ms.params.q_star, float(ms.params.rho_gap)
+    q_star, gap = params.q_star, float(params.rho_gap)
     counts = tuple(sorted(sizes.items()))
     mean = Fraction(sum(q * c for q, c in counts), total) / q_star
-    values: Counter[Fraction] = Counter()
-    for (a, _b), c in homs.items():
-        values[a] += c
+    L = params.units[0]
+    pairs = sorted(homs.items())  # (u, b) orders as u / L + b kappa does
+    values: Counter[int] = Counter()
+    for (u, _b), c in pairs:
+        values[u] += c
     mh, md = Fraction(h1, total), Fraction(d1, total)
     density = _mean(((c, q + 1) for q, c in counts if q), total)
     return StatReport(
@@ -478,10 +541,10 @@ def stat_report(ms: ModelSpace) -> StatReport:
             mean_ratio=mean,
             var_ratio=Fraction(sum(q * q * c for q, c in counts), total) / q_star**2 - mean * mean,
             q_star=q_star,
-            certified=ms.complete,
+            certified=certified,
         ),
-        homogeneity_values=tuple(sorted(values.items())),
-        homogeneity_pairs=tuple(sorted(homs.items())),
+        homogeneity_values=tuple((Fraction(u, L), c) for u, c in sorted(values.items())),
+        homogeneity_pairs=tuple(((Fraction(u, L), b), c) for (u, b), c in pairs),
         degrees_decorated=_degrees(decorated, total, bare=False),
         degrees_bare=_degrees(bare, total, bare=True),
         heights=HeightDiameter(
@@ -491,8 +554,8 @@ def stat_report(ms: ModelSpace) -> StatReport:
             scaled_mean_diameter=math.sqrt(gap) * float(md),
             scaled_sq_height=gap * h2 / total,
             scaled_sq_diameter=gap * d2 / total,
-            height_reference=4.0 * math.sqrt(math.pi * ms.params.d) / (3.0 * LAMBDA2),
-            diameter_reference=16.0 * math.sqrt(math.pi * ms.params.d) / (9.0 * LAMBDA2),
+            height_reference=4.0 * math.sqrt(math.pi * params.d) / (3.0 * LAMBDA2),
+            diameter_reference=16.0 * math.sqrt(math.pi * params.d) / (9.0 * LAMBDA2),
         ),
         measures=GraphMeasures(
             density=density,
@@ -500,7 +563,7 @@ def stat_report(ms: ModelSpace) -> StatReport:
             pagerank=float(density + Fraction(sizes[0], total)),
             periphery=Fraction(periphery, total),
         ),
-        certified=ms.complete,
+        certified=certified,
     )
 
 

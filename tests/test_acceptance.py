@@ -239,9 +239,11 @@ class TestDiophantineCrossCheck:
     The documented convention keeps the value-zero solutions ("le"); the
     strict variant ("lt") is reported alongside.  Under "le" the two routes
     agree on eight of the fourteen battery points, and on every remaining
-    point the solver overcounts by exactly one -- the zero line enters the
-    solution box, but the enumeration realizes it only at some parameters.
-    The full table is pinned so any drift surfaces here.
+    point the solver overcounts by exactly one.  The extra solution is not
+    the zero line: at (2, 2, 9/10) "lt" overcounts as well.  It is a box
+    solution no symbol realizes, a full tree (N (p - 1) = (N - 1) q, every
+    slot taken) with a spatial monomial, c2 >= 1; a monomial needs a free
+    slot.  The full table is pinned so any drift surfaces here.
     """
 
     # (N, d, rho) -> (h_F, dio_le + 1, dio_lt + 1), frozen from certified runs

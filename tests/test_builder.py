@@ -19,6 +19,7 @@ from fractree.builder import (
     c_F,
     completeness_threshold,
     from_json_dict,
+    generation_of,
     h0_F,
     h_F,
     json_text,
@@ -569,6 +570,47 @@ class TestMalformedJson:
     def test_not_an_object(self):
         with pytest.raises(ValueError):
             from_json_dict([])
+
+
+class TestGenerationOf:
+    """Generation tags are a function of the symbol, and a load checks them."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [(N, d, rho, None, 64) for N, d, rho in sorted(GRID_COUNTS, key=str)]
+        + sorted(LADDER_DIGESTS, key=str),
+        ids=str,
+    )
+    def test_tags_of_built_spaces(self, spaces, point):
+        N, d, rho, maxh, iters = point
+        ms = spaces(N, d, rho, maxh=maxh, iters=iters)
+        memo: dict = {}
+        assert {s: generation_of(s, memo) for s in ms.generations} == ms.generations
+
+    def test_tags_under_custom_noise(self):
+        ms = build(_CUSTOM, BuildConfig(maxh=completeness_threshold(_CUSTOM)))
+        memo: dict = {}
+        assert {s: generation_of(s, memo) for s in ms.generations} == ms.generations
+
+    @pytest.mark.parametrize(
+        "text,generation",
+        [("1", 0), ("Xi", 0), ("X^(0,1)", 0), ("I(Xi)", 0), ("I(I(Xi))", 1),
+         ("I(X^(0,1))", 1), ("I(Xi)^2", 1), ("X^(0,1)*I(Xi)", 1), ("I(I(Xi)^2)", 1),
+         ("I(Xi)*I(I(Xi)^2)", 2), ("I(I(I(Xi)))", 2)],
+    )
+    def test_rounds_by_hand(self, text, generation):
+        assert generation_of(parse_symbol(text), {}) == generation
+
+    @pytest.mark.parametrize("shift", [-1, 1, 99])
+    def test_tampered_generation_refused(self, spaces, shift):
+        doc = to_json_dict(spaces(2, 2, F(3, 4)))
+        i = next(i for i, rec in enumerate(doc["symbols"]) if rec["generation"] >= 1)
+        rec = doc["symbols"][i]
+        rec["generation"] += shift
+        with pytest.raises(ValueError, match=re.escape(f"'symbols[{i}].generation'")) as exc:
+            from_json_dict(doc)
+        assert str(exc.value).startswith("inconsistent symbol record")
+        assert repr(rec["symbol"]) in str(exc.value)
 
 
 # pieces a tampered record may gain: whole tokens, as render writes them

@@ -21,7 +21,7 @@ from fractree import (
     is_locally_subcritical,
     to_json_dict,
 )
-from fractree.census import census
+from fractree.census import census, marked_census
 from fractree.counting import h0_bounds, hF_bounds
 from fractree.params import rho_c
 from fractree.stats import size_distribution
@@ -157,6 +157,31 @@ class TestNoSymbols:
 
         monkeypatch.setattr(fractree.symbols, "_make_node", refuse)
         assert census(Parameters.white_noise(2, 2, F(73, 100))).c_F == 9050
+        assert marked_census(Parameters.white_noise(2, 2, F(73, 100)))[0].c_F == 9050
+
+
+class TestMarkedCounts:
+    # (5, 3) is left out: its rho_c is 2, so no rho in (0, 2] is subcritical.
+    @pytest.mark.parametrize(
+        "N,d", [(N, d) for N in range(1, 6) for d in range(1, 4) if (N, d) != (5, 3)]
+    )
+    def test_sweep(self, N, d):
+        """The marked census counts what the count-only census counts, at
+        every rho = k/20 from 2 down while c_F stays under 3,000, and its
+        marks total c_F."""
+        compared = 0
+        for k in range(40, 0, -1):
+            params = Parameters.white_noise(N, d, F(k, 20))
+            if not is_locally_subcritical(params)[0]:
+                break
+            want = census(params)
+            if want.c_F > 3000:
+                break
+            counts, marks = marked_census(params)
+            assert counts == want, params
+            assert sum(entry[0] for _, entry in marks) == want.c_F
+            compared += 1
+        assert compared >= 3
 
 
 class TestRefusal:
@@ -173,7 +198,9 @@ class TestRefusal:
             build(params, BuildConfig(maxh=1))
         with pytest.raises(SubcriticalityError) as from_census:
             census(params)
-        assert str(from_census.value) == str(from_build.value)
+        with pytest.raises(SubcriticalityError) as from_marked:
+            marked_census(params)
+        assert str(from_census.value) == str(from_marked.value) == str(from_build.value)
 
     def test_one_refusal_for_the_infinite_boundary(self):
         """build, census and the JSON loader refuse the boundary point with a

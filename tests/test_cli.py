@@ -16,7 +16,7 @@ import fractree
 import fractree.cli
 from fractree.builder import json_text, to_json_dict
 from fractree.cli import main
-from fractree.stats import stat_report
+from fractree.stats import census_report, stat_report
 
 SCAN_22 = ["scan", "--N", "2", "--d", "2", "--rho", "1,0.9,0.85,0.8,0.75"]
 
@@ -233,19 +233,40 @@ class TestStats:
         doc = json.loads((outdir / "report.json").read_text())
         assert doc["report"]["graph_measures"]["density"] == "5/18"
 
-    def test_txt_builds_the_report_once(self, capsys, monkeypatch):
-        calls = []
+    @pytest.fixture()
+    def reports(self, monkeypatch):
+        """The calls stats makes to each route's report, by route."""
+        calls = {"census": [], "symbols": []}
 
-        def counted(ms):
-            calls.append(ms)
+        def from_census(params, marks=None):
+            calls["census"].append(params)
+            return census_report(params, marks)
+
+        def from_symbols(ms):
+            calls["symbols"].append(ms)
             return stat_report(ms)
 
-        monkeypatch.setattr(fractree.cli, "stat_report", counted)
+        monkeypatch.setattr(fractree.cli, "census_report", from_census)
+        monkeypatch.setattr(fractree.cli, "stat_report", from_symbols)
+        return calls
+
+    def test_txt_builds_the_report_once(self, capsys, monkeypatch, reports):
+        def refuse(params, config):
+            raise AssertionError("stats built a certified point")
+
+        monkeypatch.setattr(fractree.cli, "build", refuse)
         code, out, _ = run(
             capsys, ["stats", "--N", "2", "--d", "2", "--rho", "3/4", "--format", "txt"]
         )
         assert code == 0 and out.startswith("negative sector: c_F 932,")
-        assert len(calls) == 1
+        assert len(reports["census"]) == 1 and reports["symbols"] == []
+
+    def test_truncated_txt_folds_the_symbols_once(self, capsys, reports):
+        argv = ["stats", "--N", "2", "--d", "2", "--rho", "3/4", "--format", "txt"]
+        code, out, _ = run(capsys, argv + ["--iter", "64"])
+        assert code == 0 and out.startswith("negative sector: c_F 932,")
+        assert len(reports["symbols"]) == 1 and reports["census"] == []
+        assert run(capsys, argv) == (0, out, "")
 
     def test_txt_writes_no_json(self, capsys, monkeypatch, tmp_path):
         # test_txt_frozen pins the text itself
@@ -289,6 +310,47 @@ class TestStats:
         assert rep["size"]["mean_ratio"] == "1/2"
         assert rep["height_diameter"]["scaled_sq_height"] == pytest.approx(2 / 9, rel=1e-12)
         assert rep["graph_measures"]["density"] == "5/18"
+
+
+STATS_POINTS = (
+    [["--N", "2", "--d", "2", "--rho", rho] for rho in ("1", "9/10", "17/20", "4/5", "3/4")]
+    + [["--N", "3", "--d", "3", "--rho", rho] for rho in ("21/11", "19/10", "9/5", "17/10")]
+    + [["--N", "2", "--d", "2", "--rho", "8/5", "--noise=-29/10"]]
+)
+
+
+class TestStatsRoutes:
+    """A certified request is counted from the census, a truncated one folds
+    the symbols of a build; both say the same, byte for byte."""
+
+    @pytest.mark.parametrize("point", STATS_POINTS, ids=" ".join)
+    def test_json_and_txt(self, capsys, point):
+        for fmt in ("json", "txt"):
+            argv = ["stats", *point, "--format", fmt]
+            counted = run(capsys, argv)
+            assert counted[0] == 0
+            assert run(capsys, argv + ["--iter", "64"]) == counted
+
+    @pytest.mark.parametrize("point", STATS_POINTS, ids=" ".join)
+    def test_directory(self, capsys, tmp_path, point):
+        outputs = []
+        for name, extra in (("census", []), ("symbols", ["--iter", "64"])):
+            out_dir = tmp_path / name
+            result = run(capsys, ["stats", *point, "--out", str(out_dir), *extra])
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            assert len(files) == 6
+            outputs.append((result, files))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0][0] == 0
+
+    @pytest.mark.parametrize("extra", [[], ["--iter", "64"]])
+    def test_same_refusal(self, capsys, extra):
+        code, out, err = run(capsys, ["stats", "--N", "2", "--d", "2", "--rho", "2/3", *extra])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: parameters N=2, d=2, rho=2/3, alpha0=-4/3 - kappa "
+            "satisfy no subcriticality condition\n"
+        )
 
 
 class TestScan:
@@ -643,6 +705,7 @@ class TestFileErrors:
 
         monkeypatch.setattr(fractree.cli, "build", no_build)
         monkeypatch.setattr(fractree.cli, "census", no_build)
+        monkeypatch.setattr(fractree.cli, "marked_census", no_build)
         (tmp_path / "plain").write_text("")
         (tmp_path / "somedir").mkdir()
         before = sorted(tmp_path.rglob("*"))

@@ -21,7 +21,9 @@ import pytest
 
 from conftest import SWEEP_22, SWEEP_33
 import fractree.stats
-from fractree.builder import BuildConfig, ModelSpace, build, c_F, h_F, negative_sector
+import fractree.symbols
+from fractree.builder import BuildConfig, ModelSpace, build, c_F, h0_F, h_F, negative_sector
+from fractree.census import census, marked_census
 from fractree.cli import main
 from fractree.counting import LAMBDA2, hF_bounds, p_of_q
 from fractree.params import Homogeneity, Parameters, completeness_threshold, rho_c
@@ -31,6 +33,7 @@ from fractree.stats import (
     HeightDiameter,
     SizeDistribution,
     StatReport,
+    census_report,
     degree_distribution,
     graph_measures,
     height_diameter,
@@ -393,6 +396,62 @@ class TestSinglePass:
         monkeypatch.setattr(fractree.stats, "tree_records", refuse)
         monkeypatch.setattr(fractree.stats, "TreeRecord", refuse)
         assert stat_report(ms) == want
+
+
+class TestCensusReport:
+    """The report counted from the marked census against the fold over the
+    symbols of a certified build, field by field."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [Parameters.white_noise(*point) for point in GRID]
+        + [
+            Parameters.white_noise(2, 2, F(37, 50)),
+            Parameters.white_noise(2, 2, F(73, 100)),
+            Parameters.white_noise(3, 3, F(8, 5)),
+            Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)),
+            Parameters(N=3, d=3, rho=F(7, 4), alpha0=Homogeneity(F(-5, 2), -1)),
+            _custom_noise_space().params,
+        ],
+        ids=lambda p: f"{p.N}-{p.d}-{p.rho}-{p.alpha0}",
+    )
+    def test_equals_symbol_fold(self, spaces, params):
+        ms = build(params, BuildConfig(maxh=completeness_threshold(params), iter=64))
+        assert ms.complete
+        got, want = census_report(params), stat_report(ms)
+        for field in dataclasses.fields(StatReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        counts = marked_census(params)[0]
+        assert counts == census(params)
+        assert (counts.c_F, counts.h_F, counts.h0_F) == (
+            c_F(ms), h_F(ms), h0_F(ms)
+        )
+
+    def test_builds_no_symbol(self, monkeypatch):
+        ms = _custom_noise_space()
+        want = stat_report(ms)
+
+        def refuse(*args):
+            raise AssertionError("the census report built a symbol")
+
+        monkeypatch.setattr(fractree.symbols, "_make_node", refuse)
+        assert census_report(ms.params) == want
+
+    def test_marks_are_sums_over_the_elements(self, spaces):
+        """Each (p, q, s, height, diameter) entry totals the fold of its elements."""
+        ms = spaces(2, 2, F(4, 5))
+        L, _, R = ms.params.units
+        N, memo = ms.params.N, {}
+        want: dict = {}
+        for sym, _ in negative_sector(ms):
+            _, s1, s2, height, peri, diameter, bare, decorated = fractree.stats._fold(
+                sym, 0, N, memo
+            )
+            s = sym.kvec[0] * R + sum(sym.kvec[1:]) * L if sym.kvec else 0
+            key = (sym.p, sym.q, s, height, diameter)
+            marks = (1, s1, s2, peri, *bare, *decorated)
+            want[key] = tuple(map(sum, zip(want.get(key, (0,) * len(marks)), marks)))
+        assert dict(marked_census(ms.params)[1]) == want
 
 
 def _bfs_walk(sym, N):
