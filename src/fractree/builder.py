@@ -36,10 +36,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .params import (
     ExplosionError,
@@ -537,58 +536,8 @@ _json_str = json.encoder.encode_basestring_ascii
 
 def json_text(doc: dict) -> str:
     """JSON text as every output file holds it: two-space indent, sorted
-    keys, a final newline.
-
-    The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
-    written directly: with an indent the standard library runs its slower
-    pure-Python encoder, never the C one.  Keys must be strings: any other
-    key raises TypeError.
-    """
-    parts: list[str] = []
-    _write_json(doc, "\n", parts.append)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _write_json(value, nl: str, out: Callable[[str], object]) -> None:
-    """Pass the JSON text of ``value`` to ``out`` piece by piece; its inner
-    lines start with ``nl`` and two more spaces.  Small pieces joined once
-    keep the peak memory of ``json.dumps``."""
-    if isinstance(value, str):
-        out(_json_str(value))
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            out("NaN")
-        elif value in (math.inf, -math.inf):
-            out("Infinity" if value > 0 else "-Infinity")
-        else:
-            out(float.__repr__(value))
-    elif isinstance(value, dict):
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out(sep + _json_str(key) + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(nl + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(nl + "]" if value else "[]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # A separator, then one symbol record of json_text(to_json_dict(ms)) with
@@ -612,17 +561,15 @@ _RECORD = (
 def space_json_text(ms: ModelSpace) -> str:
     """``json_text(to_json_dict(ms))``, written straight from the sorted space.
 
-    The header goes through :func:`_write_json`, and each symbol record is
-    one formatting of a constant template: one piece per record, all
-    joined once.
+    The header is :func:`json_text` of the other fields, and each symbol
+    record is one formatting of a constant template: one piece per record,
+    all joined once.
     """
     d = ms.params.d
     generations = ms.generations
-    parts: list[str] = []
-    _write_json(_header_dict(ms), "\n", parts.append)
-    # the header's last piece is its closing "\n}"; "symbols" sorts after
-    # every header key
-    parts[-1] = ',\n  "symbols": '
+    # the header less its closing "\n}\n"; "symbols" sorts after every
+    # header key
+    parts = [json_text(_header_dict(ms))[:-3] + ',\n  "symbols": ']
     texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
     records = ms._sorted()[0]
     sep = "[\n    "

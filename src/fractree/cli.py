@@ -421,12 +421,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         missing = [c for c in ("rho", "h_F", "c_F", "certified") if c not in columns]
         if missing:
             raise ValueError(f"{args.scan_csv} is not a scan CSV: missing {', '.join(missing)}")
-        rows = list(reader)
-    points = [
-        (_rho_type(r["rho"]), int(r["h_F"]), int(r["c_F"]))
-        for r in rows
-        if (r["certified"] or "").lower() == "true"
-    ]
+        points = []
+        for r in reader:
+            if (r["certified"] or "").lower() != "true":
+                continue
+            for c in ("rho", "h_F", "c_F"):
+                if not (r[c] or "").strip():
+                    raise ValueError(
+                        f"{args.scan_csv}, line {reader.line_num}: certified row has no {c}"
+                    )
+            points.append((_rho_type(r["rho"]), int(r["h_F"]), int(r["c_F"])))
     try:
         fit = scaling_fit(points, args.N, args.d)
     except ValueError as exc:

@@ -10,18 +10,18 @@ fits of the divergence laws near the subcriticality boundary.
 Every tree measure is built up from marks of subtrees (vertex count, sums of
 subtree sizes and of their squares, height and the vertices at that depth,
 diameter, degree vectors); an element combines the marks below its root,
-betweenness through the Wiener index.  The marks sum into a few integers
-keyed by what each measure divides by, and every report field is a closed
-form of those sums (:func:`_report`).  The sums come from
-one of two places:
+betweenness through the Wiener index.  The elements' marks, summed per
+(p, q, s, height, diameter), form one marks table, and every report field is
+a closed form of it (:func:`_report`).  The table comes from one of two
+places:
 
 * :func:`stat_report` folds the elements of a built model space.  Symbols
   are interned, so the elements share their subtrees I(tau), and each
   distinct subtree gets its marks once per report.  A truncated build is
   reported this way.
-* :func:`census_report` reads them from ``census.marked_census``, which
+* :func:`census_report` takes it from ``census.marked_census``, which
   counts the certified sector class by class with the marks summed, so no
-  symbol is built.  On a certified build the two reports are equal.
+  symbol is built.  On a certified build the two tables are equal.
 
 Counts and histogram masses are exact (integers and fractions); only the
 PageRank mean (the float of an exact fraction), the gap-scaled moments and
@@ -39,7 +39,7 @@ from operator import add
 from typing import IO, Iterable, Optional
 
 from .builder import ModelSpace, negative_sector
-from .census import marked_census
+from .census import _plus, marked_census
 from .counting import LAMBDA2, beta_N, hF_bounds
 from .params import Homogeneity, Parameters, RationalLike, _frac, _fstr, rho_c, scaled_degree
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
@@ -167,12 +167,22 @@ def _fold(node: Symbol, up: int, N: int, memo: dict) -> tuple:
     return s, s1 + s, s2 + s * s, top, peri, diam, bare, decorated
 
 
-def _element(sym: Symbol, N: int, memo: dict) -> tuple[int, int, tuple, tuple, int, int]:
-    """The tree fields of a TreeRecord, from the marks of ``sym``'s subtrees.
+def _marks(sym: Symbol, N: int, memo: dict) -> tuple:
+    """The :func:`_fold` of the root ``sym``; a vertex of degree above N + 1
+    raises the ValueError that names the first one, breadth first.
 
     ``memo`` maps each subtree below an INT edge to its marks; pass one dict
     to several calls with the same ``N`` to fold each subtree they share
     once.  A call that raises leaves only finished marks in it.
+    """
+    try:
+        return _fold(sym, 0, N, memo)
+    except _Overflow:
+        raise _overflow(sym, N) from None
+
+
+def _element(sym: Symbol, N: int, memo: dict) -> tuple[int, int, tuple, tuple, int, int]:
+    """The tree fields of a TreeRecord, from the :func:`_marks` of ``sym``.
 
     A pair of vertices at distance k passes through k - 1 others, so the
     betweenness total is the Wiener index (the sum of all pair distances)
@@ -180,10 +190,7 @@ def _element(sym: Symbol, N: int, memo: dict) -> tuple[int, int, tuple, tuple, i
     vertices to n - size_v, so the Wiener index is the sum over v other than
     the root of size_v (n - size_v), which is n S1 - S2.
     """
-    try:
-        n, s1, s2, top, peri, diam, bare, decorated = _fold(sym, 0, N, memo)
-    except _Overflow:
-        raise _overflow(sym, N) from None
+    n, s1, s2, top, peri, diam, bare, decorated = _marks(sym, N, memo)
     pairs = n * s1 - s2 - n * (n - 1) // 2
     return top, diam, tuple(bare), tuple(decorated), pairs, peri
 
@@ -434,54 +441,51 @@ class StatReport:
 def stat_report(ms: ModelSpace) -> StatReport:
     """Every statistic of the negative sector, in one pass over its elements.
 
-    The elements' measures, folded from the marks of their subtrees with one
-    memo for the whole report, sum into the integers of which
-    :func:`_report` makes every field.  Density and PageRank follow
-    from the size law.
+    Each element's marks, folded from those of its subtrees with one memo
+    for the whole report, add to the entry of its (p, q, s, height,
+    diameter) in a table of the form ``census.marked_census`` returns, of
+    which :func:`_report` makes every field.
     """
     N = ms.params.N
-    sizes: Counter[int] = Counter()
-    homs: Counter[tuple[int, int]] = Counter()
-    bare: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
-    decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
-    between: Counter[int] = Counter()
-    h1 = h2 = d1 = d2 = periphery = 0
+    L, _, R = ms.params.units
+    table: dict[tuple, list[int]] = {}
     memo: dict = {}
-    types: Counter[tuple] = Counter()  # counted by type, so each type is looked up once
     for sym, _ in negative_sector(ms):
-        height, diameter, bdeg, ddeg, pairs, peri = _element(sym, N, memo)
-        n = sym.q + 1
-        sizes[sym.q] += 1
-        types[sym.p, sym.q, sym.kvec] += 1
-        bare[n] = list(map(add, bare[n], bdeg))
-        decorated[n + sym.p] = list(map(add, decorated[n + sym.p], ddeg))
-        between[n] += pairs
-        h1 += height
-        h2 += height * height
-        d1 += diameter
-        d2 += diameter * diameter
-        periphery += peri
-    for t, c in types.items():
-        homs[ms.params.type_entry(*t)[0]] += c
-    sums = (sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery)
-    return _report(ms.params, sums, ms.complete)
+        _, s1, s2, height, peri, diameter, bare, decorated = _marks(sym, N, memo)
+        k = sym.kvec
+        s = k[0] * R + sum(k[1:]) * L if k else 0
+        _plus(table, (sym.p, sym.q, s, height, diameter), [1, s1, s2, peri, *bare, *decorated])
+    return _report(ms.params, table.items(), ms.complete)
 
 
 def census_report(params: Parameters, marks: Optional[tuple] = None) -> StatReport:
     """The :func:`stat_report` of the certified build at ``params``, from
     the marked census alone: no symbol is built.
 
-    Each (p, q, s, height, diameter) entry of ``marks`` (by default those
-    of ``marked_census(params)``) adds its count, marks and moments to the
-    sums, and a tree with n vertices adds n S1 - S2 - n(n - 1)/2 to the
-    betweenness, as in :func:`_element`.  Raises SubcriticalityError, as
-    :func:`builder.build` does, for parameters without a finite negative
-    sector.
+    ``marks`` defaults to those of ``marked_census(params)``.  Raises
+    SubcriticalityError, as :func:`builder.build` does, for parameters
+    without a finite negative sector.
     """
     if marks is None:
         marks = marked_census(params)[1]
+    return _report(params, marks, True)
+
+
+def _report(params: Parameters, marks: Iterable[tuple], certified: bool) -> StatReport:
+    """Every report field, in closed form from the marks table.
+
+    ``marks`` holds ((p, q, s, height, diameter), entry) pairs, s in the
+    units of ``Parameters.units``, each entry the sums over the elements of
+    that key of (count, S1, S2, periphery, bare degrees 0..N+1, decorated
+    degrees 0..N+1), as ``census.marked_census`` returns them.  They sum
+    into counts per q and per homogeneity u / L + b kappa, keyed by its
+    integers (u, b); bare degree vectors and betweenness per vertex count
+    n = q + 1, where a tree adds n S1 - S2 - n(n - 1)/2 as in
+    :func:`_element`; decorated degree vectors per p + q + 1; and totals of
+    height, height squared, diameter, diameter squared and periphery.
+    """
     N, b0 = params.N, params.alpha0.b
-    _, A, R = params.units
+    L, A, R = params.units
     B, E = 4, 4 + N + 2  # where the bare and decorated vectors start
     sizes: Counter[int] = Counter()
     homs: Counter[tuple[int, int]] = Counter()
@@ -502,23 +506,6 @@ def census_report(params: Parameters, marks: Optional[tuple] = None) -> StatRepo
         d1 += c * diameter
         d2 += c * diameter * diameter
         periphery += peri
-    sums = (sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery)
-    return _report(params, sums, True)
-
-
-def _report(params: Parameters, sums: tuple, certified: bool) -> StatReport:
-    """Every report field, in closed form from the integer sums.
-
-    ``sums`` is (sizes, homs, bare, decorated, between, h1, h2, d1, d2,
-    periphery): ``sizes[q]`` and ``homs[(u, b)]`` count elements, a
-    homogeneity u / L + b kappa keyed by its integers (see
-    ``Parameters.units``); ``bare`` and ``between`` sum the bare degree
-    vectors and the betweenness per vertex count n = q + 1, ``decorated``
-    the decorated degree vectors per p + q + 1; the rest are plain totals
-    of height, height squared, diameter, diameter squared and periphery.
-    """
-    N = params.N
-    sizes, homs, bare, decorated, between, h1, h2, d1, d2, periphery = sums
     total = sum(sizes.values())
     if not total:
         raise ValueError("negative sector is empty; nothing to aggregate")
@@ -526,7 +513,6 @@ def _report(params: Parameters, sums: tuple, certified: bool) -> StatReport:
     q_star, gap = params.q_star, float(params.rho_gap)
     counts = tuple(sorted(sizes.items()))
     mean = Fraction(sum(q * c for q, c in counts), total) / q_star
-    L = params.units[0]
     pairs = sorted(homs.items())  # (u, b) orders as u / L + b kappa does
     values: Counter[int] = Counter()
     for (u, _b), c in pairs:

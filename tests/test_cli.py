@@ -622,8 +622,9 @@ class TestJsonText:
         }
         assert json_text(doc) == _stdlib_text(doc)
         assert json_text({}) == "{}\n"
-        with pytest.raises(TypeError):
-            json_text({1: "int keys are not written"})
+        assert json_text({1: "x"}) == _stdlib_text({1: "x"})
+        with pytest.raises(TypeError):  # sort_keys cannot order an int key among str keys
+            json_text({1: "x", "a": 2})
         with pytest.raises(TypeError):
             json_text({"set": {1}})
 
@@ -651,6 +652,20 @@ class TestFileErrors:
         code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
         assert (code, out) == (2, "")
         assert "at least 4 distinct grid points" in err
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("certified,h_F,c_F,rho\ntrue,6,8\n", "rho"),  # the short row lacks rho
+            ("rho,h_F,c_F,certified\n1/1,,8,true\n", "h_F"),
+        ],
+    )
+    def test_fit_certified_row_lacking_a_field(self, capsys, tmp_path, text, field):
+        path = tmp_path / "scan.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}, line 2: certified row has no {field}\n"
 
     def test_fit_csv_with_zero_denominator(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"

@@ -17,8 +17,10 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 # Builds (2,2,3/4) as `fractree build` does, saves and reloads it, and
-# prints the SHA-256 of the reloaded space's JSON text twice: as the generic
-# writer gives it and as the stored-space writer does.
+# prints the SHA-256 of the reloaded space's JSON text twice: as json_text,
+# the standard library's indented dump, gives it for the whole document and
+# as the stored-space writer does, from that dump of the header and one
+# template per record.
 _ROUND_TRIP = """
 import hashlib, json
 from fractions import Fraction
@@ -104,6 +106,45 @@ def test_clean_shutdown_with_live_symbols(tmp_path, python):
 @pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
 def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Each name the module imports and never references, as "line name".
+
+    A reference is a name in an expression or a string constant equal to it,
+    as in ``__all__``; an import whose lines carry ``# noqa: F401`` is kept
+    on purpose.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        unused += [f"{node.lineno} {name}" for name in names if name not in used]
+    return unused
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
 
 
 def _pyenv_pythons():

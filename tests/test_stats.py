@@ -46,7 +46,7 @@ from fractree.stats import (
     write_histogram_csv,
 )
 from fractree.symbols import INT, bare_tree, iter_vertices, one, parse_symbol
-from fractree.trees import count_regular
+from fractree.trees import ExplosionError, count_regular
 
 from test_acceptance import GRID
 
@@ -367,6 +367,14 @@ def _custom_noise_space():
     return build(params, BuildConfig(maxh=completeness_threshold(params)))
 
 
+def _aborted_space():
+    """The partial space of (2, 2, 3/4) at cap 500: 321 elements, not certified."""
+    params = Parameters.white_noise(2, 2, F(3, 4))
+    with pytest.raises(ExplosionError) as exc:
+        build(params, BuildConfig(maxh=completeness_threshold(params), cap=500))
+    return exc.value.partial
+
+
 class TestSinglePass:
     """The one-pass report against a fold over per-tree records per aggregator."""
 
@@ -377,11 +385,16 @@ class TestSinglePass:
             "custom noise",
             (3, 3, F(17, 10)),
             (2, 2, F(4, 5), F(1, 2), 3),  # truncated: maxh 1/2, three rounds
+            "aborted",
         ],
         ids=str,
     )
     def test_equals_reference_folds(self, spaces, point):
-        ms = _custom_noise_space() if point == "custom noise" else spaces(*point)
+        if point == "aborted":
+            ms = _aborted_space()
+            assert len(negative_sector(ms)) == 321 and not ms.complete
+        else:
+            ms = _custom_noise_space() if point == "custom noise" else spaces(*point)
         got, want = stat_report(ms), _reference_report(ms)
         for field in dataclasses.fields(StatReport):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
