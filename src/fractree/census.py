@@ -9,11 +9,12 @@ the multiset construction (Otter, "The number of trees", Ann. Math. 49,
 1948; Flajolet and Sedgewick, *Analytic Combinatorics*, sec. I.2) over
 exactly the family the builder stores at the completeness threshold T:
 
-* W is the noise, class (1, 0, 0), the nonzero monomials, classes (0, 0, s)
-  counted by D(s), and every root over 1..N children I(sigma) with at most
-  one monomial taking a slot, kept while u <= max(T - R, 0);
+* W is the noise, class (1, 0, 0), and every root over 1..N children
+  I(sigma) with at most one monomial taking a slot, kept while u <= 0 (the
+  builder's bound max(T - R, 0) is 0: T - R is minus the positive slack);
 * a child I(sigma) of class (p, q + 1, s) exists when u(sigma) + R <= T,
-  and a decorating monomial is a pool member, 0 < s <= T.
+  and a decorating monomial is a pool member, 0 < s <= T < R, so one in
+  the space variables alone (a time exponent weighs R).
 
 Children are added to the multiset tables in order of q, since a class at
 level q only feeds parents above it; m copies of a class of t symbols give
@@ -24,18 +25,23 @@ symbol is built, so the census reaches gaps the enumeration cannot.
 :func:`marked_census` splits each class further by the bare tree's height
 and diameter and carries, next to each count, the integer marks that
 ``stats.stat_report`` sums over the elements: S1 and S2 (the sums of the
-subtree sizes and of their squares), the periphery and the bare and
-decorated degree vectors.  A mark is additive over a multiset, and m
-copies drawn from a class of t symbols whose marks total X add
-comb(t + m - 1, m - 1) * X to each multiset counted before.  ``stats``
-answers every certified request from it, so it builds no symbol either.
+subtree sizes and of their squares), the periphery and the bare degree
+vector.  A mark is additive over a multiset, and m copies drawn from a
+class of t symbols whose marks total X add comb(t + m - 1, m - 1) * X to
+each multiset counted before.  The decorated degrees are filled in as an
+entry enters the sector: Xi is never a factor (the pool holds monomials
+and integrals) and no I(X^k) is a child, so above level 0 the p bare
+leaves are the noise's vertices, each raised to degree 2 by its noise
+edge, which ends at a new leaf.  So they are the bare degrees plus p at
+degree 2, and (0, 2, 0, ...) for the noise itself.  ``stats`` answers
+every certified request from it, so it builds no symbol either.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb
+from math import comb, floor
 from operator import add
 
 from .params import Parameters, completeness_threshold, require_subcritical
@@ -59,25 +65,17 @@ class Census:
     classes: tuple[tuple[tuple[int, int, int], int], ...]
 
 
-def _frame(params: Parameters) -> tuple[int, int, int, int, Counter]:
-    """(T, cut, top, step, D) for a subcritical point: the threshold T and
-    the W cut max(T - R, 0) in units, the largest level q a kept W symbol
-    can have, the least weight a child slot can add, and D(s), the number
-    of monomials of s units for 0 < s <= T."""
+def _frame(params: Parameters) -> tuple[int, int, int, Counter]:
+    """(T, top, step, D) at a subcritical point: the threshold T in units,
+    the largest level q of a kept W symbol, the least weight a child slot
+    adds, and D(s), the number of monomials of s units, 0 < s <= T."""
     d = params.d
     L, A, R = params.units
     T = int(completeness_threshold(params) * L)
-    cut = max(T - R, 0)
-    slope = int(params.slack * L)
-    # A W symbol at level q weighs at least A + q*slope/N units, so none
-    # above `top` is kept; a child weighs at least A + R.
-    top = params.N * (cut - A) // slope
-    mono: Counter = Counter()
-    for k0 in range(T // R + 1):
-        for t in range((T - k0 * R) // L + 1):
-            if k0 or t:
-                mono[k0 * R + t * L] += comb(t + d - 1, d - 1)
-    return T, cut, top, min(A + R, 0), mono
+    # No negative symbol has more than q* edges; a child weighs at least A + R.
+    # T < R, so no monomial has a time exponent; one of space degree t weighs t*L.
+    mono = Counter({t * L: comb(t + d - 1, d - 1) for t in range(1, T // L + 1)})
+    return T, floor(params.q_star), min(A + R, 0), mono
 
 
 def _counts(params: Parameters, sector: dict[tuple[int, int, int], int]) -> Census:
@@ -106,24 +104,24 @@ def census(params: Parameters) -> Census:
     require_subcritical(params)
     N, b0 = params.N, params.alpha0.b
     _, A, R = params.units
-    T, cut, top, step, mono = _frame(params)
+    T, top, step, mono = _frame(params)
 
     # G[j][Q][(P, S)]: multisets of j children with Q edges, P noises, S units
     G = [defaultdict(Counter) for _ in range(N + 1)]
     G[0][0][(0, 0)] = 1
     sector: dict[tuple[int, int, int], int] = {}
-    level: Counter = Counter({(1, 0): 1, **{(0, s): c for s, c in mono.items() if s <= cut}})
+    level: Counter = Counter({(1, 0): 1})
     for q in range(top + 1):
         if q:
             level = Counter()
             for j in range(1, N + 1):
                 for (P, S), c in G[j].get(q, {}).items():
                     u = P * A + q * R + S
-                    if u <= cut:
+                    if u <= 0:
                         level[(P, S)] += c
                     if j < N:
                         for s, m in mono.items():
-                            if u + s <= cut:
+                            if u + s <= 0:
                                 level[(P, S + s)] += c * m
         for (p, s), t in level.items():
             u = p * A + q * R + s
@@ -132,7 +130,7 @@ def census(params: Parameters) -> Census:
             if u + R > T:
                 continue
             for j in range(N, 0, -1):
-                room = cut - (N - j) * step  # what j children may weigh
+                room = -(N - j) * step  # what j children may weigh
                 into = G[j]
                 for m in range(1, j + 1):
                     w, qm, um = comb(t + m - 1, m), m * (q + 1), m * (u + R)
@@ -167,41 +165,31 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
     child height + 1, the depth of the deepest vertex below the root, and D
     the diameter of the root over those children.  Its marks total the
     children's: the count, S1, S2, the periphery (vertices at depth top)
-    and the degree vectors, each child's read with the edge above its root.
-    Adding m copies of children of height h and diameter D' makes the
-    diameter max(D, D', h + 1 + top), and 2(h + 1) when m >= 2; the
+    and the bare degree vector, each child's read with the edge above its
+    root.  Adding m copies of children of height h and diameter D' makes
+    the diameter max(D, D', h + 1 + top), and 2(h + 1) when m >= 2; the
     periphery is replaced, added to or kept as h + 1 is above, at or below
     top.  A level entry, keyed (p, s, height, diameter), holds the marks of
-    its W symbols as elements (degree vectors without an up edge), then the
-    degree vectors they have as children, where the root gains the up
-    edge: each root's degree shifts by one.  A root's decorated degree
-    counts its noise edges too, which only the noise itself has at its root.
+    its W symbols as elements (bare degrees without an up edge), then the
+    bare degrees they have as children, where the root gains the up edge.
+    Decorated degrees are filled in at sector entry, as the module derives.
     """
     require_subcritical(params)
     N, b0 = params.N, params.alpha0.b
     _, A, R = params.units
-    T, cut, top, step, mono = _frame(params)
+    T, top, step, mono = _frame(params)
     w = N + 2  # degrees 0..N+1
-    B, E = 4, 4 + w  # where the bare and decorated vectors start
-    K = 4 + 2 * w  # the element marks; a level entry adds two child vectors
+    B, K = 4, 4 + w  # the bare vector starts at B; K element marks, then the child vector
 
     # G[j][Q][(P, S, top, D)]: marks of the multisets of j children with Q
     # edges, P noises and S units; level[(p, s, height, diameter)]: element
-    # marks of the W symbols at level q, then their degree vectors as children
+    # marks of the W symbols at level q, then their bare degrees as children
     G = [defaultdict(dict) for _ in range(N + 1)]
     G[0][0][(0, 0, 0, 0)] = [1] + [0] * (K - 1)
     sector: dict[tuple[int, int, int, int, int], list[int]] = {}
-    xi = [1, 1, 1, 1] + [0] * (4 * w)
+    xi = [1, 1, 1, 1] + [0] * (2 * w)
     xi[B] = xi[K + 1] = 1  # one bare vertex, degree 0 as an element, 1 as a child
-    xi[E + 1] = 2  # the root's noise edge and the leaf it ends at
-    xi[K + w + 1] = xi[K + w + 2] = 1  # as a child: leaf 1, root 2
     level: dict[tuple, list[int]] = {(1, 0, 0, 0): xi}
-    for s, c in mono.items():
-        if s <= cut:
-            marks = [c, c, c, c] + [0] * (4 * w)  # a single vertex each
-            marks[B] = marks[E] = c
-            marks[K + 1] = marks[K + w + 1] = c
-            level[(0, s, 0, 0)] = marks
     for q in range(top + 1):
         if q:
             n = q + 1
@@ -215,20 +203,23 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                     marks[1] += c * n
                     marks[2] += c * n * n
                     marks[B + j] += c
-                    marks[E + j] += c
                     marks[K + j + 1] += c
-                    marks[K + w + j + 1] += c
                     u = P * A + q * R + S
-                    if u <= cut:
+                    if u <= 0:
                         _plus(level, (P, S, h, D), marks)
                     if j < N:
                         for s, m in mono.items():
-                            if u + s <= cut:
+                            if u + s <= 0:
                                 _plus(level, (P, S + s, h, D), [x * m for x in marks])
         for (p, s, h, D), marks in level.items():
             u = p * A + q * R + s
             if u < 0 or (u == 0 and p * b0 < 0):
-                sector[(p, q, s, h, D)] = marks[:K]
+                if q:  # p noise edges, each at a bare leaf, which goes to degree 2
+                    decorated = marks[B:K]
+                    decorated[2] += marks[0] * p
+                else:  # the noise: its root and the leaf its edge ends at
+                    decorated = [0, 2] + [0] * N
+                sector[(p, q, s, h, D)] = marks[:K] + decorated
             if u + R > T:
                 continue
             t = marks[0]
@@ -246,7 +237,7 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                 Dm = max(D, 2 * h1) if m >= 2 else D
                 copies.append((m, comb(t + m - 1, m), more, kept, Dm))
             for j in range(N, 0, -1):
-                room = cut - (N - j) * step  # what j children may weigh
+                room = -(N - j) * step  # what j children may weigh
                 into = G[j]
                 for m, wm, more, kept, Dm in copies[:j]:
                     qm, um, pm, sm = m * (q + 1), m * (u + R), m * p, m * s

@@ -98,6 +98,14 @@ def _rational(name: str, text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"{name} {text!r} has too many digits")
 
 
+def _integer(name: str, text: str) -> int:
+    """``text`` as an int, or ValueError naming ``name`` and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
+
+
 def _rho_type(text: str) -> Fraction:
     return _rational("rho", text)
 
@@ -425,12 +433,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         for r in reader:
             if (r["certified"] or "").lower() != "true":
                 continue
+            where = f"{args.scan_csv}, line {reader.line_num}"
             for c in ("rho", "h_F", "c_F"):
                 if not (r[c] or "").strip():
-                    raise ValueError(
-                        f"{args.scan_csv}, line {reader.line_num}: certified row has no {c}"
-                    )
-            points.append((_rho_type(r["rho"]), int(r["h_F"]), int(r["c_F"])))
+                    raise ValueError(f"{where}: certified row has no {c}")
+            counts = [_integer(f"{where}: {c}", r[c]) for c in ("h_F", "c_F")]
+            points.append((_rho_type(r["rho"]), *counts))
     try:
         fit = scaling_fit(points, args.N, args.d)
     except ValueError as exc:
@@ -612,8 +620,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if len(args.pos) != 3:
                 print("error: positional form is: check N d rho", file=sys.stderr)
                 return 2
-            args.N = args.N if args.N is not None else int(args.pos[0])
-            args.d = args.d if args.d is not None else int(args.pos[1])
+            args.N = args.N if args.N is not None else _integer("N", args.pos[0])
+            args.d = args.d if args.d is not None else _integer("d", args.pos[1])
             args.rho = args.rho if args.rho is not None else _rho_type(args.pos[2])
         return args.func(args)
     except SubcriticalityError as exc:

@@ -77,6 +77,17 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: malformed rho 'bogus'")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "x", "2", "0.9"], "N 'x' is not an integer"),
+            (["check", "2", "2.5", "0.9"], "d '2.5' is not an integer"),
+        ],
+    )
+    def test_positional_count_not_an_integer(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_wrong_positional_arity(self, capsys):
         code, _, err = run(capsys, ["check", "2", "2"])
         assert code == 2 and "positional form" in err
@@ -666,6 +677,21 @@ class TestFileErrors:
         code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
         assert (code, out) == (2, "")
         assert err == f"error: {path}, line 2: certified row has no {field}\n"
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("1,six,8,true", "h_F 'six' is not an integer"),
+            ("1,6.0,8,true", "h_F '6.0' is not an integer"),
+            ("1,6,8.5,true", "c_F '8.5' is not an integer"),
+        ],
+    )
+    def test_fit_certified_count_not_an_integer(self, capsys, tmp_path, row, message):
+        path = tmp_path / "scan.csv"
+        path.write_text(f"rho,h_F,c_F,certified\n{row}\n")
+        code, out, err = run(capsys, ["fit", str(path), "--N", "2", "--d", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}, line 2: {message}\n"
 
     def test_fit_csv_with_zero_denominator(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"

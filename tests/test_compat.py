@@ -147,6 +147,56 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of ``func``'s body outside any function or class it defines."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(path: pathlib.Path) -> list[str]:
+    """Each local a function assigns and never reads, as "line function name".
+
+    A read anywhere inside the function counts, in a nested function too;
+    names that start with ``_`` and names declared global or nonlocal are
+    exempt.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        outer = set()
+        stored = {}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        unread += [
+            f"{line} {func.name} {name}"
+            for name, line in stored.items()
+            if name not in read and name not in outer and not name.startswith("_")
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert _unread_locals(path) == []
+
+
 def _pyenv_pythons():
     """Each ~/.pyenv/versions/3.X.Y/bin/python3 with X >= 10, by version."""
     found = []

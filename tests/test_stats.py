@@ -129,11 +129,19 @@ class TestSmallCaseExact:
 
 
 class TestRecordInvariants:
-    @pytest.mark.parametrize("point", [(2, 2, F(4, 5)), (3, 3, F(17, 10))])
+    @pytest.mark.parametrize("point", [(2, 2, F(4, 5)), (3, 3, F(17, 10)), "custom noise"])
     def test_structural_identities(self, spaces, point):
-        ms = spaces(*point)
+        ms = _custom_noise_space() if point == "custom noise" else spaces(*point)
         params = ms.params
         for r in tree_records(ms):
+            # the rule the marked census fills decorated degrees in by: each
+            # noise edge sits at a bare leaf, I(Xi), and raises it to degree 2
+            if r.q:
+                want = list(r.degrees)
+                want[2] += r.p
+            else:
+                want = [0, 2] + [0] * params.N
+            assert list(r.decorated_degrees) == want
             assert sum(r.degrees) == r.q + 1
             assert sum(j * c for j, c in enumerate(r.degrees)) == 2 * r.q
             assert r.height <= r.q
@@ -425,6 +433,9 @@ class TestCensusReport:
             Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)),
             Parameters(N=3, d=3, rho=F(7, 4), alpha0=Homogeneity(F(-5, 2), -1)),
             _custom_noise_space().params,
+            # no kappa: a kept W class of u = 0 is not negative
+            Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(-3, 2), 0)),
+            Parameters(N=3, d=3, rho=F(7, 4), alpha0=Homogeneity(F(-5, 2), 0)),
         ],
         ids=lambda p: f"{p.N}-{p.d}-{p.rho}-{p.alpha0}",
     )
