@@ -76,7 +76,7 @@ from .builder import (
     save_json,
     to_json_dict,
 )
-from .census import Census, census
+from .census import Census
 from .stats import (
     DegreeDistribution,
     GraphMeasures,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -162,12 +163,11 @@ class ModelSpace:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """``total`` as ``parts`` nonnegative ints, lexicographically, from the
+    nondecreasing partial sums (bars at ``sums[i] + i``): no recursion in d."""
+    for sums in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        edges = (0, *sums, total)
+        yield tuple(map(operator.sub, edges[1:], edges))
 
 
 def _monomials(params: Parameters, maxh_units: int) -> Iterator[tuple[Symbol, int]]:
@@ -449,7 +449,7 @@ def _field(doc: dict, key: str, kind: type, where: str = ""):
 def _rational(doc: dict, key: str, where: str = "") -> Fraction:
     text = _field(doc, key, str, where)
     try:
-        return Fraction(text)
+        return _frac(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"malformed model space: field {where + key!r} is not a rational: {text!r}"

@@ -46,6 +46,8 @@ from .params import (
     Homogeneity,
     Parameters,
     SubcriticalityError,
+    TooManyDigitsError,
+    _frac,
     _fstr,
     alpha0_white_noise,
     completeness_threshold,
@@ -72,30 +74,14 @@ def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
 
 
 def _rational(name: str, text: str) -> Fraction:
-    """``text`` as an exact rational, the value of ``--name``.
-
-    A malformed text, or a value with more digits than Python converts to a
-    string, raises ArgumentTypeError naming ``name`` and the text.  A decimal
-    exponent past 100,000 is refused before Fraction computes its power of
-    ten, which for 1e999999999 would take hours.
-    """
-    _, e, exponent = text.lower().partition("e")
+    """``text`` read by ``params._frac`` as the value of ``--name``; a malformed
+    or too long text raises ArgumentTypeError naming ``name`` and the text."""
     try:
-        huge = bool(e) and abs(int(exponent)) > 100_000
-    except ValueError:  # no integer exponent: Fraction says what is wrong
-        huge = False
-    if not huge:
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(f"malformed {name} {text!r}: {exc}") from None
-        try:
-            str(value)
-        except ValueError:  # past Python's limit on int-to-string digits
-            pass
-        else:
-            return value
-    raise argparse.ArgumentTypeError(f"{name} {text!r} has too many digits")
+        return _frac(text)
+    except TooManyDigitsError:
+        raise argparse.ArgumentTypeError(f"{name} {text!r} has too many digits") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed {name} {text!r}: {exc}") from None
 
 
 def _integer(name: str, text: str) -> int:

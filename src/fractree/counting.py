@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .params import RationalLike, SubcriticalityError, _frac, rho_c
+from .params import Parameters, RationalLike, _frac, require_subcritical, rho_c
 
 __all__ = [
     "ALPHA_N",
@@ -45,13 +45,9 @@ LAMBDA2 = 1.1300337
 
 
 def _gap(N: int, d: int, rho: RationalLike) -> Fraction:
-    r = _frac(rho)
-    gap = r - rho_c(N, d)
-    if gap <= 0:
-        raise SubcriticalityError(
-            f"rho = {r} is not above the critical value {rho_c(N, d)} for N={N}, d={d}"
-        )
-    return gap
+    """rho - rho_c, at a white-noise point ``params`` accepts as build does."""
+    require_subcritical(Parameters.white_noise(N, d, rho))
+    return _frac(rho) - rho_c(N, d)
 
 
 def d0_contains(p: int, q: int, N: int) -> bool:
@@ -200,8 +196,7 @@ def _dio_ranges(
     if boundary not in ("le", "lt"):
         raise ValueError("boundary must be 'le' or 'lt'")
     r = _frac(rho)
-    _gap(N, d, r)  # refuse at or below critical
-    q_top = math.floor(lattice_bounds(N, d, r).q_star)
+    q_top = math.floor(lattice_bounds(N, d, r).q_star)  # refuses as build does
     num, den = r.numerator, r.denominator
     scale = 2 * den
     w = N * (num - d * den)

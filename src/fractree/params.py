@@ -30,6 +30,7 @@ __all__ = [
     "Parameters",
     "SubcriticalityError",
     "ExplosionError",
+    "TooManyDigitsError",
     "rho_c",
     "alpha0_white_noise",
     "scaled_degree",
@@ -42,14 +43,34 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 
+class TooManyDigitsError(ValueError):
+    """Raised for a rational text whose value has too many digits to handle."""
+
+
 def _frac(x: RationalLike) -> Fraction:
-    """Coerce ints, strings like '3/2' or '0.9', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/2' or '0.9', and Fractions to Fraction.
+
+    The one reader of outside text: a value with more digits than Python
+    prints raises TooManyDigitsError, a decimal exponent past 100,000 before
+    Fraction computes its power of ten (hours for 1e999999999)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        _, e, exponent = x.lower().partition("e")
+        try:
+            huge = bool(e) and abs(int(exponent)) > 100_000
+        except ValueError:  # no integer exponent: Fraction says what is wrong
+            huge = False
+        if not huge:
+            value = Fraction(x)
+            try:
+                str(value)
+                return value
+            except ValueError:  # past Python's limit on int-to-string digits
+                pass
+        raise TooManyDigitsError(f"{x!r} has too many digits")
     if isinstance(x, float):
         raise TypeError(
             "refusing float %r: pass a Fraction or a string such as '9/10' "

@@ -302,6 +302,29 @@ class TestPrunedWalk:
         assert _sector_lines(above) == _sector_lines(at)
 
 
+def _compositions_reference(total, parts):
+    """The recursive enumeration the builder used to seed with: the order
+    reference for its partial-sum enumeration."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions_reference(total - first, parts - 1):
+            yield (first,) + rest
+
+
+class TestSeeding:
+    @pytest.mark.parametrize("parts", range(1, 6))
+    def test_compositions_in_reference_order(self, parts):
+        for total in range(9):
+            got = list(fractree.builder._compositions(total, parts))
+            assert got == list(_compositions_reference(total, parts))
+
+    def test_compositions_of_a_thousand_parts(self):
+        got = list(fractree.builder._compositions(1, 1000))
+        assert got == [(0,) * i + (1,) + (0,) * (999 - i) for i in range(999, -1, -1)]
+
+
 class TestExplosion:
     def test_cap_attaches_partial(self):
         params = Parameters.white_noise(2, 2, F(3, 4))
@@ -556,6 +579,10 @@ class TestMalformedJson:
             (("symbols", 1, "generation"), -7, "symbols[1].generation"),
             (("symbols", 0, "k"), [0.0, False, 0], "symbols[0].k"),
             (("symbols", 0, "k"), [0, 0, "0"], "symbols[0].k"),
+            # refused before Fraction computes a power of ten with 10^9 digits
+            (("parameters", "rho"), "1e-999999999", "parameters.rho"),
+            (("parameters", "alpha0", "a"), "1e-999999999", "parameters.alpha0.a"),
+            (("config", "maxh"), "1e-999999999", "config.maxh"),
         ],
     )
     def test_mistyped_field(self, spaces, path, value, name):
@@ -564,7 +591,7 @@ class TestMalformedJson:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        with pytest.raises(ValueError, match=re.escape(repr(name))):
+        with alarm(10), pytest.raises(ValueError, match=re.escape(repr(name))):
             from_json_dict(bad)
 
     def test_not_an_object(self):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fractree
 import fractree.symbols
 from fractree import (
     BuildConfig,
@@ -88,6 +89,18 @@ class TestAgainstBuild:
             assert _census_counts(params) == _counts(ms), params
             compared += 1
         assert compared >= 3
+
+    @pytest.mark.parametrize(
+        "params,counts",
+        [
+            (Parameters.white_noise(1, 1000, 1), (501, 501, 501)),
+            (Parameters(N=2, d=5000, rho=F(1), alpha0=Homogeneity(F(-1, 2), -1)), (1, 1, 1)),
+        ],
+        ids=["N1-d1000", "N2-d5000-noise"],
+    )
+    def test_high_dimension(self, params, counts):
+        """Seeding enumerates monomials without recursing once per coordinate."""
+        assert _census_counts(params) == _counts(_certified(params)) == counts
 
 
 class TestSizeLaw:
@@ -182,6 +195,16 @@ class TestMarkedCounts:
             assert sum(entry[0] for _, entry in marks) == want.c_F
             compared += 1
         assert compared >= 3
+
+
+class TestModule:
+    def test_both_spellings(self):
+        import fractree.census as module
+        from fractree.census import census as function
+
+        assert module.census is function is census
+        assert module.marked_census is marked_census
+        assert fractree.census is module and fractree.Census is module.Census
 
 
 class TestRefusal:

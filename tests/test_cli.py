@@ -1232,10 +1232,17 @@ class TestHugeRationals:
             (["build", "--N", "2", "--d", "2", "--rho", "3/4", "--maxh", "abc"],
              "fractree build: error: argument --maxh: malformed maxh 'abc': "
              "Invalid literal for Fraction: 'abc'"),
+            # an exponent that is no integer leaves the message to Fraction
+            (["build", "--N", "2", "--d", "2", "--rho", "3/4", "--maxh", "1e1.5"],
+             "fractree build: error: argument --maxh: malformed maxh '1e1.5': "
+             "Invalid literal for Fraction: '1e1.5'"),
             (["scan", "--N", "2", "--d", "2", "--rho", "1,1e-100000"],
              "fractree scan: error: argument --rho: rho '1e-100000' has too many digits"),
         ],
-        ids=["rho", "rho-exponent", "positional-rho", "noise", "maxh", "maxh-malformed", "scan"],
+        ids=[
+            "rho", "rho-exponent", "positional-rho", "noise", "maxh", "maxh-malformed",
+            "maxh-exponent-malformed", "scan",
+        ],
     )
     def test_flag(self, capsys, argv, message):
         usage = self.usage(argv[0]) if message.startswith("fractree") else ""

@@ -1,6 +1,7 @@
 """Lattice-side counting: cone membership, exit points, bounds, the linear system."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -61,6 +62,14 @@ class TestExitPoint:
                 lattice_bounds(2, 2, rho)
         with pytest.raises(SubcriticalityError):
             h0_bounds(3, 3, F(3, 2))
+
+    @pytest.mark.parametrize("rho", [3, F(5, 2)])
+    def test_refuses_rho_outside_the_range_params_accepts(self, rho):
+        """The counting routes accept the points build and census accept."""
+        with pytest.raises(ValueError, match=re.escape("rho must lie in (0, 2]")):
+            lattice_bounds(2, 2, rho)
+        with pytest.raises(ValueError, match=re.escape("rho must lie in (0, 2]")):
+            dio_count(2, 2, rho)
 
     def test_exit_scales_like_inverse_gap(self):
         q1 = lattice_bounds(2, 2, F(2, 3) + F(1, 10)).q_star

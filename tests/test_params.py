@@ -10,12 +10,15 @@ from hypothesis import given, strategies as st
 
 import fractree
 import fractree.trees
+from conftest import alarm
 from fractree.builder import BuildConfig, build
 from fractree.counting import lattice_bounds
 from fractree.params import (
     ExplosionError,
     Homogeneity,
     Parameters,
+    TooManyDigitsError,
+    _frac,
     alpha0_white_noise,
     completeness_threshold,
     is_locally_subcritical,
@@ -122,6 +125,20 @@ class TestParameters:
             Parameters.white_noise(2, 2, F(0))
         with pytest.raises(ValueError):
             Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(1), -1))
+
+    @pytest.mark.parametrize(
+        "call,args,error",
+        [
+            (_frac, (None,), TypeError),
+            (Homogeneity, (F(1), 0.5), TypeError),
+            (rho_c, (0, 2), ValueError),
+            (Parameters, (2, 2, F(1), F(-2)), TypeError),
+        ],
+        ids=["frac-none", "kappa-float", "rho_c-N0", "alpha0-not-homogeneity"],
+    )
+    def test_refusals(self, call, args, error):
+        with pytest.raises(error):
+            call(*args)
 
     def test_homogeneity_of_type(self):
         p = Parameters.white_noise(2, 2, F(3, 2))
@@ -259,6 +276,34 @@ class TestGeometry:
     def test_scale_is_the_common_denominator(self):
         assert Parameters.white_noise(2, 2, F(3, 4)).scale == 8  # alpha0 = -11/8
         assert Parameters.white_noise(3, 3, F(21, 11)).scale == 11  # alpha0 = -27/11
+
+
+class TestRationalText:
+    """params._frac reads every outside text, refusing one with too many
+    digits at once and apart from a malformed one."""
+
+    CALLS = {
+        "white_noise": lambda text: Parameters.white_noise(2, 2, text),
+        "BuildConfig": lambda text: BuildConfig(maxh=text),
+        "Homogeneity": lambda text: Homogeneity(text),
+        "lattice_bounds": lambda text: lattice_bounds(2, 2, text),
+        "scaled_degree": lambda text: scaled_degree((1,), text),
+    }
+
+    @pytest.mark.parametrize("text", ["1e-999999999", "1e99999999", "1e-100000"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_too_many_digits(self, call, text):
+        with alarm(10), pytest.raises(TooManyDigitsError, match="has too many digits"):
+            self.CALLS[call](text)
+
+    @pytest.mark.parametrize("text", ["1e1.5", "abc", "1/0", "9/10/2"])
+    def test_malformed_is_not_too_long(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)) as info:
+            _frac(text)
+        assert not isinstance(info.value, TooManyDigitsError)
+
+    def test_within_the_limits(self):
+        assert _frac("1e-4000") == F(1, 10**4000)
 
 
 class TestSubcriticality:

@@ -243,6 +243,8 @@ class TestCanonicalForm:
         t = parse_symbol("I(I(Xi)^2)*I(Xi)^2")
         assert render(t) == "I(Xi)^2*I(I(Xi)^2)"  # factors in canonical order
         assert render(parse_symbol("X^(1)"), d=2) == "X^(1,0,0)"
+        with pytest.raises(ValueError, match="does not fit dimension d=1"):
+            render(parse_symbol("X^(0,0,1)"), d=1)
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "I()", "I(1)", "Xi*", "X^()", "I(Xi", "2", "Xi^0"):

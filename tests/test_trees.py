@@ -74,6 +74,10 @@ class TestRegularCounts:
             count_regular(2, 0)
         with pytest.raises(ValueError):
             count_bounded(2, -1)
+        with pytest.raises(ValueError):
+            count_bounded(0, 1)
+        with pytest.raises(ValueError):
+            count_bounded_by_leaves(0, 1, 1)
 
 
 def _brute_bounded(N: int, qmax: int) -> dict[int, set]:
