@@ -45,6 +45,7 @@ from .params import (
     ExplosionError,
     Homogeneity,
     Parameters,
+    TooManyDigitsError,
     _frac,
     _fstr,
     completeness_threshold,
@@ -450,6 +451,8 @@ def _rational(doc: dict, key: str, where: str = "") -> Fraction:
     text = _field(doc, key, str, where)
     try:
         return _frac(text)
+    except TooManyDigitsError as exc:
+        raise ValueError(f"malformed model space: field {where + key!r} {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"malformed model space: field {where + key!r} is not a rational: {text!r}"

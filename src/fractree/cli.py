@@ -56,6 +56,7 @@ from .params import (
 )
 from .stats import (
     StatReport,
+    _json_fields,
     census_report,
     report_json_dict,
     scaling_fit,
@@ -75,11 +76,12 @@ def _env_default(name: str, fallback: Optional[str] = None) -> Optional[str]:
 
 def _rational(name: str, text: str) -> Fraction:
     """``text`` read by ``params._frac`` as the value of ``--name``; a malformed
-    or too long text raises ArgumentTypeError naming ``name`` and the text."""
+    or too long text raises ArgumentTypeError naming ``name`` and the text,
+    only its start if it is long."""
     try:
         return _frac(text)
-    except TooManyDigitsError:
-        raise argparse.ArgumentTypeError(f"{name} {text!r} has too many digits") from None
+    except TooManyDigitsError as exc:
+        raise argparse.ArgumentTypeError(f"{name} {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"malformed {name} {text!r}: {exc}") from None
 
@@ -211,6 +213,13 @@ def _count_label(ms: ModelSpace) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.pos:
+        if len(args.pos) != 3:
+            print("error: positional form is: check N d rho", file=sys.stderr)
+            return 2
+        args.N = args.N if args.N is not None else _integer("N", args.pos[0])
+        args.d = args.d if args.d is not None else _integer("d", args.pos[1])
+        args.rho = args.rho if args.rho is not None else _rho_type(args.pos[2])
     params = _params_from(args)
     rc = rho_c(params.N, params.d)
     ok, case = is_locally_subcritical(params)
@@ -431,19 +440,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        doc = {
-            "N": fit.N,
-            "d": fit.d,
-            "rhos": [_fstr(r) for r in fit.rhos],
-            "coefficient": fit.coefficient,
-            "envelope": list(fit.envelope),
-            "envelope_ok": fit.envelope_ok,
-            "intercept": fit.intercept,
-            "beta": fit.beta,
-            "beta_reference": fit.beta_reference,
-            "beta_relative_error": fit.beta_relative_error,
-            "gap_products": list(fit.gap_products),
-        }
+        doc = {k: v for k, v in _json_fields(fit).items() if not k.endswith("_residuals")}
         _write_text(args.out, json_text(doc))
     else:
         lines = [
@@ -544,14 +541,12 @@ _COMMANDS = {
 }
 
 
-def _parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The full tree, with arguments added for ``command``'s subparser alone.
+def _parser() -> argparse.ArgumentParser:
+    """The full tree: every subcommand with its help and its arguments.
 
-    Every subcommand is registered with its help, so the top-level help and
-    usage errors read as with every argument added; a call parses the
-    arguments of one subcommand only, so the others need none.  ``main``
-    builds this tree only when no command comes first in its arguments, or
-    when the named command's own parser leaves arguments over.
+    ``main`` builds it only when no command comes first in its arguments,
+    for the top-level help and usage errors, or when the named command's own
+    parser leaves arguments over.
     """
     ap = argparse.ArgumentParser(
         prog="fractree",
@@ -561,8 +556,7 @@ def _parser(command: Optional[str]) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if name == command:
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=handler)
     return ap
 
@@ -585,11 +579,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         args, extras = ap.parse_known_args(argv[1:])
         if not extras:
             return args
-    # The top-level parser takes no option with a value, so the first
-    # argument that names a subcommand is the one argparse dispatches to, or
-    # an error is raised before any subcommand is reached.
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
-    return _parser(command).parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -602,13 +592,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "check" and args.pos:
-            if len(args.pos) != 3:
-                print("error: positional form is: check N d rho", file=sys.stderr)
-                return 2
-            args.N = args.N if args.N is not None else _integer("N", args.pos[0])
-            args.d = args.d if args.d is not None else _integer("d", args.pos[1])
-            args.rho = args.rho if args.rho is not None else _rho_type(args.pos[2])
         return args.func(args)
     except SubcriticalityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,8 @@ every sufficiently small kappa at once.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,19 +52,28 @@ class TooManyDigitsError(ValueError):
 def _frac(x: RationalLike) -> Fraction:
     """Coerce ints, strings like '3/2' or '0.9', and Fractions to Fraction.
 
-    The one reader of outside text: a value with more digits than Python
-    prints raises TooManyDigitsError, a decimal exponent past 100,000 before
-    Fraction computes its power of ten (hours for 1e999999999)."""
+    The one reader of outside text.  TooManyDigitsError, quoting at most the
+    start of a long text, is raised for a run of digits (integer part,
+    decimals, denominator or exponent) longer than Python reads, for a
+    value with more digits than it prints, and for a decimal exponent past
+    100,000 before Fraction computes its power of ten (hours for
+    1e999999999)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Python's limit on the digits of an int read or printed; 0, no
+        # limit, before 3.10.7.  Underscores between digits do not count.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        huge = len(x) > limit > 0 and any(
+            len(run.replace("_", "")) > limit for run in re.findall(r"[\d_]+", x)
+        )
         _, e, exponent = x.lower().partition("e")
         try:
-            huge = bool(e) and abs(int(exponent)) > 100_000
+            huge = huge or bool(e) and abs(int(exponent)) > 100_000
         except ValueError:  # no integer exponent: Fraction says what is wrong
-            huge = False
+            pass
         if not huge:
             value = Fraction(x)
             try:
@@ -70,7 +81,8 @@ def _frac(x: RationalLike) -> Fraction:
                 return value
             except ValueError:  # past Python's limit on int-to-string digits
                 pass
-        raise TooManyDigitsError(f"{x!r} has too many digits")
+        shown = repr(x) if len(x) <= 40 else f"{x[:20]!r}... ({len(x)} characters)"
+        raise TooManyDigitsError(f"{shown} has too many digits")
     if isinstance(x, float):
         raise TypeError(
             "refusing float %r: pass a Fraction or a string such as '9/10' "

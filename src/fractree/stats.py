@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import add
 from typing import IO, Iterable, Optional
@@ -42,8 +42,9 @@ from .builder import ModelSpace, negative_sector
 from .census import _plus, marked_census
 from .counting import LAMBDA2, beta_N, hF_bounds
 from .params import Homogeneity, Parameters, RationalLike, _frac, _fstr, rho_c, scaled_degree
+from .symbols import INT, Symbol, iter_vertices
 # not called here: perfbench/spans.py counts bare-tree rebuilds at fractree.stats.bare_tree
-from .symbols import INT, Symbol, bare_tree  # noqa: F401
+from .symbols import bare_tree  # noqa: F401
 
 __all__ = [
     "TreeRecord",
@@ -108,14 +109,11 @@ class _Overflow(Exception):
 
 
 def _overflow(sym: Symbol, N: int) -> ValueError:
-    """The error naming the first vertex of ``sym``, breadth first, of degree above N + 1."""
-    nodes = [(sym, 0)]
-    for node, up in nodes:  # nodes grows while read: a breadth-first queue
-        deg = len(node.children) + up
-        if deg > N + 1:
-            return ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
-        nodes.extend((child, 1) for tag, child in node.children if tag == INT)
-    raise AssertionError("no vertex of degree above N+1")
+    """The error naming the first vertex of ``sym``, breadth first, of degree
+    above N + 1; the noise leaves the walk also visits have degree 1."""
+    degrees = (len(node.children) + (parent >= 0) for _, parent, _, node in iter_vertices(sym))
+    deg = next(deg for deg in degrees if deg > N + 1)
+    return ValueError(f"vertex of degree {deg} exceeds N+1 = {N + 1}")
 
 
 def _fold(node: Symbol, up: int, N: int, memo: dict) -> tuple:
@@ -586,6 +584,22 @@ def graph_measures(ms: ModelSpace) -> GraphMeasures:
     return stat_report(ms).measures
 
 
+def _json_value(value):
+    """``value`` as a JSON document holds it: a fraction as "num/den" text,
+    a tuple as a list."""
+    if isinstance(value, Fraction):
+        return _fstr(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _json_fields(obj, *omit: str) -> dict:
+    """The fields of the dataclass ``obj`` but ``omit``, by name, as
+    :func:`_json_value` writes them."""
+    return {f.name: _json_value(getattr(obj, f.name)) for f in fields(obj) if f.name not in omit}
+
+
 def report_json_dict(rep: StatReport) -> dict:
     """JSON-ready dict; fractions become "num/den" strings, scores floats."""
     sizes = rep.sizes
@@ -604,33 +618,11 @@ def report_json_dict(rep: StatReport) -> dict:
             "pairs": [[_fstr(a), b, c] for (a, b), c in rep.homogeneity_pairs],
         },
         "degree": {
-            "decorated": {
-                "pooled_counts": list(rep.degrees_decorated.pooled_counts),
-                "pooled": [_fstr(f) for f in rep.degrees_decorated.pooled],
-                "per_tree_mean": [_fstr(f) for f in rep.degrees_decorated.per_tree_mean],
-            },
-            "bare": {
-                "pooled_counts": list(rep.degrees_bare.pooled_counts),
-                "pooled": [_fstr(f) for f in rep.degrees_bare.pooled],
-                "per_tree_mean": [_fstr(f) for f in rep.degrees_bare.per_tree_mean],
-            },
+            "decorated": _json_fields(rep.degrees_decorated, "bare"),
+            "bare": _json_fields(rep.degrees_bare, "bare"),
         },
-        "height_diameter": {
-            "mean_height": _fstr(rep.heights.mean_height),
-            "mean_diameter": _fstr(rep.heights.mean_diameter),
-            "scaled_mean_height": rep.heights.scaled_mean_height,
-            "scaled_mean_diameter": rep.heights.scaled_mean_diameter,
-            "scaled_sq_height": rep.heights.scaled_sq_height,
-            "scaled_sq_diameter": rep.heights.scaled_sq_diameter,
-            "height_reference": rep.heights.height_reference,
-            "diameter_reference": rep.heights.diameter_reference,
-        },
-        "graph_measures": {
-            "density": _fstr(rep.measures.density),
-            "betweenness": _fstr(rep.measures.betweenness),
-            "pagerank": rep.measures.pagerank,
-            "periphery": _fstr(rep.measures.periphery),
-        },
+        "height_diameter": _json_fields(rep.heights),
+        "graph_measures": _json_fields(rep.measures),
     }
 
 

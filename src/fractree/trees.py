@@ -179,8 +179,6 @@ def _ml(N: int, slots: int, vb: int, lb: int, size: int, leaf: int) -> int:
                     continue
                 if t is None:
                     t = _tl(N, s, lv)
-                if not t:
-                    break
                 rest = _ml(N, slots - j, vb - j * s, lb - j * lv, s, lv - 1)
                 if rest:
                     total += math.comb(t + j - 1, j) * rest

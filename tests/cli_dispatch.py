@@ -2,7 +2,7 @@
 
 ``cli._parse_args``, which ``main`` calls, parses an argv whose first
 argument names a command with that command's parser alone.  The reference
-is the full tree, ``cli._parser(command)``, as ``main`` used it for every
+is the full tree, ``cli._parser()``, as ``main`` used it for every
 call before: for each argv both must exit with the same code, print the
 same stdout and stderr, and return the same namespace.  No pytest is
 needed, so the check runs under any Python the package supports:
@@ -24,8 +24,7 @@ import fractree.cli as cli
 
 
 def _tree(argv):
-    command = next((arg for arg in argv if arg in cli._COMMANDS), None)
-    return cli._parser(command).parse_args(argv)
+    return cli._parser().parse_args(argv)
 
 
 def _outcome(parse, argv):

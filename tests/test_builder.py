@@ -583,6 +583,8 @@ class TestMalformedJson:
             (("parameters", "rho"), "1e-999999999", "parameters.rho"),
             (("parameters", "alpha0", "a"), "1e-999999999", "parameters.alpha0.a"),
             (("config", "maxh"), "1e-999999999", "config.maxh"),
+            pytest.param(("parameters", "rho"), "1" * 5000, "parameters.rho",
+                         id="parameters.rho-5000-digits"),
         ],
     )
     def test_mistyped_field(self, spaces, path, value, name):

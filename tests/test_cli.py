@@ -870,7 +870,7 @@ class TestEnvOverrides:
         for name, value in ENV_DEFAULTS.items():
             monkeypatch.setenv(name, value)
         argv = [command, "scan.csv"] if command == "fit" else [command]
-        got = vars(fractree.cli._parser(command).parse_args(argv))
+        got = vars(fractree.cli._parser().parse_args(argv))
         assert got.pop("func") is fractree.cli._COMMANDS[command][2]
         if command == "fit":
             want = {"N": 3, "d": 2, "out": "o", "format": "csv", "scan_csv": "scan.csv"}
@@ -1238,10 +1238,16 @@ class TestHugeRationals:
              "Invalid literal for Fraction: '1e1.5'"),
             (["scan", "--N", "2", "--d", "2", "--rho", "1,1e-100000"],
              "fractree scan: error: argument --rho: rho '1e-100000' has too many digits"),
+            # more digits than Python reads as an int: only the start is quoted
+            (["check", "--N", "2", "--d", "2", "--rho", "1" * 5000],
+             "fractree check: error: argument --rho: rho '11111111111111111111'... "
+             "(5000 characters) has too many digits"),
+            (["check", "--N", "2", "--d", "2", "--rho", "1", "--noise=-" + "1" * 5000],
+             "error: noise '-1111111111111111111'... (5001 characters) has too many digits"),
         ],
         ids=[
             "rho", "rho-exponent", "positional-rho", "noise", "maxh", "maxh-malformed",
-            "maxh-exponent-malformed", "scan",
+            "maxh-exponent-malformed", "scan", "rho-5000-digits", "noise-5000-digits",
         ],
     )
     def test_flag(self, capsys, argv, message):
@@ -1261,6 +1267,13 @@ class TestHugeRationals:
         path.write_text("rho,h_F,c_F,certified\n1e-100000,6,8,true\n")
         assert self.outcome(capsys, ["fit", str(path), "--N", "2", "--d", "2"]) == (
             2, "", "error: rho '1e-100000' has too many digits\n",
+        )
+
+    def test_scan_csv_column_of_5000_digits(self, capsys, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("rho,h_F,c_F,certified\n" + "1" * 5000 + ",6,8,true\n")
+        assert self.outcome(capsys, ["fit", str(path), "--N", "2", "--d", "2"]) == (
+            2, "", "error: rho '11111111111111111111'... (5000 characters) has too many digits\n",
         )
 
 

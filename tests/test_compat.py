@@ -197,6 +197,49 @@ def test_every_local_is_read(path):
     assert _unread_locals(path) == []
 
 
+def _unreferenced_private_defs(paths: list[pathlib.Path]) -> list[str]:
+    """Each module-level function or class of ``paths`` whose name starts
+    with ``_`` and that no code in ``paths`` references outside its own
+    body, as "file:line name".
+
+    A reference is a name, an attribute or a name another module imports.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    refs = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(path, node, alias.name) for alias in node.names]
+    dead = []
+    for path, tree in trees.items():
+        for defn in tree.body:
+            if not (isinstance(defn, _SCOPES) and defn.name.startswith("_")):
+                continue
+            own = set(map(id, ast.walk(defn)))
+            if not any(
+                name == defn.name and not (where == path and id(node) in own)
+                for where, node, name in refs
+            ):
+                dead.append(f"{path.name}:{defn.lineno} {defn.name}")
+    return dead
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private_defs(sorted(SRC.rglob("*.py"))) == []
+
+
+def test_unreferenced_private_definition_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _orphan(n):\n    return _orphan(n - 1)\n\n\ndef _used():\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _used\n")
+    assert _unreferenced_private_defs([tmp_path / "a.py", tmp_path / "b.py"]) == ["a.py:1 _orphan"]
+
+
 def _pyenv_pythons():
     """Each ~/.pyenv/versions/3.X.Y/bin/python3 with X >= 10, by version."""
     found = []

@@ -56,6 +56,10 @@ class TestHomogeneity:
         assert a * 3 == Homogeneity(F(-21, 4), -3)
         assert 2 * a - a == a
         assert a.shift(F(3, 2)) == Homogeneity(F(-1, 4), -1)
+        with pytest.raises(TypeError):
+            Homogeneity(F(1)) + 1
+        with pytest.raises(TypeError):
+            Homogeneity(F(1)) - 1
 
     def test_float_refused(self):
         with pytest.raises(TypeError):
@@ -290,7 +294,16 @@ class TestRationalText:
         "scaled_degree": lambda text: scaled_degree((1,), text),
     }
 
-    @pytest.mark.parametrize("text", ["1e-999999999", "1e99999999", "1e-100000"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e-999999999", "1e99999999", "1e-100000",
+            # digit runs longer than Python reads as an int
+            pytest.param("1" * 5000, id="5000-digits"),
+            pytest.param("1e" + "1" * 5000, id="5000-digit-exponent"),
+            pytest.param("1/" + "3" * 5000, id="5000-digit-denominator"),
+        ],
+    )
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_too_many_digits(self, call, text):
         with alarm(10), pytest.raises(TooManyDigitsError, match="has too many digits"):

@@ -51,6 +51,7 @@ class TestConstruction:
         b = product([integrate(xi())] * 2)
         assert a is b
         assert parse_symbol("I(Xi)^2") is a
+        assert repr(a) == "<Symbol I(Xi)^2>"
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_product_builds_one_node(self, monkeypatch, k):
