@@ -48,6 +48,7 @@ from .params import (
     TooManyDigitsError,
     _frac,
     _fstr,
+    _shown,
     completeness_threshold,
     require_subcritical,
 )
@@ -55,6 +56,7 @@ from .symbols import (
     INT,
     Symbol,
     _dense,
+    compose_symbols,
     homogeneity_of,
     integrate,
     monomial,
@@ -455,7 +457,7 @@ def _rational(doc: dict, key: str, where: str = "") -> Fraction:
         raise ValueError(f"malformed model space: field {where + key!r} {exc}") from None
     except (ValueError, ZeroDivisionError):
         raise ValueError(
-            f"malformed model space: field {where + key!r} is not a rational: {text!r}"
+            f"malformed model space: field {where + key!r} is not a rational: {_shown(text)}"
         ) from None
 
 
@@ -467,6 +469,14 @@ def from_json_dict(data: dict) -> ModelSpace:
     when its generation is not the one :func:`generation_of` gives;
     SubcriticalityError, as :func:`build` does, for parameters without a
     finite negative sector.
+
+    Each record's symbol comes from :func:`compose_symbols`, which builds
+    it from the symbols of the document's other texts; a text it leaves
+    out (the unit ``1``, or any text not made of stored factors) goes to
+    :func:`parse_symbol`.  Each type's p, q, k, a and b are worked out once
+    and a record is compared with them in one step; a record that differs
+    in any way is checked field by field, in the order the fields are
+    named above, so its message is the one that check gives.
     """
     if not isinstance(data, dict):
         raise ValueError("malformed model space: expected a JSON object")
@@ -499,38 +509,81 @@ def from_json_dict(data: dict) -> ModelSpace:
         generations={},
     )
     complete = _field(data, "complete", bool)
-    blocks: dict[str, Symbol] = {}  # one parse memo: each shared I(...) parsed once
+    records = _field(data, "symbols", list)
+    made = compose_symbols(
+        [rec["symbol"] for rec in records if type(rec) is dict and type(rec.get("symbol")) is str]
+    )
+    generations = ms.generations
+    expected: dict[tuple, tuple] = {}  # (p, q, kvec) -> p, q, k, a, b as a record holds them
+    ints = [int] * (d + 1)  # the types of a record's k entries
+
+    def expect(sym: Symbol) -> tuple:
+        key = (sym.p, sym.q, sym.kvec)
+        want = expected.get(key)
+        if want is None:
+            h = homogeneity_of(sym, params)
+            # a decoration too long for d matches no k; _record names it
+            k = list(_dense(sym.kvec, d)) if len(sym.kvec) <= d + 1 else None
+            want = expected[key] = (sym.p, sym.q, k, _fstr(h.a), h.b)
+        return want
+
     rounds: dict[Symbol, int] = {}  # one generation memo: each shared subtree folded once
-    for i, rec in enumerate(_field(data, "symbols", list)):
-        where = f"symbols[{i}]."
-        if not isinstance(rec, dict):
-            raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
-        text = _field(rec, "symbol", str, where)
-        sym = parse_symbol(text, memo=blocks)
-        h = homogeneity_of(sym, params)
-        k = _field(rec, "k", list, where)
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in k):
-            raise ValueError(f"malformed model space: field {where + 'k'!r} must be a list of int")
-        stored = (_field(rec, "p", int, where), _field(rec, "q", int, where), tuple(k))
-        actual = (sym.p, sym.q, _dense(sym.kvec, params.d))
-        a, b = _field(rec, "a", str, where), _field(rec, "b", int, where)
-        if stored != actual or _fstr(h.a) != a or h.b != b:
-            raise ValueError(f"inconsistent symbol record: {text!r}")
-        if sym in ms.generations:
-            raise ValueError(f"duplicate symbol record: {text!r}")
-        generation = _field(rec, "generation", int, where)
-        if generation < 0:
-            raise ValueError(f"malformed model space: field {where + 'generation'!r} must be >= 0")
-        made = generation_of(sym, rounds)
-        if generation != made:
-            raise ValueError(
-                f"inconsistent symbol record: field {where + 'generation'!r} is {generation},"
-                f" but a build makes {text!r} in round {made}"
-            )
-        ms.generations[sym] = generation
+    for i, rec in enumerate(records):
+        text = rec.get("symbol") if type(rec) is dict else None
+        sym = made.get(text) if type(text) is str else None
+        if sym is not None:
+            got = (rec.get("p"), rec.get("q"), rec.get("k"), rec.get("a"), rec.get("b"))
+            generation = rec.get("generation")
+            fits = list(map(type, got)) == _FIELD_TYPES and expect(sym) == got
+            if fits and list(map(type, got[2])) == ints and type(generation) is int:
+                if sym not in generations and generation == generation_of(sym, rounds):
+                    generations[sym] = generation
+                    continue
+        sym, generation = _record(rec, i, made, expect, generations, rounds, d)
+        generations[sym] = generation
     if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")
     return ms
+
+
+# the exact types of a record's p, q, k, a and b; bool is not int here.  A
+# list, since tuple(map(...)) resizes a fresh tuple on every call and each
+# one freed stays on the interpreter's tuple free list: 1,325 of them, 104
+# KiB, in one load of (2,2,3/4).
+_FIELD_TYPES = [int, int, list, str, int]
+
+
+def _record(rec, i: int, made: dict, expect, generations: dict, rounds: dict, d: int):
+    """Symbol and generation of the ``i``-th record, checked one field at a
+    time: the first check it fails raises its message."""
+    where = f"symbols[{i}]."
+    if not isinstance(rec, dict):
+        raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
+    text = _field(rec, "symbol", str, where)
+    sym = made.get(text)
+    if sym is None:
+        sym = parse_symbol(text)
+    _, _, _, a_want, b_want = expect(sym)
+    k = _field(rec, "k", list, where)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in k):
+        raise ValueError(f"malformed model space: field {where + 'k'!r} must be a list of int")
+    stored = (_field(rec, "p", int, where), _field(rec, "q", int, where), tuple(k))
+    actual = (sym.p, sym.q, _dense(sym.kvec, d))
+    a, b = _field(rec, "a", str, where), _field(rec, "b", int, where)
+    if stored != actual or a_want != a or b_want != b:
+        raise ValueError(f"inconsistent symbol record: {text!r}")
+    if sym in generations:
+        raise ValueError(f"duplicate symbol record: {text!r}")
+    generation = _field(rec, "generation", int, where)
+    if generation < 0:
+        raise ValueError(f"malformed model space: field {where + 'generation'!r} must be >= 0")
+    made_in = generation_of(sym, rounds)
+    if generation != made_in:
+        raise ValueError(
+            f"inconsistent symbol record: field {where + 'generation'!r} is {generation},"
+            f" but a build makes {text!r} in round {made_in}"
+        )
+    return sym, generation
 
 
 # how json.dumps writes a string with ensure_ascii, in C where available
@@ -543,30 +596,23 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# A separator, then one symbol record of json_text(to_json_dict(ms)) with
-# its keys in sorted order, at the depth a "symbols" entry sits; ``k``
-# always has d + 1 >= 2 entries.
-_RECORD = (
-    "%s{\n"
-    '      "a": %s,\n'
-    '      "b": %d,\n'
-    '      "generation": %d,\n'
-    '      "k": [\n'
-    "        %s\n"
-    "      ],\n"
-    '      "p": %d,\n'
-    '      "q": %d,\n'
-    '      "symbol": %s\n'
-    "    }"
+# One symbol record of json_text(to_json_dict(ms)) with its keys in sorted
+# order, at the depth a "symbols" entry sits, in two pieces around the
+# generation: the first holds a and b, the second k, p and q, so both are
+# fixed by the symbol's type.  ``k`` always has d + 1 >= 2 entries.
+_RECORD_HEAD = '{\n      "a": %s,\n      "b": %d,\n      "generation": '
+_RECORD_TAIL = (
+    ',\n      "k": [\n        %s\n      ],\n      "p": %d,\n      "q": %d,\n      "symbol": '
 )
 
 
 def space_json_text(ms: ModelSpace) -> str:
     """``json_text(to_json_dict(ms))``, written straight from the sorted space.
 
-    The header is :func:`json_text` of the other fields, and each symbol
-    record is one formatting of a constant template: one piece per record,
-    all joined once.
+    The header is :func:`json_text` of the other fields.  The fields a
+    record's type fixes are formatted once per type; each record is then
+    one formatting of those pieces, its generation and its symbol, and all
+    the pieces are joined once.
     """
     d = ms.params.d
     generations = ms.generations
@@ -574,22 +620,19 @@ def space_json_text(ms: ModelSpace) -> str:
     # header key
     parts = [json_text(_header_dict(ms))[:-3] + ',\n  "symbols": ']
     texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
+    typed: dict[tuple, tuple[str, str]] = {}  # (p, q, kvec) -> the record's two fixed pieces
     records = ms._sorted()[0]
     sep = "[\n    "
     for s, h in records:
-        parts.append(
-            _RECORD
-            % (
-                sep,
-                _json_str(_fstr(h.a)),
-                h.b,
-                generations[s],
-                ",\n        ".join(map(str, _dense(s.kvec, d))),
-                s.p,
-                s.q,
-                _json_str(render(s, d, memo=texts)),
+        key = (s.p, s.q, s.kvec)
+        fixed = typed.get(key)
+        if fixed is None:
+            fixed = typed[key] = (
+                _RECORD_HEAD % (_json_str(_fstr(h.a)), h.b),
+                _RECORD_TAIL % (",\n        ".join(map(str, _dense(s.kvec, d))), s.p, s.q),
             )
-        )
+        text = _json_str(render(s, d, memo=texts))
+        parts.append("%s%s%d%s%s\n    }" % (sep, fixed[0], generations[s], fixed[1], text))
         sep = ",\n    "
     parts.append("\n  ]\n}\n" if records else "[]\n}\n")
     return "".join(parts)

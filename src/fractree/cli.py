@@ -49,6 +49,7 @@ from .params import (
     TooManyDigitsError,
     _frac,
     _fstr,
+    _shown,
     alpha0_white_noise,
     completeness_threshold,
     is_locally_subcritical,
@@ -83,7 +84,12 @@ def _rational(name: str, text: str) -> Fraction:
     except TooManyDigitsError as exc:
         raise argparse.ArgumentTypeError(f"{name} {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"malformed {name} {text!r}: {exc}") from None
+        reason = str(exc)
+        if len(text) > 40:  # Fraction's message quotes the text or spells out its digits
+            reason = reason.removesuffix(f": {text!r}")
+            if isinstance(exc, ZeroDivisionError):
+                reason = "zero denominator"
+        raise argparse.ArgumentTypeError(f"malformed {name} {_shown(text)}: {reason}") from None
 
 
 def _integer(name: str, text: str) -> int:

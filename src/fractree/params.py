@@ -49,6 +49,12 @@ class TooManyDigitsError(ValueError):
     """Raised for a rational text whose value has too many digits to handle."""
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for a message: whole up to 40 characters, else its
+    first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _frac(x: RationalLike) -> Fraction:
     """Coerce ints, strings like '3/2' or '0.9', and Fractions to Fraction.
 
@@ -81,8 +87,7 @@ def _frac(x: RationalLike) -> Fraction:
                 return value
             except ValueError:  # past Python's limit on int-to-string digits
                 pass
-        shown = repr(x) if len(x) <= 40 else f"{x[:20]!r}... ({len(x)} characters)"
-        raise TooManyDigitsError(f"{shown} has too many digits")
+        raise TooManyDigitsError(f"{_shown(x)} has too many digits")
     if isinstance(x, float):
         raise TypeError(
             "refusing float %r: pass a Fraction or a string such as '9/10' "

@@ -22,11 +22,16 @@ constructor trusts them.
 Multiplication concatenates edge multisets at the root and adds root
 decorations; integration grafts a new root above the tree.  Neither operation
 ever mutates, every symbol is immutable.
+
+Text: :func:`render` writes a symbol's canonical text and
+:func:`parse_symbol` reads any text.  :func:`compose_symbols` reads the
+texts of a stored space without the parser: the space is closed under
+factors, so each text is built, one node at a time, from the symbols of
+shorter texts beside it.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import weakref
 from collections import deque
@@ -51,6 +56,7 @@ __all__ = [
     "iter_vertices",
     "render",
     "parse_symbol",
+    "compose_symbols",
     "to_dot",
 ]
 
@@ -341,44 +347,15 @@ _MAX_EDGES = 10_000
 # a factor, 5-7 follow one.
 _TOKEN = re.compile(r"\s*(?:(X\^\(\d+(?:,\d+)*\))|(Xi)|(I\()|(1)|(\*)|(\^\d+)|(\)))")
 
-# Levels a block may nest, its own included, for _block_pattern to find its
-# end.  Stored spaces nest at most 12 deep, at (2,2,37/50) and (3,3,8/5).
-_BLOCK_DEPTH = 32
 
-
-@functools.cache
-def _block_pattern() -> re.Pattern:
-    """Matched at a '(', runs through its ')' when the block nests at most
-    ``_BLOCK_DEPTH`` deep; compiled on first use, not at import.  Each
-    step begins with a different character ('(', ')' or neither), so a
-    failed match backs out in time linear in what it read."""
-    inner = r"[^()]*"
-    for _ in range(_BLOCK_DEPTH - 1):
-        inner = r"[^()]*(?:\(" + inner + r"\)[^()]*)*"
-    return re.compile(r"\(" + inner + r"\)")
-
-
-def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symbol:
+def parse_symbol(text: str) -> Symbol:
     """Inverse of :func:`render` (accepting any dimension padding).
 
     Whitespace may precede any token but not sit inside ``X^(...)`` or
     after ``^``.  Malformed text raises ValueError, and so does nesting
     more than ``_MAX_DEPTH`` (500) levels of ``I(...)`` deep, or a symbol,
     factor or power with more than ``_MAX_EDGES`` (10,000) edges.
-
-    ``memo`` maps the exact text of each ``I(...)`` block parsed so far to
-    its symbol: the parse records every block it closes and steps over a
-    block whose text is already there.  Pass one dict to several calls to
-    parse each block they share once.  A memo changes no outcome: the same
-    texts parse to the same symbols and the rest raise the same message.
-
-    A block's text runs from its ``I(`` through the matching ``)``.  The
-    parse finds that end when it reaches the ``I(``, with one anchored
-    match of a balanced-parenthesis pattern that follows
-    ``_BLOCK_DEPTH`` (32) levels.  At the first block the pattern cannot
-    match, one nested deeper than that or never closed, the memo stops:
-    from there to the end of the text no block is looked up or recorded,
-    and none is matched again.
+    :func:`compose_symbols` reads a stored space's texts without it.
     """
 
     def error(at: int, msg: str) -> ValueError:
@@ -387,55 +364,24 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     def too_large(at: int) -> ValueError:
         return error(at, f"more than {_MAX_EDGES} edges")
 
-    if memo is None:
-        memo = {}
-    # None from the first block the pattern cannot match; the memo is off
-    # from there.  Why the memo keeps the _MAX_DEPTH bound: while it is on,
-    # every open block has matched, so open blocks and a block stepped over
-    # from the memo nest at most _BLOCK_DEPTH deep together.  A matched
-    # block is balanced within that depth, and so is every block inside
-    # it; so the first block that fails is not inside an open block, and
-    # the stack is empty then.  From there every level is parsed, and a
-    # text nesting past _MAX_DEPTH raises at the same position as without
-    # a memo.
-    match_block = _block_pattern().match
     match = _TOKEN.match
-    memo_get = memo.get
-    # characters the memo may still slice out of text: keeps its keys and
-    # lookups linear in len(text) however deeply blocks nest
-    budget = 4 * len(text)
-    stack: list[tuple[list[Symbol], str]] = []  # enclosing factors, open block's text
+    stack: list[list[Symbol]] = []  # the factors of each enclosing product
     factors: list[Symbol] = []  # the factors of the innermost open product
     want_factor = True
     pos = 0
-    # I( is tested first: about two thirds of the tokens that stored texts
-    # reach through a memo, and * (no branch) a quarter.
     while (m := match(text, pos)) is not None:
         kind = m.lastindex
         if (kind <= 4) != want_factor:
             raise error(m.start(kind), f"unexpected {m.group(kind)!r}")
         pos = m.end()
-        want_factor = kind == 5  # after *, and after an I( opened below
+        want_factor = kind == 5 or kind == 3  # after * and after I(
         if kind == 3:
-            at = pos - 2
-            closed = match_block(text, pos - 1) if match_block is not None else None
-            if closed is None:  # nested past _BLOCK_DEPTH or unclosed
-                match_block = None
-            end = closed.end() if closed is not None else at  # no end: the empty key
-            block = text[at:end] if end - at <= budget else ""
-            budget -= len(block)
-            got = memo_get(block)
-            if got is not None:
-                factors.append(got)
-                pos = end
-                continue
             if len(stack) == _MAX_DEPTH:
                 raise ValueError(
-                    f"cannot parse symbol: nested too deeply at position {at} of {len(text)}"
+                    f"cannot parse symbol: nested too deeply at position {pos - 2} of {len(text)}"
                 )
-            stack.append((factors, block))
+            stack.append(factors)
             factors = []
-            want_factor = True
         elif kind == 7:
             at = pos - 1
             if not stack:
@@ -445,9 +391,7 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
             got = integrate(product(factors))
             if got is None:
                 raise error(at, "I(1) is zero, not a symbol")
-            factors, block = stack.pop()
-            if block:
-                memo[block] = got
+            factors = stack.pop()
             factors.append(got)
         elif kind == 2:
             factors.append(_XI)
@@ -483,6 +427,102 @@ def parse_symbol(text: str, *, memo: Optional[dict[str, Symbol]] = None) -> Symb
     if sum([f.p + f.q for f in factors]) > _MAX_EDGES:
         raise too_large(at)
     return product(factors)
+
+
+# A factor X^(k,...) that compose_symbols reads itself: ASCII digits, at
+# most nine to an entry, so int() always takes them.  \d would also match
+# other scripts' digits, which parse_symbol reads.
+_MONOMIAL = re.compile(r"X\^\(([0-9]{1,9}(?:,[0-9]{1,9})*)\)")
+
+# An exponent that compose_symbols reads itself: no leading zero, at most
+# as many digits as _MAX_EDGES.
+_EXPONENT = re.compile(r"[1-9][0-9]{0,%d}" % (len(str(_MAX_EDGES)) - 1))
+
+
+def compose_symbols(texts: Iterable[str]) -> dict[str, Symbol]:
+    """Each text of ``texts`` that is made of the others, with its symbol:
+    ``parse_symbol(text)``, built without parsing.
+
+    A stored space is closed under factors: the integrand tau of each
+    stored I(tau) is stored, and so is each integral factor of a stored
+    product.  So each text is one of
+
+    * ``Xi`` or a monomial ``X^(k,...)``;
+    * ``I(T)`` with ``T`` a text of ``texts`` made already;
+    * factors joined by ``*`` outside every parenthesis, each ``Xi``, a
+      monomial, ``I(T)`` as above or a text made already, each perhaps
+      raised to a power ``^n``.
+
+    Texts are made shortest first, so the text a factor needs is made before
+    it, and each node is built with ``_make_node`` from symbols made
+    already.  A text made of valid texts this way is valid and parses to
+    the same symbol; the ``_MAX_DEPTH`` and ``_MAX_EDGES`` bounds are kept
+    as ``parse_symbol`` keeps them.  Every other text is left out, for
+    ``parse_symbol`` to read or refuse: the unit ``1``, whitespace, a
+    factor that is not stored.  Nothing recurses, and the result holds one
+    entry per distinct text.
+    """
+    made: dict[str, Symbol] = {}
+    depth: dict[str, int] = {}  # the most I( a parse of the text holds open at once
+    for text in sorted(set(texts), key=len):
+        got = _factor(text, made, depth) or _product(text, made, depth)
+        if got is not None:
+            made[text], depth[text] = got
+    return made
+
+
+def _factor(text: str, made: dict[str, Symbol], depth: dict[str, int]):
+    """``(symbol, depth)`` of ``text`` read as one factor: a text made
+    already, ``Xi``, ``I(T)`` with ``T`` made already, or a monomial; else
+    None."""
+    t = made.get(text)
+    if t is not None:
+        return t, depth[text]
+    if text == "Xi":
+        return _XI, 0
+    if text[:2] == "I(" and text[-1:] == ")":
+        # T is valid, so the ) closes this I(
+        t = made.get(text[2:-1])
+        if t is None or t is _ONE or t.p + t.q >= _MAX_EDGES:
+            return None
+        level = depth[text[2:-1]] + 1
+        return None if level > _MAX_DEPTH else (_make_node((), ((INT, t),)), level)
+    m = _MONOMIAL.fullmatch(text)
+    return None if m is None else (monomial([int(x) for x in m[1].split(",")]), 0)
+
+
+def _product(text: str, made: dict[str, Symbol], depth: dict[str, int]):
+    """``(symbol, depth)`` of ``text`` read as factors, each perhaps raised
+    to a power, joined by ``*``; else None."""
+    parts = text.split("*")
+    level = edges = balance = start = 0
+    dec: tuple[int, ...] = ()
+    kids: list[tuple[int, Symbol]] = []
+    for i, part in enumerate(parts):
+        # a factor of a valid text holds no * outside its parentheses, so
+        # it ends at the first * where they balance
+        balance += part.count("(") - part.count(")")
+        if balance:
+            continue
+        piece = part if start == i else "*".join(parts[start : i + 1])
+        start = i + 1
+        n = 1
+        if piece[-1:] != ")" and piece != "Xi":  # a power
+            piece, hat, power = piece.rpartition("^")
+            if not hat or _EXPONENT.fullmatch(power) is None:
+                return None
+            n = int(power)
+        got = _factor(piece, made, depth)
+        if got is None or n * max(got[0].p + got[0].q, 1) > _MAX_EDGES:
+            return None
+        t, at = got
+        dec = _vec_add(dec, t.decoration if n == 1 else tuple([n * x for x in t.decoration]))
+        kids.extend(t.children * n)
+        edges += n * (t.p + t.q)
+        level = max(level, at)
+    if balance or edges > _MAX_EDGES:
+        return None
+    return _make_node(dec, kids), level
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,8 @@ class TestMalformedJson:
             (("config", "maxh"), "1e-999999999", "config.maxh"),
             pytest.param(("parameters", "rho"), "1" * 5000, "parameters.rho",
                          id="parameters.rho-5000-digits"),
+            pytest.param(("parameters", "rho"), "x" * 5000, "parameters.rho",
+                         id="parameters.rho-5000-letters"),
         ],
     )
     def test_mistyped_field(self, spaces, path, value, name):
@@ -599,6 +601,27 @@ class TestMalformedJson:
     def test_not_an_object(self):
         with pytest.raises(ValueError):
             from_json_dict([])
+
+
+class TestLongRationalText:
+    """A long malformed rational is quoted by its start and its length."""
+
+    @pytest.mark.parametrize(
+        "value,shown",
+        [
+            ("x" * 5000, "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+            ("1/" + "0" * 38, "'1/" + "0" * 38 + "'"),  # 40 characters: whole
+            ("1/" + "0" * 39 + "x", "'1/000000000000000000'... (42 characters)"),
+        ],
+    )
+    def test_message(self, spaces, value, shown):
+        bad = to_json_dict(spaces(2, 2, F(1)))
+        bad["parameters"]["rho"] = value
+        with pytest.raises(ValueError) as exc:
+            from_json_dict(bad)
+        assert str(exc.value) == (
+            f"malformed model space: field 'parameters.rho' is not a rational: {shown}"
+        )
 
 
 class TestGenerationOf:
@@ -654,15 +677,39 @@ def _load_outcome(doc: dict):
         return str(exc)
 
 
+def _parsed_outcome(doc: dict):
+    """_load_outcome with every record's text sent through parse_symbol."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractree.builder, "compose_symbols", lambda texts: {})
+        return _load_outcome(doc)
+
+
+def _depth0_factors(text: str) -> list[str]:
+    """The factors of a rendered product, split at the * outside parentheses."""
+    out, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and not depth:
+            out.append(text[start:i])
+            start = i + 1
+    return out + [text[start:]]
+
+
 class TestJsonFuzz:
+    """The oracle of the load's parse memo, compose_symbols: a load gives the
+    same space or the same message as one that sends every record's text
+    through parse_symbol."""
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_parse_memo_changes_no_load_outcome(self, spaces, data):
-        doc = to_json_dict(spaces(2, 2, F(1)))
+        doc = to_json_dict(spaces(2, 2, F(4, 5)))
         recs = doc["symbols"]
         rec = recs[data.draw(st.integers(0, len(recs) - 1), label="record")]
         text = rec["symbol"]
-        how = data.draw(st.sampled_from(["swap", "insert", "delete", "p", "q", "k"]), label="how")
+        hows = ["swap", "insert", "delete", "pad", "reorder", "duplicate", "p", "q", "k"]
+        how = data.draw(st.sampled_from(hows), label="how")
+        tokens = [m.span(m.lastindex) for m in symbols._TOKEN.finditer(text)]
         if how == "swap":
             other = recs[data.draw(st.integers(0, len(recs) - 1), label="other")]
             rec["symbol"], other["symbol"] = other["symbol"], text
@@ -670,15 +717,134 @@ class TestJsonFuzz:
             at = data.draw(st.integers(0, len(text)), label="at")
             rec["symbol"] = text[:at] + data.draw(st.sampled_from(_JSON_TOKENS)) + text[at:]
         elif how == "delete":
-            tokens = [m.span(m.lastindex) for m in symbols._TOKEN.finditer(text)]
             start, end = data.draw(st.sampled_from(tokens), label="token")
             rec["symbol"] = text[:start] + text[end:]
+        elif how == "pad":
+            # whitespace before a token or at the end: the parser reads it
+            starts = [start for start, _ in tokens] + [len(text)]
+            at = data.draw(st.sampled_from(starts), label="at")
+            rec["symbol"] = text[:at] + data.draw(st.sampled_from([" ", "\t", "\n  "])) + text[at:]
+        elif how == "reorder":
+            factors = _depth0_factors(text)
+            rec["symbol"] = "*".join(data.draw(st.permutations(factors), label="order"))
+        elif how == "duplicate":
+            recs.insert(data.draw(st.integers(0, len(recs)), label="at"), dict(rec))
         elif how == "k":
             at = data.draw(st.integers(0, len(rec["k"]) - 1), label="at")
             rec["k"][at] += data.draw(st.sampled_from([-1, 1, 2]))
         else:
             rec[how] += data.draw(st.sampled_from([-1, 1, 2]))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fractree.builder, "parse_symbol", lambda text, memo=None: parse_symbol(text))
-            fresh = _load_outcome(doc)
-        assert _load_outcome(doc) == fresh
+        assert _load_outcome(doc) == _parsed_outcome(doc)
+
+
+def _chain(levels: int) -> str:
+    return "I(" * levels + "Xi" + ")" * levels
+
+
+class TestHostileDocuments:
+    """Documents the reader must not make more of than the parser does."""
+
+    def test_deep_chain_in_descending_order(self, spaces):
+        # one record per level, the deepest first: each level's integrand
+        # is stored, but past 500 levels the parser's refusal is the outcome
+        doc = to_json_dict(spaces(2, 2, F(1)))
+        rec = doc["symbols"][0]
+        doc["symbols"] = [dict(rec, symbol=_chain(n), q=n) for n in range(3000, -1, -1)]
+        with alarm(20), pytest.raises(ValueError, match="nested too deeply") as exc:
+            from_json_dict(doc)
+        assert str(exc.value) == "cannot parse symbol: nested too deeply at position 1000 of 9002"
+
+    def test_whitespace_padded_texts(self, spaces):
+        doc = to_json_dict(spaces(2, 2, F(4, 5)))
+        for rec in doc["symbols"][::3]:
+            rec["symbol"] = " " + rec["symbol"].replace("*", " * ") + "\t"
+        got = _load_outcome(doc)
+        assert got == _parsed_outcome(doc) == to_json_dict(spaces(2, 2, F(4, 5)))
+
+    def test_factors_out_of_canonical_order(self, spaces):
+        doc = to_json_dict(spaces(2, 2, F(3, 4)))
+        turned = 0
+        for rec in doc["symbols"]:
+            factors = _depth0_factors(rec["symbol"])
+            if len(factors) > 1:
+                rec["symbol"] = "*".join(reversed(factors))
+                turned += 1
+        assert turned > 100
+        got = _load_outcome(doc)
+        assert got == _parsed_outcome(doc) == to_json_dict(spaces(2, 2, F(3, 4)))
+
+    @pytest.mark.parametrize("at", [0, 5, 10])
+    def test_duplicate_records(self, spaces, at):
+        doc = to_json_dict(spaces(2, 2, F(1)))
+        doc["symbols"].insert(at + 1, dict(doc["symbols"][at]))
+        text = doc["symbols"][at]["symbol"]
+        assert _load_outcome(doc) == _parsed_outcome(doc) == f"duplicate symbol record: {text!r}"
+
+
+# points whose stored space is checked for closure under factors, with how
+# many of its records the reader leaves to parse_symbol: only the unit "1"
+CLOSURE_POINTS = {
+    **{point: 1 for point in sorted(GRID_COUNTS, key=str)},
+    (2, 2, F(37, 50)): 1,
+    (3, 3, F(8, 5)): 1,
+}
+
+
+def _closure_spaces():
+    """(label, space, records left to parse_symbol) beyond the white-noise points."""
+    iter3 = build(Parameters.white_noise(3, 3, F(17, 10)), BuildConfig(maxh=F(2), iter=3))
+    with pytest.raises(ExplosionError) as exc:
+        params = Parameters.white_noise(2, 2, F(3, 4))
+        build(params, BuildConfig(maxh=completeness_threshold(params), cap=500))
+    return [
+        ("custom-noise", build(_CUSTOM, BuildConfig(maxh=completeness_threshold(_CUSTOM))), 1),
+        ("iter-3", iter3, 1),
+        ("cap-500", exc.value.partial, 1),
+    ]
+
+
+def _check_closure(ms, left: int) -> None:
+    """Every factor of a stored symbol is stored, the reader makes all but
+    ``left`` records, and a load gives the space back."""
+    stored = ms.generations
+    for s in stored:
+        if s.decoration and s.children:
+            assert symbols.monomial(s.decoration) in stored
+        ints = [c for tag, c in s.children if tag == symbols.INT]
+        if len(s.children) == 1 and ints and not s.decoration:  # I(tau)
+            assert ints[0] in stored
+        else:
+            assert all(symbols.integrate(c) in stored for c in ints)
+    doc = to_json_dict(ms)
+    texts = [rec["symbol"] for rec in doc["symbols"]]
+    made = symbols.compose_symbols(texts)
+    assert sorted(set(texts) - set(made)) == ["1"][:left] and len(texts) - len(made) == left
+    assert from_json_dict(doc) == ms
+
+
+class TestClosure:
+    """The stored space is closed under factors, so the reader makes each
+    record from the others."""
+
+    @pytest.mark.parametrize("point", sorted(CLOSURE_POINTS, key=str), ids=str)
+    def test_white_noise(self, spaces, point):
+        _check_closure(spaces(*point), CLOSURE_POINTS[point])
+
+    def test_other_spaces(self):
+        for label, ms, left in _closure_spaces():
+            assert len(ms) > 50, label
+            _check_closure(ms, left)
+
+    def test_load_parses_once_and_weighs_each_type_once(self, spaces, tmp_path, monkeypatch):
+        # at (2, 2, 3/4): 1,354 records of 29 types, and only the unit is parsed
+        path = tmp_path / "space.json"
+        save_json(spaces(2, 2, F(3, 4)), str(path))
+        calls = Counter()
+        for name in ("parse_symbol", "homogeneity_of"):
+            real = getattr(fractree.builder, name)
+            monkeypatch.setattr(
+                fractree.builder, name,
+                lambda *args, _real=real, _name=name: calls.update([_name]) or _real(*args),
+            )
+        assert load_json(str(path)) == spaces(2, 2, F(3, 4))
+        assert calls == {"parse_symbol": 1, "homogeneity_of": 29}

@@ -1244,10 +1244,19 @@ class TestHugeRationals:
              "(5000 characters) has too many digits"),
             (["check", "--N", "2", "--d", "2", "--rho", "1", "--noise=-" + "1" * 5000],
              "error: noise '-1111111111111111111'... (5001 characters) has too many digits"),
+            # a long malformed text is quoted once, by its start, and so is
+            # a long zero denominator
+            (["check", "--N", "2", "--d", "2", "--rho", "x" * 5000],
+             "fractree check: error: argument --rho: malformed rho 'xxxxxxxxxxxxxxxxxxxx'... "
+             "(5000 characters): Invalid literal for Fraction"),
+            (["check", "--N", "2", "--d", "2", "--rho", "1" * 50 + "/0"],
+             "fractree check: error: argument --rho: malformed rho '11111111111111111111'... "
+             "(52 characters): zero denominator"),
         ],
         ids=[
             "rho", "rho-exponent", "positional-rho", "noise", "maxh", "maxh-malformed",
             "maxh-exponent-malformed", "scan", "rho-5000-digits", "noise-5000-digits",
+            "rho-5000-letters", "rho-long-zero-denominator",
         ],
     )
     def test_flag(self, capsys, argv, message):

@@ -2,7 +2,6 @@
 
 import gc
 import random
-import re
 import weakref
 from fractions import Fraction as F
 
@@ -19,6 +18,7 @@ from fractree.symbols import (
     XI,
     Symbol,
     bare_tree,
+    compose_symbols,
     decorate,
     homogeneity_of,
     integrate,
@@ -267,6 +267,11 @@ class TestCanonicalForm:
         t = parse_symbol(chain)
         assert (t.p, t.q) == (1, 100)
         assert render(t) == chain
+        # at the bound itself: 500 levels parse, 501 are refused, also
+        # after a factor
+        for levels, ok in ((500, True), (501, False)):
+            for text in (_chain(levels), "I(Xi)*" + _chain(levels)):
+                assert isinstance(_outcome(text), Symbol) is ok
 
 
 _PARSE_TOKENS = ("I(", ")", "Xi", "X^(", ",", "^", "*", *"0123456789", " ", "\t", "\n")
@@ -305,17 +310,12 @@ def _token_boundary(text: str, i: int) -> bool:
     return text[i] in "*)" or text.startswith(("I(", "Xi", "X^("), i)
 
 
-def _outcome(text: str, memo=None):
+def _outcome(text: str):
     """What parse_symbol makes of text: the symbol or the ValueError message."""
     try:
-        return parse_symbol(text, memo=memo)
+        return parse_symbol(text)
     except ValueError as exc:
         return str(exc)
-
-
-def _same(got, want) -> bool:
-    """The identical interned symbol, or the same error message."""
-    return got is want if isinstance(want, Symbol) else got == want
 
 
 def _blocks(t: Symbol, d: int) -> list[str]:
@@ -323,7 +323,36 @@ def _blocks(t: Symbol, d: int) -> list[str]:
     return sorted({"I(%s)" % render(c, d) for *_, tag, c in iter_vertices(t) if tag == INT})
 
 
+def _closure(t: Symbol, d: int) -> list[str]:
+    """render(t, d) with the texts a stored space holds beside it: each
+    I(c) block and its integrand c."""
+    inner = {render(c, d) for *_, tag, c in iter_vertices(t) if tag == INT}
+    return sorted({render(t, d), *_blocks(t, d), *inner})
+
+
+def _composed(texts: list[str]) -> dict:
+    """compose_symbols(texts), each text it makes checked against the parser."""
+    made = compose_symbols(texts)
+    assert set(made) <= set(texts)
+    for text, sym in made.items():
+        assert parse_symbol(text) is sym
+    return made
+
+
+def _chain(levels: int, core: str = "Xi") -> str:
+    return "I(" * levels + core + ")" * levels
+
+
+def _chains(levels: int, core: str = "Xi") -> list[str]:
+    """The texts of a chain of ``levels`` integrals over ``core``, one per level."""
+    return [_chain(n, core) for n in range(levels + 1)]
+
+
 class TestParseMemo:
+    """compose_symbols' table, the parse memo a load reads each record's
+    symbol from: it makes a text from the others exactly as parse_symbol
+    reads it, or leaves it to parse_symbol."""
+
     @given(
         st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4),
         st.lists(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=16).map("".join), max_size=3),
@@ -331,13 +360,11 @@ class TestParseMemo:
     )
     @settings(max_examples=300, deadline=None)
     def test_memo_changes_no_outcome(self, seeds, noise, data):
-        # fill the memo from rendered symbols and from token strings, which
-        # may record blocks before they fail
+        # the texts of random symbols with their blocks and integrands, and
+        # token strings, which may be made of those texts
         syms = [_random_symbol(random.Random(seed)) for seed in seeds]
         seen = [render(t, d=2) for t in syms]
-        memo: dict = {}
-        for other in seen + noise:
-            _outcome(other, memo)
+        stored = sorted({text for t in syms for text in _closure(t, 2)})
         # texts that reuse those blocks among stray tokens, and the texts
         # themselves with one piece deleted or inserted
         blocks = sorted({b for t in syms for b in _blocks(t, 2)})
@@ -352,55 +379,60 @@ class TestParseMemo:
                 pieces.map(lambda piece: base[:cut] + piece + base[cut:]),
             )
         )
-        assert _same(_outcome(text, memo), _outcome(text))
+        # a space closed under factors is made whole; what else is made is
+        # what the parser reads
+        assert set(stored) <= set(_composed(stored + noise + [text]))
         # a shared render memo renders every symbol as a fresh one does
         texts: dict = {}
         for t, text in zip(syms, seen):
             assert render(t, 2, memo=texts) == text
 
     def test_memo_holds_every_closed_block(self):
-        memo: dict = {}
-        t = parse_symbol("I(I(Xi)^2)*I(Xi)*X^(0,1)", memo=memo)
-        assert set(memo) == {"I(I(Xi)^2)", "I(Xi)"}
-        assert memo["I(Xi)"] is integrate(xi())
-        assert parse_symbol("I(I(Xi)^2)", memo=memo) is memo["I(I(Xi)^2)"]
-        assert t is parse_symbol("I(I(Xi)^2)*I(Xi)*X^(0,1)")
+        texts = ["I(I(Xi)^2)*I(Xi)*X^(0,1)", "I(I(Xi)^2)", "I(Xi)^2", "I(Xi)", "Xi", "1"]
+        made = _composed(texts)
+        assert set(made) == set(texts) - {"1"}  # the unit is the parser's
+        assert made["I(Xi)"] is integrate(xi())
+        # a factor that is not stored leaves the product to the parser
+        made = _composed(["I(I(Xi)^2)*I(Xi)", "I(Xi)", "Xi"])
+        assert made == {"I(Xi)": integrate(xi()), "Xi": xi()}
 
     def test_memo_keeps_the_depth_bound(self):
-        memo: dict = {}
-        chain = "I(" * 31 + "Xi" + ")" * 31  # within the block pattern's depth
-        parse_symbol(chain, memo=memo)
-        assert chain in memo
-        deep = "I(" * 3000 + "Xi" + ")" * 3000  # holds chain as its inner 31 levels
-        with pytest.raises(ValueError, match="nested too deeply") as fresh:
-            parse_symbol(deep)
-        with pytest.raises(ValueError, match="nested too deeply") as memoised:
-            parse_symbol(deep, memo=memo)
-        assert str(memoised.value) == str(fresh.value)
-        # at the bound itself: 500 levels parse, 501 are refused, memo or
-        # not, also after a factor the memo steps over
-        for extra, ok in ((469, True), (470, False)):
-            text = "I(" * extra + chain + ")" * extra
-            want = _outcome(text)
-            assert isinstance(want, Symbol) is ok
-            assert _same(_outcome(text, memo), want)
-            after = chain + "*" + text
-            assert _same(_outcome(after, memo), _outcome(after))
+        # 500 levels are made, 501 are left to the parser, which refuses
+        # them, also after a factor
+        texts = _chains(501)
+        made = _composed(texts + [_chain(500) + "*Xi", _chain(501) + "*Xi"])
+        assert set(made) == set(texts[:501]) | {_chain(500) + "*Xi"}
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_symbol(_chain(501))
 
     def test_memo_keys_stay_linear_in_the_text(self):
-        # padding inside a chain: one key per level would hold a copy of the
-        # padding for each level.  At 31 levels the memo is on, and without
-        # the budget its keys would hold 621,550 characters.
+        # padding inside a chain: the parser reads it, the reader leaves it
+        # out, and the result holds no key beside the texts it was given
         for levels in (400, 31):
             text = "I(" * levels + " " * 20_000 + "Xi" + ")" * levels
-            memo: dict = {}
-            t = parse_symbol(text, memo=memo)
-            assert (t.p, t.q) == (1, levels)
-            assert sum(map(len, memo)) <= 4 * len(text)
+            made = _composed([text] * 3 + _chains(levels) * 2)
+            assert len(made) == levels + 1 and text not in made
+            t = parse_symbol(text)
+            assert t is made[_chain(levels)] and (t.p, t.q) == (1, levels)
 
-
-def _chain(levels: int, core: str = "Xi") -> str:
-    return "I(" * levels + core + ")" * levels
+    def test_hostile_texts(self):
+        # whitespace, factors out of canonical order, leading zeros, powers
+        # of powers, a unit factor, the unit in a block, powers past the
+        # edge bound: the reader makes what the parser reads, and no other
+        texts = [
+            "Xi", "I(Xi)", "I(Xi)^2", "X^(0,1)", " I(Xi)", "I(Xi) ", "I( Xi)", "I(Xi)^2 ",
+            "I(I(Xi)^2)*I(Xi)", "I(Xi)*X^(0,1)", "I(Xi)^02", "X^(00,1)*I(Xi)",
+            "I(Xi)^2^3", "Xi*1", "I(1)", "I(X^(0,0))", "X^(0,0)", "Xi^10000",
+            "Xi^10001", "I(Xi^10000)", "I(Xi)^5000*I(Xi)", "Xi^5000*Xi^5001",
+            "X^(1)^9999", "I(Xi)**Xi", "*", "", ")(", "I(Xi))*(I(Xi)", "Xi)*I(Xi",
+            "I(Xi)*I(Xi))", "X^(" + "9" * 5000 + ")", "I(X^(\u0661))",
+        ]
+        made = _composed(texts)
+        for text in texts:
+            got = made.get(text)
+            assert got is None or _outcome(text) is got
+        assert {"I(I(Xi)^2)*I(Xi)", "I(Xi)*X^(0,1)", "X^(00,1)*I(Xi)", "Xi^10000"} <= set(made)
+        assert not {" I(Xi)", "I( Xi)", "I(1)", "I(X^(0,0))", "Xi^10001", "I(Xi^10000)"} & set(made)
 
 
 def _nesting(block: str) -> int:
@@ -425,23 +457,19 @@ def _scanned_ends(text: str) -> dict[int, int]:
 
 
 class TestBlockEnds:
-    """Block ends come from one pattern match up to symbols._BLOCK_DEPTH
-    levels; from the first block it cannot match, the memo is off."""
+    """compose_symbols ends a factor at the first * where parentheses
+    balance, and hostile texts cost it and the parser one pass."""
 
     @pytest.mark.parametrize("core", ["Xi", "I(Xi)^2*X^(0,1)", "X^(1,0)*Xi"])
-    def test_pattern_ends_are_the_scanned_ends(self, core):
-        text = _chain(symbols._BLOCK_DEPTH + 8, core) + "*" + _chain(3, core)
+    def test_factor_ends_are_the_scanned_ends(self, core):
+        # every block of the text, read as one factor, is made, and so is
+        # the product of two chains
+        text = _chain(40, core) + "*" + _chain(3, core)
         ends = _scanned_ends(text)
-        for i in (i for i, ch in enumerate(text) if ch == "("):
-            got = symbols._block_pattern().match(text, i)
-            shallow = _nesting(text[i:ends[i]]) <= symbols._BLOCK_DEPTH
-            assert (got.end() if got else None) == (ends[i] if shallow else None)
-        assert symbols._block_pattern().match("I(I(Xi)", 1) is None  # never closed
-
-    def test_pattern_runs_on_python_3_10(self):
-        # re takes possessive quantifiers and atomic groups only from 3.11
-        source = symbols._block_pattern().pattern
-        assert not re.search(r"[*+?}]\+|\(\?>", source)
+        blocks = [text[i - 1 : ends[i]] for i in sorted(ends) if text[i - 1] == "I"]
+        made = _composed(blocks + ["Xi", core, text])
+        assert set(made) == set(blocks) | {"Xi", core, text}
+        assert _nesting(text) == 40 + _nesting(core)
 
     @pytest.mark.parametrize(
         "text",
@@ -454,55 +482,39 @@ class TestBlockEnds:
         ids=["never-closed", "31-deep-never-closed", "too-deep-at-the-end", "sawtooth"],
     )
     def test_failed_matches_stay_fast(self, text):
-        # linear: about 20 ms for these 100-250 KB texts.  A pattern that
-        # backtracks into every way of splitting them would run for hours;
-        # the alarm interrupts the match and fails the test instead.
+        # linear: a few ms for these 100-250 KB texts; a split that joined
+        # its pieces one at a time would copy them about 40,000 times
         with alarm(2.0):
-            assert symbols._block_pattern().match(text) is None
+            assert compose_symbols([text, "Xi", "I(Xi)"]).keys() == {"Xi", "I(Xi)"}
+            with pytest.raises(ValueError):
+                parse_symbol(text)
 
     @pytest.mark.parametrize("levels", [40, 450])
     @pytest.mark.parametrize("hit", [0, 20, 39])
-    def test_chains_past_the_pattern_depth(self, levels, hit):
+    def test_chains_deeper_than_stored_spaces(self, levels, hit):
         core = "I(Xi)*X^(0,1)"
-        before = _chain(hit, core) if hit else "Xi"  # hit 39 nests past the pattern too
+        before = _chain(hit, core) if hit else "Xi"
         text = before + "*" + _chain(levels, core) + "*I(X^(0,2))"
-        memo: dict = {}
-        t = parse_symbol(text, memo=memo)
+        stored = _chains(max(levels, hit), core) + ["Xi", "X^(0,2)", "I(X^(0,2))", text]
+        made = compose_symbols(stored)
+        t = made[text]
         assert t is parse_symbol(text) and (t.p, t.q) == (2, parse_symbol(before).q + levels + 2)
-        # the memo holds the blocks closed before the first unmatched one:
-        # what a parse of before alone records, at the same key budget
-        alone: dict = {}
-        parse_symbol(before.ljust(len(text)), memo=alone)
-        assert memo == alone and bool(memo) is (0 < hit < symbols._BLOCK_DEPTH)
         for broken in (text[:-1], text[:-1] + "*Xi", text + ")"):
-            assert _same(_outcome(broken, memo), _outcome(broken))
-
-    def test_memo_stops_past_the_pattern_depth(self):
-        # a 32-level chain is the deepest block the pattern follows
-        for levels, on in ((symbols._BLOCK_DEPTH, True), (symbols._BLOCK_DEPTH + 1, False)):
-            text = _chain(levels)
-            memo: dict = {}
-            assert parse_symbol(text, memo=memo) is parse_symbol(text)
-            # the outer levels, as far as the key budget reaches, or none
-            assert set(memo) <= {_chain(n) for n in range(1, levels + 1)}
-            assert text in memo if on else not memo
-            # a wrong entry is read only while the memo is on
-            wrong = {_chain(levels - 1): xi()}
-            assert (parse_symbol(text, memo=wrong) is parse_symbol(text)) is not on
+            assert broken not in compose_symbols([broken, *stored])
 
     def test_texts_with_more_open_parentheses_than_the_bound_use_the_memo(self):
         text = "*".join(["I(Xi)"] * (symbols._MAX_DEPTH + 1))
-        memo: dict = {}
-        t = parse_symbol(text, memo=memo)
-        assert t is parse_symbol(text) and (t.p, t.q) == (symbols._MAX_DEPTH + 1,) * 2
-        assert set(memo) == {"I(Xi)"}
+        made = _composed([text, "I(Xi)", "Xi"])
+        assert (made[text].p, made[text].q) == (symbols._MAX_DEPTH + 1,) * 2
 
     def test_an_unclosed_path_is_matched_once(self):
-        # 400 open blocks around 2 MB: matching each of them would read the
-        # padding 400 times, about 3.5 s; the first failed match stops it
+        # 400 open blocks around 2 MB: reading the padding once per open
+        # block would take seconds; each reads it once
         text = "I(Xi*" * 400 + " " * 2_000_000 + "Xi"
         with alarm(2.0), pytest.raises(ValueError, match=r"expected '\)'"):
-            parse_symbol(text, memo={})
+            parse_symbol(text)
+        with alarm(2.0):
+            assert compose_symbols([text]) == {}
 
 
 class TestSizeBound:
