@@ -41,10 +41,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb, floor
+from math import comb
 from operator import add
 
-from .params import Parameters, completeness_threshold, require_subcritical
+from .params import Parameters, require_subcritical
 
 __all__ = ["Census", "census", "marked_census"]
 
@@ -71,11 +71,12 @@ def _frame(params: Parameters) -> tuple[int, int, int, Counter]:
     adds, and D(s), the number of monomials of s units, 0 < s <= T."""
     d = params.d
     L, A, R = params.units
-    T = int(completeness_threshold(params) * L)
-    # No negative symbol has more than q* edges; a child weighs at least A + R.
-    # T < R, so no monomial has a time exponent; one of space degree t weighs t*L.
+    T = params.threshold_units
+    # No negative symbol has more than q* = -N*A/S edges; a child weighs at
+    # least A + R.  T < R, so no monomial has a time exponent; one of space
+    # degree t weighs t*L.
     mono = Counter({t * L: comb(t + d - 1, d - 1) for t in range(1, T // L + 1)})
-    return T, floor(params.q_star), min(A + R, 0), mono
+    return T, -params.N * A // params.slack_units, min(A + R, 0), mono
 
 
 def _counts(params: Parameters, sector: dict[tuple[int, int, int], int]) -> Census:

@@ -234,7 +234,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if ok:
         print(f"subcritical (case {case})")
         return 0
-    if params.slack == 0:
+    if params.slack_units == 0:
         print("not subcritical (boundary)")
     else:
         print("not subcritical")

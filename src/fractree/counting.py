@@ -4,8 +4,10 @@ Everything here is lattice geometry: a negative-homogeneity symbol of type
 (p, q, k) corresponds to the lattice point (p, q) inside a truncated cone,
 and the counting functions h_F (distinct homogeneities) and c_F (symbols)
 are controlled by where the zero-homogeneity line p*alpha0 + q*rho = 0 exits
-that cone.  All bound formulas are evaluated at kappa = 0 exactly, as
-Fractions; the enumeration elsewhere keeps kappa symbolic.
+that cone.  All bound formulas are evaluated at kappa = 0 exactly, from
+the integer units (L, A, R) of :attr:`Parameters.units` and the slack in
+units S = N*R + (N-1)*A: a bound is a Fraction only where one is
+returned.  The enumeration elsewhere keeps kappa symbolic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .params import Parameters, RationalLike, _frac, require_subcritical, rho_c
+from .params import Parameters, RationalLike, _frac, require_subcritical
 
 __all__ = [
     "ALPHA_N",
@@ -44,10 +46,11 @@ ALPHA_LIMIT = 0.3383219
 LAMBDA2 = 1.1300337
 
 
-def _gap(N: int, d: int, rho: RationalLike) -> Fraction:
-    """rho - rho_c, at a white-noise point ``params`` accepts as build does."""
-    require_subcritical(Parameters.white_noise(N, d, rho))
-    return _frac(rho) - rho_c(N, d)
+def _subcritical(N: int, d: int, rho: RationalLike) -> Parameters:
+    """The white-noise Parameters of (N, d, rho), refused as build does."""
+    params = Parameters.white_noise(N, d, rho)
+    require_subcritical(params)
+    return params
 
 
 def d0_contains(p: int, q: int, N: int) -> bool:
@@ -82,13 +85,21 @@ class LatticeBounds:
 
 
 def lattice_bounds(N: int, d: int, rho: RationalLike) -> LatticeBounds:
-    r = _frac(rho)
-    gap = _gap(N, d, r)
-    denom = gap * (N + 1)
+    """Where the zero line leaves the cone at the white-noise point (N, d, rho).
+
+    Raises SubcriticalityError, as :func:`builder.build` does, unless
+    rho > rho_c (and ValueError for a point :class:`Parameters` refuses).
+    ``p_star`` = N*rho/slack and ``q_star`` = N*(rho + d)/(2*slack) are the
+    exit point and ``rho_gap`` = rho - rho_c the distance to the boundary;
+    with the slack S in units of 1/L they are N*R/S, -N*A/S and 2S/((N+1)L).
+    """
+    params = _subcritical(N, d, rho)
+    L, A, R = params.units
+    S = params.slack_units
     return LatticeBounds(
-        p_star=Fraction(2 * N) * r / denom,
-        q_star=Fraction(N) * (r + d) / denom,
-        rho_gap=gap,
+        p_star=Fraction(N * R, S),
+        q_star=Fraction(-N * A, S),
+        rho_gap=Fraction(2 * S, (N + 1) * L),
     )
 
 
@@ -195,9 +206,9 @@ def _dio_ranges(
     """
     if boundary not in ("le", "lt"):
         raise ValueError("boundary must be 'le' or 'lt'")
-    r = _frac(rho)
-    q_top = math.floor(lattice_bounds(N, d, r).q_star)  # refuses as build does
-    num, den = r.numerator, r.denominator
+    params = _subcritical(N, d, rho)
+    q_top = -N * params.units[1] // params.slack_units  # the floor of q*
+    num, den = params.rho.numerator, params.rho.denominator
     scale = 2 * den
     w = N * (num - d * den)
     shift = 0 if boundary == "le" else 1  # "lt" needs v <= -1 unit

@@ -114,7 +114,8 @@ class Homogeneity:
     b: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
+        if not isinstance(self.a, Fraction):
+            object.__setattr__(self, "a", _frac(self.a))
         if not isinstance(self.b, int):
             raise TypeError("kappa coefficient must be an int")
 
@@ -189,7 +190,9 @@ def alpha0_white_noise(rho: RationalLike, d: int) -> Homogeneity:
     r = _frac(rho)
     if r <= 0:
         raise ValueError("rho must be positive")
-    return Homogeneity(-(r + d) / 2, -1)
+    if type(d) is not int:  # keep the exact formula and its errors
+        return Homogeneity(-(r + d) / 2, -1)
+    return Homogeneity(Fraction(-(r.numerator + d * r.denominator), 2 * r.denominator), -1)
 
 
 def scaled_degree(k: Sequence[int], rho: RationalLike) -> Fraction:
@@ -245,8 +248,26 @@ class Parameters:
         """(L, A, R): L the common denominator of alpha0 and rho, A and R
         their rational parts in units of 1/L.  A type (p, q, k) weighs
         p*A + q*R + k[0]*R + (k[1] + ...)*L units, an exact multiple of 1/L."""
-        L = lcm(self.alpha0.a.denominator, self.rho.denominator)
-        return L, int(self.alpha0.a * L), int(self.rho * L)
+        a, r = self.alpha0.a, self.rho
+        L = lcm(a.denominator, r.denominator)
+        return L, a.numerator * (L // a.denominator), r.numerator * (L // r.denominator)
+
+    @property
+    def slack_units(self) -> int:
+        """S = N*R + (N-1)*A, the slack in units of 1/L.
+
+        Every geometric quantity of the point is a ratio of S and the units:
+        the slack S/L, q* = -N*A/S, p* = N*R/S and the gap 2S/((N+1)L).
+        """
+        _, A, R = self.units
+        return self.N * R + (self.N - 1) * A
+
+    @property
+    def threshold_units(self) -> int:
+        """:func:`completeness_threshold` in units of 1/L: (N-1)*|A+R| when
+        the noise loses regularity under one integration (A+R < 0), else 0."""
+        _, A, R = self.units
+        return max(-(self.N - 1) * (A + R), 0)
 
     @property
     def scale(self) -> int:
@@ -266,7 +287,7 @@ class Parameters:
         zero slack (on the boundary, with a positive kappa coefficient) has an
         infinite negative sector, which :func:`require_subcritical` refuses.
         """
-        return self.N * self.rho + (self.N - 1) * self.alpha0.a
+        return Fraction(self.slack_units, self.units[0])
 
     @property
     def q_star(self) -> Fraction:
@@ -276,7 +297,7 @@ class Parameters:
         is ``counting.lattice_bounds(N, d, rho).q_star``.  Defined for
         positive slack only.
         """
-        return -self.N * self.alpha0.a / self.slack
+        return Fraction(-self.N * self.units[1], self.slack_units)
 
     @property
     def rho_gap(self) -> Fraction:
@@ -285,7 +306,7 @@ class Parameters:
         For white noise this is rho - rho_c; for a custom alpha0 it measures
         the same distance through the noise regularity.
         """
-        return 2 * self.slack / (self.N + 1)
+        return Fraction(2 * self.slack_units, (self.N + 1) * self.units[0])
 
     def type_entry(self, p: int, q: int, kvec: tuple) -> tuple[tuple[int, int], Homogeneity]:
         """Integer sort key (units, kappa coefficient) and the one shared
@@ -301,6 +322,8 @@ class Parameters:
 
     def homogeneity_of_type(self, p: int, q: int, k: Sequence[int] = ()) -> Homogeneity:
         """Homogeneity p*alpha0 + q*rho + |k|_s of a symbol of type (p, q, k)."""
+        if type(k) is tuple and not k and type(p) is type(q) is int:
+            return self.type_entry(p, q, k)[1]
         kt = tuple(k)
         if type(p) is type(q) is int and all(type(x) is int and x >= 0 for x in kt):
             return self.type_entry(p, q, kt)[1]
@@ -321,14 +344,15 @@ def is_locally_subcritical(params: Parameters) -> tuple[bool, str]:
 
     Comparisons are kappa-aware, which is what makes the boundary strict:
     at rho = rho_c the right-hand side of case "ii" wins by (N-1)*kappa.
+    In the units of :attr:`Parameters.units` they compare integer pairs
+    (units, kappa coefficient): (A + R, b) for case "i" and the slack in
+    units with (N-1)*b for case "ii".
     """
-    zero = Homogeneity(Fraction(0), 0)
-    gain = params.alpha0.shift(params.rho)
-    if gain > zero:
+    _, A, R = params.units
+    b = params.alpha0.b
+    if (A + R, b) > (0, 0):
         return True, "i"
-    lhs = Homogeneity(params.rho * params.N, 0)
-    rhs = params.alpha0 * (-(params.N - 1))
-    if lhs > rhs:
+    if (params.slack_units, (params.N - 1) * b) > (0, 0):
         return True, "ii"
     return False, "none"
 
@@ -339,17 +363,19 @@ def require_subcritical(params: Parameters) -> None:
     That needs local subcriticality and a positive slack; the two differ
     only on the boundary with a positive kappa coefficient, where case "ii"
     holds but every full tree has homogeneity alpha0 plus a kappa multiple.
+    Case "i" forces a positive slack, so the slack alone decides.
     """
+    if params.slack_units > 0:
+        return
     where = (
         f"parameters N={params.N}, d={params.d}, rho={params.rho}, "
         f"alpha0={params.alpha0}"
     )
     if not is_locally_subcritical(params)[0]:
         raise SubcriticalityError(f"{where} satisfy no subcriticality condition")
-    if params.slack <= 0:
-        raise SubcriticalityError(
-            f"{where}: the negative sector is infinite on the subcriticality boundary"
-        )
+    raise SubcriticalityError(
+        f"{where}: the negative sector is infinite on the subcriticality boundary"
+    )
 
 
 def completeness_threshold(params: Parameters) -> Fraction:
@@ -360,7 +386,4 @@ def completeness_threshold(params: Parameters) -> Fraction:
     truncation level.  When integrating the noise already has positive
     homogeneity the threshold is zero.
     """
-    climb = params.alpha0.a + params.rho
-    if climb >= 0:
-        return Fraction(0)
-    return -(params.N - 1) * climb
+    return Fraction(params.threshold_units, params.units[0])

@@ -402,8 +402,8 @@ class TestPersistence:
         )
 
     def test_load_builds_at_most_two_nodes_per_record(self, spaces, monkeypatch):
-        # every I(...) block a record shares with an earlier one is looked
-        # up, not rebuilt: 1,778 nodes for 1,354 records (30,481 unshared)
+        # each record is composed from the symbols of the texts it is made
+        # of, so a load makes about one node per record: 1,352 for 1,354
         data = to_json_dict(spaces(2, 2, F(3, 4)))
         calls = []
         make_node = symbols._make_node
