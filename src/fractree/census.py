@@ -72,11 +72,10 @@ def _frame(params: Parameters) -> tuple[int, int, int, Counter]:
     d = params.d
     L, A, R = params.units
     T = params.threshold_units
-    # No negative symbol has more than q* = -N*A/S edges; a child weighs at
-    # least A + R.  T < R, so no monomial has a time exponent; one of space
-    # degree t weighs t*L.
+    # No negative symbol has more than q* edges; a child weighs at least A + R.
+    # T < R, so no monomial has a time exponent; one of space degree t weighs t*L.
     mono = Counter({t * L: comb(t + d - 1, d - 1) for t in range(1, T // L + 1)})
-    return T, -params.N * A // params.slack_units, min(A + R, 0), mono
+    return T, params.q_top, min(A + R, 0), mono
 
 
 def _counts(params: Parameters, sector: dict[tuple[int, int, int], int]) -> Census:

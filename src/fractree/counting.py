@@ -91,15 +91,13 @@ def lattice_bounds(N: int, d: int, rho: RationalLike) -> LatticeBounds:
     rho > rho_c (and ValueError for a point :class:`Parameters` refuses).
     ``p_star`` = N*rho/slack and ``q_star`` = N*(rho + d)/(2*slack) are the
     exit point and ``rho_gap`` = rho - rho_c the distance to the boundary;
-    with the slack S in units of 1/L they are N*R/S, -N*A/S and 2S/((N+1)L).
+    the last two are :attr:`Parameters.q_star` and :attr:`Parameters.rho_gap`.
     """
     params = _subcritical(N, d, rho)
-    L, A, R = params.units
-    S = params.slack_units
     return LatticeBounds(
-        p_star=Fraction(N * R, S),
-        q_star=Fraction(-N * A, S),
-        rho_gap=Fraction(2 * S, (N + 1) * L),
+        p_star=Fraction(N * params.units[2], params.slack_units),
+        q_star=params.q_star,
+        rho_gap=params.rho_gap,
     )
 
 
@@ -207,7 +205,7 @@ def _dio_ranges(
     if boundary not in ("le", "lt"):
         raise ValueError("boundary must be 'le' or 'lt'")
     params = _subcritical(N, d, rho)
-    q_top = -N * params.units[1] // params.slack_units  # the floor of q*
+    q_top = params.q_top
     num, den = params.rho.numerator, params.rho.denominator
     scale = 2 * den
     w = N * (num - d * den)

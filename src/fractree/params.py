@@ -190,9 +190,7 @@ def alpha0_white_noise(rho: RationalLike, d: int) -> Homogeneity:
     r = _frac(rho)
     if r <= 0:
         raise ValueError("rho must be positive")
-    if type(d) is not int:  # keep the exact formula and its errors
-        return Homogeneity(-(r + d) / 2, -1)
-    return Homogeneity(Fraction(-(r.numerator + d * r.denominator), 2 * r.denominator), -1)
+    return Homogeneity(-(r + d) / 2, -1)
 
 
 def scaled_degree(k: Sequence[int], rho: RationalLike) -> Fraction:
@@ -300,6 +298,11 @@ class Parameters:
         return Fraction(-self.N * self.units[1], self.slack_units)
 
     @property
+    def q_top(self) -> int:
+        """floor(q*), the most integration edges a negative symbol has."""
+        return -self.N * self.units[1] // self.slack_units
+
+    @property
     def rho_gap(self) -> Fraction:
         """Distance 2*slack/(N+1) to the subcriticality boundary.
 
@@ -322,8 +325,6 @@ class Parameters:
 
     def homogeneity_of_type(self, p: int, q: int, k: Sequence[int] = ()) -> Homogeneity:
         """Homogeneity p*alpha0 + q*rho + |k|_s of a symbol of type (p, q, k)."""
-        if type(k) is tuple and not k and type(p) is type(q) is int:
-            return self.type_entry(p, q, k)[1]
         kt = tuple(k)
         if type(p) is type(q) is int and all(type(x) is int and x >= 0 for x in kt):
             return self.type_entry(p, q, kt)[1]

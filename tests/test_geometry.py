@@ -170,8 +170,3 @@ class TestGeometryOracle:
             assert {v[0] for v in verdicts} == {"i", "ii", "none"}
             assert ("i", True, True) in verdicts and ("ii", True, True) in verdicts
             assert ("ii", False, False) in verdicts and ("none", False, False) in verdicts
-
-
-def test_alpha0_white_noise_keeps_odd_inputs():
-    for args in [(F(3, 4), 1.5), (F(3, 4), "2"), (F(3, 4), F(1, 2)), (F(3, 4), True), (0, 2)]:
-        assert _outcome(alpha0_white_noise, *args) == _outcome(ref_alpha0_white_noise, *args)
