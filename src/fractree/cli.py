@@ -550,9 +550,8 @@ _COMMANDS = {
 def _parser() -> argparse.ArgumentParser:
     """The full tree: every subcommand with its help and its arguments.
 
-    ``main`` builds it only when no command comes first in its arguments,
-    for the top-level help and usage errors, or when the named command's own
-    parser leaves arguments over.
+    ``main`` builds it for every argv that ``_read`` leaves: the help, usage
+    errors and any form of the arguments beyond exact flags and values.
     """
     ap = argparse.ArgumentParser(
         prog="fractree",
@@ -567,23 +566,75 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the tree of ``_parser`` does, with one parser when
-    the first argument names a command.
+def _read(name: str, argv: list[str]) -> Optional[argparse.Namespace]:
+    """``argv``, the arguments after the command ``name``, read as the tree
+    would from the command's ``add_argument`` calls, or None for the tree.
 
-    Argparse gives that command's subparser the prog "fractree NAME" and
-    every argument after the name, so a parser made alike prints the same
-    help, usage and errors.  Arguments it leaves over are reported by the
-    tree, under the top-level usage, as is an argv with no command first.
+    Read here are the positionals, then exact ``--flag value`` pairs or
+    store-true flags, each flag once and no value starting with "-".  A given
+    value goes through its ``type`` and ``choices``, a string default
+    through its ``type`` alone, as in argparse; a refused value raises.
+    """
+    _, add_arguments, handler = _COMMANDS[name]
+    declared = []  # (name, keywords) of each add_argument call; no parser is built
+    add_arguments(argparse.Namespace(add_argument=lambda arg, **kw: declared.append((arg, kw))))
+    args = argparse.Namespace(func=handler, command=name)
+    flags, given, i = {}, {}, 0
+    for arg, kw in declared:
+        if arg.startswith("-"):
+            flags[arg] = kw
+            continue
+        end = i
+        while end < len(argv) and not argv[end].startswith("-"):
+            end += 1
+        if kw.get("nargs") == "*":
+            setattr(args, arg, argv[i:end])
+            i = end
+        elif end > i:
+            setattr(args, arg, argv[i])
+            i += 1
+        else:
+            return None
+    while i < len(argv):
+        flag, kw = argv[i], flags.get(argv[i])
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = kw["type"](argv[i + 1]) if "type" in kw else argv[i + 1]
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+        i += 2
+    for flag, kw in flags.items():
+        if flag in given:
+            value = given[flag]
+        else:
+            value = kw.get("default", False if kw.get("action") == "store_true" else None)
+            if isinstance(value, str) and "type" in kw:
+                value = kw["type"](value)
+        setattr(args, kw.get("dest", flag[2:]), value)
+    return args
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the tree of ``_parser`` does.
+
+    An argv that names a command and then gives only what ``_read`` reads is
+    read from the command's declarations, without argparse; any other argv,
+    and one whose given value or string default its ``type`` refuses, goes to
+    the tree, which prints every help, usage and error text.
     """
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        _, add_arguments, handler = _COMMANDS[name]
-        ap = argparse.ArgumentParser(prog="fractree " + name)
-        add_arguments(ap)
-        ap.set_defaults(func=handler, command=name)
-        args, extras = ap.parse_known_args(argv[1:])
-        if not extras:
+        try:
+            args = _read(argv[0], argv[1:])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            args = None
+        if args is not None:
             return args
     return _parser().parse_args(argv)
 
@@ -591,10 +642,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the command ``argv`` names and return its exit code.
 
-    A call whose first argument is a command builds that command's parser
-    alone; the tree of ``_parser`` is built only when no command comes
-    first, for the top-level help or usage error, or when arguments are
-    left over.
+    A well-formed argv is read without building any argparse parser; the
+    tree of ``_parser`` is built only for the help, a usage error or an
+    argv in any other form.
     """
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:

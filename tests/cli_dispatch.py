@@ -1,9 +1,10 @@
 """Parse argvs both ways ``fractree.cli`` can, and report where they differ.
 
-``cli._parse_args``, which ``main`` calls, parses an argv whose first
-argument names a command with that command's parser alone.  The reference
-is the full tree, ``cli._parser()``, as ``main`` used it for every
-call before: for each argv both must exit with the same code, print the
+``cli._parse_args``, which ``main`` calls, reads an argv that names a
+command and then gives only its positionals and exact ``--flag value``
+pairs from the command's declarations, without argparse, and hands every
+other argv to the full tree, ``cli._parser()``.  The tree alone is the
+reference: for each argv both must exit with the same code, print the
 same stdout and stderr, and return the same namespace.  No pytest is
 needed, so the check runs under any Python the package supports:
 

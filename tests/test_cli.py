@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -883,8 +884,8 @@ class TestEnvOverrides:
 
 # Help and usage-error texts as the full parser printed them under Python
 # 3.11's argparse at COLUMNS=80, with no FRACTREE_* variable set: main must
-# print them byte for byte, from the named command's own parser or, with no
-# command first or arguments left over, from the tree of cli._parser.
+# print them byte for byte, from the tree of cli._parser, which reads every
+# argv that cli._read leaves.
 HELP_PINS = {
     "": """\
 usage: fractree [-h] {check,build,list,stats,scan,fit,export} ...
@@ -1095,9 +1096,8 @@ def plain_env(monkeypatch):
 
 @pytest.mark.usefixtures("plain_env")
 class TestHelpText:
-    """The named command's own parser, and the tree that registers every
-    subcommand but adds the arguments of the named one alone, leave each
-    help text and usage error as the full parser had it."""
+    """The tree of cli._parser, which main builds for every help request and
+    malformed argv, prints each help text and usage error as pinned."""
 
     @pytest.mark.parametrize("command", list(HELP_PINS))
     def test_help(self, capsys, command):
@@ -1118,8 +1118,10 @@ class TestHelpText:
 
 
 # More argvs for the dispatch check: `--` and arguments left over, option
-# abbreviations, help among other arguments, repeated options and command
-# names in option values.
+# abbreviations and `=` forms, help among other arguments, repeated options,
+# command names in option values, values and positionals that start with
+# "-" or are empty, misplaced positionals, and values that a type or the
+# choices refuse.
 DISPATCH_ARGVS = [
     "check 2 2 0.9",
     "check -- 2 2 0.9",
@@ -1139,30 +1141,67 @@ DISPATCH_ARGVS = [
     "fit -- --x",
     "fit a b",
     "export --forest --forest",
+    "check --N 2 --d 2 --rho 1 --noise -1/2",
+    "check --N 2 --d 2 --rho 1 --noise=-1/2",
+    "check --N -2 --d 2 --rho 1",
+    "check 2 --N 3 2 0.9",
+    "check 2 2 0.9 --noise white",
+    'check ""',
+    "fit --N 2 --d 2 scan.csv",
+    "fit scan.csv --N 2 --d 2 --format json",
+    "stats --N 2 --d 2 --rho 1 --format xml",
+    "stats --N 2 --d 2 --rho 1 --format",
+    'build --N 2 --d 2 --rho 1 --out ""',
+    "build --N two",
+    "list - --N 2",
 ]
 
 
 def dispatch_cases():
     """Every argv the help and usage pins, the environment matrix and
-    DISPATCH_ARGVS name, as [argv, FRACTREE_* variables] pairs."""
+    DISPATCH_ARGVS name, as [argv, FRACTREE_* variables] pairs.  Besides
+    the matrix, each command runs with a default its ``type`` refuses and
+    with one outside its ``choices``, which argparse does not check."""
     cases = [[[command, "--help"] if command else ["--help"], {}] for command in HELP_PINS]
     cases += [[argv.split(), {}] for argv in USAGE_ERRORS]
     cases += [
-        [[command, "scan.csv"] if command == "fit" else [command], ENV_DEFAULTS]
+        [[command, "scan.csv"] if command == "fit" else [command], env]
+        for env in (ENV_DEFAULTS, {"FRACTREE_N": "two"}, {"FRACTREE_FORMAT": "xml"})
         for command in fractree.cli._COMMANDS
     ]
-    cases += [[argv.split(), {}] for argv in DISPATCH_ARGVS]
+    cases += [[shlex.split(argv), {}] for argv in DISPATCH_ARGVS]
     return cases
 
 
+def dispatch_id(case):
+    """A case's argv as a shell would read it, after the variables it sets
+    unless they are the ENV_DEFAULTS matrix."""
+    argv, env = case
+    names = [] if env is ENV_DEFAULTS else [f"{name}={value}" for name, value in env.items()]
+    return shlex.join(names + argv) or "-"
+
+
 class TestDispatch:
-    """main parses with the named command's parser alone, and says what the
+    """main reads a well-formed argv without argparse, and says what the
     tree of cli._parser said."""
 
     FIT_CSV = (
         "rho,h_F,c_F,certified\n"
         "1/1,6,8,true\n9/10,7,11,true\n17/20,9,21,true\n4/5,12,64,true\n3/4,18,932,true\n"
     )
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The prog of every ArgumentParser made while the test runs."""
+        made = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return made
 
     @pytest.mark.parametrize(
         "argv",
@@ -1177,22 +1216,22 @@ class TestDispatch:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_one_parser_per_call(self, capsys, monkeypatch, tmp_path, argv):
+    def test_one_parser_per_call(self, capsys, tmp_path, made, argv):
+        """The count of parsers a call builds: none at all for these
+        well-formed calls, which main reads from the declarations."""
         path = tmp_path / "scan.csv"
         path.write_text(self.FIT_CSV)
-        made = []
-        real = argparse.ArgumentParser.__init__
-
-        def counted(parser, *args, **kwargs):
-            made.append(kwargs.get("prog"))
-            real(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         code, _, err = run(capsys, [arg.format(csv=path) for arg in argv])
         assert code == 0, err
-        assert made == ["fractree " + argv[0]]
+        assert made == []
 
-    @pytest.mark.parametrize("case", dispatch_cases(), ids=lambda case: " ".join(case[0]) or "-")
+    def test_other_forms_go_to_the_tree(self, made):
+        # an abbreviated flag is read by argparse, never by cli._read
+        args = fractree.cli._parse_args(["list", "--form", "csv"])
+        assert args.format == "csv"
+        assert made[0] == "fractree"
+
+    @pytest.mark.parametrize("case", dispatch_cases(), ids=dispatch_id)
     def test_same_outcome_as_the_tree(self, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")
         assert differences([case]) == []

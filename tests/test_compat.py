@@ -256,7 +256,7 @@ def _pyenv_pythons():
 )
 def test_cli_dispatch_matches_the_tree(tmp_path, exe):
     # argparse's handling of `--` and of arguments left over changed across
-    # 3.10-3.13: main's one-parser dispatch must still say what the tree says
+    # 3.10-3.13: main's reader must still say what the tree says under each
     got = subprocess.run(
         [exe, "-c", "import sys, platform; print(platform.python_implementation(), *sys.version_info[:2])"],
         capture_output=True, text=True, timeout=60,
