@@ -185,29 +185,22 @@ def _monomials(params: Parameters, maxh_units: int) -> Iterator[tuple[Symbol, in
 
 def _product_tuples(
     units: list[int], is_new: list[bool], N: int, limit: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Index multisets (nondecreasing tuples) of 1..N pool members, with their
-    total units.
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Index multisets (nondecreasing tuples) of 1..N pool members that hold
+    a new member and total at most ``limit`` units (``limit`` >= 0), each
+    with its total, made lazily and yielded in lexicographic order.
 
     The pool is sorted ascending by units, so two prunes apply: once a
     positive-unit member pushes the running total over ``limit`` no later
-    member can help, and a branch with no new member in reach can be
-    dropped entirely (products of all-old factors were emitted in an
-    earlier iteration).  Every emitted tuple has total units <= limit
-    (``limit`` >= 0) and at least one new member.
+    member can help, and a branch with no new member yet ranges only up to
+    the last new member (products of all-old factors were made in an
+    earlier round).
     """
-    n_pool = len(units)
-    suffix_new = [False] * (n_pool + 1)
-    for j in range(n_pool - 1, -1, -1):
-        suffix_new[j] = suffix_new[j + 1] or is_new[j]
-
-    out: list[tuple[tuple[int, ...], int]] = []
+    last_new = max((j for j, new in enumerate(is_new) if new), default=-1)
     stack: list[int] = []
 
-    def walk(start: int, slots: int, total: int, has_new: bool) -> None:
-        for j in range(start, n_pool):
-            if not has_new and not suffix_new[j]:
-                break
+    def walk(start: int, slots: int, total: int, has_new: bool):
+        for j in range(start, len(units) if has_new else last_new + 1):
             uj = units[j]
             t2 = total + uj
             if uj > 0 and t2 > limit:
@@ -215,13 +208,12 @@ def _product_tuples(
             hn = has_new or is_new[j]
             stack.append(j)
             if hn:
-                out.append((tuple(stack), t2))
+                yield tuple(stack), t2
             if slots > 1:
-                walk(j, slots - 1, t2, hn)
+                yield from walk(j, slots - 1, t2, hn)
             stack.pop()
 
-    walk(0, N, 0, False)
-    return out
+    return walk(0, N, 0, False)
 
 
 def build(params: Parameters, config: BuildConfig) -> ModelSpace:
@@ -271,9 +263,8 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
     # factor) or a monomial, which keeps its earlier tag.
     pool: list[tuple[int, bytes, Symbol]] = []  # U but the unit, as (units, enc, symbol)
 
-    def round_tuples(m: int) -> list[tuple[tuple[int, ...], int]]:
-        """Round m's index tuples over the sorted pool: those with a member
-        admitted in round m - 1."""
+    def round_tuples(m: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Round m's tuples, drawn lazily: those with a member admitted in round m - 1."""
         pool.sort()
         units = [u for u, _, _ in pool]
         marks = [records[s] == m - 1 for _, _, s in pool]
@@ -314,8 +305,8 @@ def build(params: Parameters, config: BuildConfig) -> ModelSpace:
                 admit(itau, m)
                 pool.append((u, itau.enc, itau))
     else:
-        # The budget ran out: the space is closed if the next round has no tuple.
-        converged = not round_tuples(config.iter + 1)
+        # The budget ran out: closed if the next round's walk yields no tuple.
+        converged = next(round_tuples(config.iter + 1), None) is None
 
     return ModelSpace(
         params=params,

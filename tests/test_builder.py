@@ -1,13 +1,14 @@
 """Fixed-point construction: exact small sectors, frozen counts, persistence."""
 
 import hashlib
+import itertools
 import json
 import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fractree.builder
 from conftest import alarm
@@ -300,6 +301,90 @@ class TestPrunedWalk:
         above = spaces(*point, maxh=completeness_threshold(at.params) + 1)
         assert at.complete and above.complete
         assert _sector_lines(above) == _sector_lines(at)
+
+
+def _product_tuples_by_definition(units, is_new, N, limit):
+    """Every nondecreasing index tuple of length 1..N that holds a new member
+    and totals at most ``limit`` units, with that total, in lexicographic
+    order: the definition the pruned walk must meet, by brute force."""
+    found = []
+    for k in range(1, N + 1):
+        for t in itertools.combinations_with_replacement(range(len(units)), k):
+            total = sum(units[j] for j in t)
+            if total <= limit and any(is_new[j] for j in t):
+                found.append((t, total))
+    return sorted(found)
+
+
+def _round_pools(monkeypatch, point, rounds):
+    """The (units, is_new, N, limit) each of a build's first ``rounds``
+    rounds hands the walk, at the completeness threshold."""
+    pools = []
+    real = fractree.builder._product_tuples
+
+    def recorded(*args):
+        pools.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fractree.builder, "_product_tuples", recorded)
+    params = Parameters.white_noise(*point)
+    build(params, BuildConfig(maxh=completeness_threshold(params), iter=rounds))
+    monkeypatch.undo()
+    return pools[:rounds]
+
+
+class TestProductTuples:
+    """The lazy walk yields exactly its definition, in lexicographic order."""
+
+    @given(
+        pool=st.lists(st.tuples(st.integers(-6, 8), st.booleans()), max_size=10).map(sorted),
+        N=st.integers(1, 4),
+        limit=st.integers(0, 12),
+    )
+    @example(pool=[], N=3, limit=5)
+    @example(pool=[(-2, False), (0, False), (1, False), (3, False)], N=4, limit=12)
+    @example(pool=[(-3, True), (-1, False), (0, False), (2, True), (5, False)], N=4, limit=0)
+    @settings(max_examples=300, deadline=None)
+    def test_random_pools(self, pool, N, limit):
+        units = [u for u, _ in pool]
+        is_new = [new for _, new in pool]
+        got = list(fractree.builder._product_tuples(units, is_new, N, limit))
+        assert got == _product_tuples_by_definition(units, is_new, N, limit)
+
+    @pytest.mark.parametrize("point", [(2, 2, F(3, 4)), (3, 3, F(8, 5))], ids=str)
+    def test_first_rounds_of_builds(self, monkeypatch, point):
+        pools = _round_pools(monkeypatch, point, 4)
+        assert len(pools) == 4
+        for units, is_new, N, limit in pools:
+            got = list(fractree.builder._product_tuples(units, is_new, N, limit))
+            assert got == _product_tuples_by_definition(units, is_new, N, limit)
+
+    @pytest.mark.parametrize("point", [(2, 2, F(3, 4)), (3, 3, F(8, 5))], ids=str)
+    @pytest.mark.parametrize("iters,drawn", [(3, 1), (10, 1), (11, 0)])
+    def test_closing_check_draws_at_most_one(self, monkeypatch, point, iters, drawn):
+        """A spent budget's closing check reads one tuple of the next round,
+        or none when that round is empty, and makes no product."""
+        walks = []
+        real = fractree.builder._product_tuples
+
+        def counted(*args):
+            index = len(walks)
+            walks.append(0)
+
+            def draw():
+                for item in real(*args):
+                    walks[index] += 1
+                    yield item
+
+            return draw()
+
+        monkeypatch.setattr(fractree.builder, "_product_tuples", counted)
+        params = Parameters.white_noise(*point)
+        ms = build(params, BuildConfig(maxh=completeness_threshold(params), iter=iters))
+        assert len(walks) == iters + 1
+        assert walks[-1] == drawn
+        closed = drawn == 0
+        assert ms.converged is closed and ms.complete is closed
 
 
 def _compositions_reference(total, parts):
