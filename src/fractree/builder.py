@@ -532,9 +532,33 @@ def from_json_dict(data: dict) -> ModelSpace:
                     continue
         sym, generation = _record(rec, i, made, expect, generations, rounds, d)
         generations[sym] = generation
+    _check_factors(generations, records, N)
     if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")
     return ms
+
+
+def _check_factors(generations: dict, records: list, N: int) -> None:
+    """Refuse a record a build does not make from the others: Xi, an integral
+    of a stored integrand, or a root over at most N factors, its decoration
+    one and each other a stored integral.  A record no other holds may be
+    missing unseen."""
+    integrands = {s.children[0][1] for s in generations if len(s.children) == 1 and not s.decoration}
+    for i, s in enumerate(generations):
+        kids = s.children
+        if len(kids) == 1 and not s.decoration:
+            if s is _XI or kids[0][1] in generations:
+                continue
+        elif len(kids) + bool(s.decoration) <= N:
+            for tag, c in kids:
+                if tag != INT or c not in integrands:
+                    break
+            else:
+                continue
+        raise ValueError(
+            f"malformed model space: 'symbols[{i}]' {records[i]['symbol']!r}"
+            f" is not made of at most {N} stored factors"
+        )
 
 
 # the exact types of a record's p, q, k, a and b; bool is not int here.  A

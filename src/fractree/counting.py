@@ -258,6 +258,8 @@ def dio_count(N: int, d: int, rho: RationalLike, boundary: str = "le") -> int:
     reporting side by side since they differ exactly on the a = 0 symbols.
     Each (qt, p) contributes the length of its c2 range.
     """
-    return sum(
-        max(c2_hi - c2_lo + 1, 0) for *_, c2_lo, c2_hi in _dio_ranges(N, d, rho, boundary)
-    )
+    total = 0
+    for *_, c2_lo, c2_hi in _dio_ranges(N, d, rho, boundary):
+        if c2_hi >= c2_lo:
+            total += c2_hi - c2_lo + 1
+    return total

@@ -326,8 +326,8 @@ class Parameters:
     def homogeneity_of_type(self, p: int, q: int, k: Sequence[int] = ()) -> Homogeneity:
         """Homogeneity p*alpha0 + q*rho + |k|_s of a symbol of type (p, q, k)."""
         kt = tuple(k)
-        if type(p) is type(q) is int and all(type(x) is int and x >= 0 for x in kt):
-            return self.type_entry(p, q, kt)[1]
+        if type(p) is type(q) is int and (not kt or all(type(x) is int and x >= 0 for x in kt)):
+            return (self._types.get((p, q, kt)) or self.type_entry(p, q, kt))[1]
         # anything else (a Fraction q, a float, a bad k) keeps the exact formula and its errors
         base = self.alpha0 * p
         return Homogeneity(base.a + self.rho * q + scaled_degree(kt, self.rho), base.b)

@@ -16,6 +16,8 @@ object, keyed by a canonical byte encoding, so equality and hashing are
 identity and sets of symbols deduplicate for free.  The intern pool maps
 each encoding to a weak reference, so it keeps no symbol alive: a symbol
 lives while something refers to it, and its finalizer drops its entry.
+:func:`decorate` keeps each bare tree's decorated twin, and so the pair,
+alive until ``trees.clear_bare_cache()`` drops them with the tree classes.
 Input is checked once, by the public constructors; the internal node
 constructor trusts them.
 
@@ -282,10 +284,20 @@ def decorate(b: Symbol) -> Symbol:
     return _decorate(b)
 
 
+# bare tree -> decorated twin, at most _TWINS_MAX; trees.clear_bare_cache() empties it
+_TWINS: dict[Symbol, Symbol] = {}
+_TWINS_MAX = 1 << 14
+
+
 def _decorate(b: Symbol) -> Symbol:
-    if not b.children:
-        return _XI
-    return _make_node((), tuple((INT, _decorate(c)) for _, c in b.children))
+    twin = _TWINS.get(b)
+    if twin is None:
+        if not b.children:
+            return _XI
+        twin = _make_node((), [(INT, _decorate(c)) for _, c in b.children])
+        if len(_TWINS) < _TWINS_MAX:
+            _TWINS[b] = twin
+    return twin
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +467,24 @@ def compose_symbols(texts: Iterable[str]) -> dict[str, Symbol]:
 
     Texts are made shortest first, so the text a factor needs is made before
     it, and each node is built with ``_make_node`` from symbols made
-    already.  A text made of valid texts this way is valid and parses to
-    the same symbol; the ``_MAX_DEPTH`` and ``_MAX_EDGES`` bounds are kept
-    as ``parse_symbol`` keeps them.  Every other text is left out, for
-    ``parse_symbol`` to read or refuse: the unit ``1``, whitespace, a
-    factor that is not stored.  Nothing recurses, and the result holds one
-    entry per distinct text.
+    already.  A product is read up to the first factor from which the rest
+    of the text is a text made already (see :func:`_product`); in a stored
+    space that is the rest after its first factor, so a product costs one
+    factor, one lookup and one node.  A text made of valid texts this way
+    is valid and parses to the same symbol; the ``_MAX_DEPTH`` and
+    ``_MAX_EDGES`` bounds are kept as ``parse_symbol`` keeps them.  Every
+    other text is left out, for ``parse_symbol`` to read or refuse: the
+    unit ``1``, whitespace, a factor that is not stored.  Nothing recurses,
+    and the result holds one entry per distinct text.
     """
     made: dict[str, Symbol] = {}
     depth: dict[str, int] = {}  # the most I( a parse of the text holds open at once
+    longest = 0  # the length of the longest text made so far
     for text in sorted(set(texts), key=len):
-        got = _factor(text, made, depth) or _product(text, made, depth)
+        got = _factor(text, made, depth) or _product(text, made, depth, longest)
         if got is not None:
             made[text], depth[text] = got
+            longest = len(text)
     return made
 
 
@@ -491,14 +508,20 @@ def _factor(text: str, made: dict[str, Symbol], depth: dict[str, int]):
     return None if m is None else (monomial([int(x) for x in m[1].split(",")]), 0)
 
 
-def _product(text: str, made: dict[str, Symbol], depth: dict[str, int]):
+def _product(text: str, made: dict[str, Symbol], depth: dict[str, int], longest: int):
     """``(symbol, depth)`` of ``text`` read as factors, each perhaps raised
-    to a power, joined by ``*``; else None."""
+    to a power, joined by ``*``; else None.
+
+    Factors are read until the rest of the text is a text made already,
+    whose symbol then stands for it.  A rest is looked up only when no
+    longer than ``longest`` (at first the longest text made), which halves
+    after each miss, so the lookups hash at most twice the text."""
     parts = text.split("*")
-    level = edges = balance = start = 0
+    level = edges = balance = start = end = 0
     dec: tuple[int, ...] = ()
     kids: list[tuple[int, Symbol]] = []
     for i, part in enumerate(parts):
+        end += len(part) + 1  # where the next part begins
         # a factor of a valid text holds no * outside its parentheses, so
         # it ends at the first * where they balance
         balance += part.count("(") - part.count(")")
@@ -520,6 +543,17 @@ def _product(text: str, made: dict[str, Symbol], depth: dict[str, int]):
         kids.extend(t.children * n)
         edges += n * (t.p + t.q)
         level = max(level, at)
+        size = len(text) - end
+        if 0 < size <= longest:
+            rest = text[end:]
+            t = made.get(rest)
+            if t is not None:
+                dec = _vec_add(dec, t.decoration)
+                kids.extend(t.children)
+                edges += t.p + t.q
+                level = max(level, depth[rest])
+                break
+            longest = size // 2
     if balance or edges > _MAX_EDGES:
         return None
     return _make_node(dec, kids), level

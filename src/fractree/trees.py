@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .params import ExplosionError  # re-exported: fractree.trees.ExplosionError
-from .symbols import INT, Symbol, _make_node, iter_vertices, one
+from .symbols import _TWINS, INT, Symbol, _make_node, iter_vertices, one
 
 __all__ = [
     "ExplosionError",
@@ -282,8 +282,10 @@ def _trees(N: int, edges: int, leaves: int) -> tuple[Symbol, ...]:
 
 
 def clear_bare_cache() -> None:
-    """Drop the memoised tree classes."""
+    """Drop the memoised tree classes and the decorated twins that
+    ``symbols.decorate`` keeps for their trees."""
     _trees.cache_clear()
+    _TWINS.clear()
 
 
 def bare_level_size(N: int, q: int) -> int:

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction as F
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import alarm
 from fractree import symbols
 from fractree.builder import BuildConfig, build, completeness_threshold
-from fractree.params import Parameters
+from fractree.params import Homogeneity, Parameters
 from fractree.stats import _element
+from fractree.trees import clear_bare_cache, enumerate_bare
 from fractree.symbols import (
     INT,
     XI,
@@ -551,6 +553,54 @@ class TestSizeBound:
         assert parse_symbol("I(Xi^9999)").n_edges == symbols._MAX_EDGES
 
 
+# the custom-noise point (2, 2, 8/5) with alpha0 = -29/10 - kappa
+_CUSTOM_8_5 = Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1))
+
+
+class TestStoredTexts:
+    """compose_symbols on whole stored spaces, where each product's rest
+    after its first factor is a stored text."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            Parameters.white_noise(2, 2, F(3, 4)),
+            Parameters.white_noise(3, 3, F(8, 5)),
+            Parameters.white_noise(4, 2, F(3, 2)),
+            _CUSTOM_8_5,
+        ],
+        ids=["2-2-3/4", "3-3-8/5", "4-2-3/2", "custom-2-2-8/5"],
+    )
+    def test_composed_as_parsed(self, params):
+        ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
+        texts = [render(s, params.d) for s in ms.generations]
+        made = compose_symbols(texts)
+        assert set(texts) - set(made) == {"1"}
+        for text, sym in made.items():
+            assert parse_symbol(text) is sym
+
+    def test_rest_lookups_stay_linear(self):
+        # a 240 KB product of monomials is made, then a longer one none of
+        # whose rests is made: looking each rest up would hash about 5 GB,
+        # and make the second text cost ten times the first
+        made_one = "*".join(["X^(1)"] * 40_000)
+        other = "*".join(["X^(2)"] * 40_001)
+
+        def seconds(texts):
+            runs = []
+            for _ in range(2):
+                start = time.perf_counter()
+                made = compose_symbols(texts)
+                runs.append(time.perf_counter() - start)
+            assert len(made) == len(texts)
+            return min(runs)
+
+        assert seconds([made_one, other]) < 4 * seconds([made_one])
+        made = compose_symbols([made_one, other])
+        assert made[made_one] is monomial((40_000,))
+        assert made[other] is monomial((80_002,))
+
+
 class TestBareDecorated:
     def test_bare_strips_noise(self):
         t = parse_symbol("I(I(Xi)^2)")
@@ -582,6 +632,63 @@ class TestBareDecorated:
         assert _element(t, 4, {})[:2] == (height, diameter)
         assert height <= t.q
         assert diameter <= 2 * height
+
+
+def _decorated(b: Symbol) -> Symbol:
+    """decorate by its definition: a noise at every leaf, no memo."""
+    if not b.children:
+        return xi()
+    return product([integrate(_decorated(c)) for _, c in b.children])
+
+
+@pytest.fixture()
+def node_calls(monkeypatch):
+    """The decorations of the nodes made through symbols._make_node."""
+    calls = []
+    make_node = symbols._make_node
+
+    def counted(dec, kids):
+        calls.append(dec)
+        return make_node(dec, kids)
+
+    monkeypatch.setattr(symbols, "_make_node", counted)
+    return calls
+
+
+class TestDecorateMemo:
+    """decorate keeps each bare tree's twin until clear_bare_cache."""
+
+    @pytest.mark.parametrize("N,top", [(2, 7), (3, 6)])
+    def test_one_node_per_new_tree(self, node_calls, N, top):
+        # classes in order of edges: a tree's subtrees are decorated before it
+        clear_bare_cache()
+        trees = [t for q in range(top + 1) for t in enumerate_bare(N, q)]
+        twins = []
+        for b in trees:
+            del node_calls[:]
+            twins.append(decorate(b))
+            assert len(node_calls) == (1 if b.children else 0)
+        assert len(symbols._TWINS) == len(trees) - 1  # the point is Xi, not kept
+        del node_calls[:]
+        assert [decorate(b) for b in trees] == twins and not node_calls
+        assert twins == [_decorated(b) for b in trees]
+
+    def test_clear_bare_cache_empties_the_memo(self, node_calls):
+        b = parse_symbol("I(I(Xi)^2)*I(Xi)")
+        t = decorate(bare_tree(b))
+        assert t is b and symbols._TWINS
+        clear_bare_cache()
+        assert not symbols._TWINS
+        del node_calls[:]
+        assert decorate(bare_tree(b)) is b and node_calls
+
+    def test_memo_is_bounded(self, monkeypatch):
+        clear_bare_cache()
+        monkeypatch.setattr(symbols, "_TWINS_MAX", 5)
+        trees = [t for q in range(7) for t in enumerate_bare(2, q)]
+        assert [decorate(b) for b in trees] == [_decorated(b) for b in trees]
+        assert len(symbols._TWINS) == 5
+        clear_bare_cache()
 
 
 def _degree_vector(t, N, bare=False):
