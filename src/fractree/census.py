@@ -21,7 +21,9 @@ level q only feeds parents above it; m copies of a class of t symbols give
 comb(t + m - 1, m) multisets.  Everything is an exact integer, and no
 symbol is built, so the census reaches gaps the enumeration cannot.
 
-:func:`census` keeps the counts alone; ``scan`` runs it.
+:func:`census` keeps the counts alone.  ``scan`` runs it once per call,
+at the lowest certified rho, and reads every certified row off it with
+:meth:`Census.at`.
 :func:`marked_census` splits each class further by the bare tree's height
 and diameter and carries, next to each count, the integer marks that
 ``stats.stat_report`` sums over the elements: S1 and S2 (the sums of the
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import add
 
-from .params import Parameters, require_subcritical
+from .params import Parameters, alpha0_white_noise, require_subcritical
 
 __all__ = ["Census", "census", "marked_census"]
 
@@ -63,6 +65,35 @@ class Census:
     h0_F: int
     sizes: tuple[tuple[int, int], ...]
     classes: tuple[tuple[tuple[int, int, int], int], ...]
+
+    def at(self, base: Parameters, params: Parameters) -> "Census":
+        """The census at ``params``, read off this one, the census at ``base``
+        (the same N, d and noise, and a rho at least base's).  Raising rho
+        raises the homogeneity of every class with an edge, and a class
+        keeps its count, a tree count without rho, so the sector at
+        ``params`` is the classes that stay negative, re-keyed by |k| = s / L.
+        """
+        white = alpha0_white_noise
+        if (params.N, params.d) != (base.N, base.d) or not (
+            params.alpha0 == base.alpha0
+            or base.alpha0 == white(base.rho, base.d)
+            and params.alpha0 == white(params.rho, params.d)
+        ):
+            raise ValueError(
+                f"a census at N={base.N}, d={base.d}, alpha0={base.alpha0} cannot be read "
+                f"at N={params.N}, d={params.d}, alpha0={params.alpha0}: another N, d or noise"
+            )
+        if params.rho < base.rho:
+            raise ValueError(f"a census at rho={base.rho} cannot be read at the lower rho={params.rho}")
+        L0 = base.units[0]
+        L, A, R = params.units
+        b0 = params.alpha0.b
+        sector = {}
+        for (p, q, s), t in self.classes:
+            s = s // L0 * L
+            if (p * A + q * R + s, p * b0) < (0, 0):
+                sector[(p, q, s)] = t
+        return _counts(params, sector)
 
 
 def _frame(params: Parameters) -> tuple[int, int, int, Counter]:

@@ -53,6 +53,7 @@ from .params import (
     alpha0_white_noise,
     completeness_threshold,
     is_locally_subcritical,
+    require_subcritical,
     rho_c,
 )
 from .stats import (
@@ -402,22 +403,33 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             raise SystemExit(2)
         seen.add(rho)
     worst = 0
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["rho", "h_F", "c_F", "certified"])
+    rows = []  # (rho, the Parameters of a certified row or a built row's CSV fields)
     for rho in args.rho:
         sub = argparse.Namespace(**vars(args))
         sub.rho = rho
         params = _params_from(sub)
-        # The certified sector is counted class by class; only a truncated
-        # request needs the symbols themselves.
         if _certified_request(args, params):
-            counts = census(params)
-            w.writerow([_fstr(rho), counts.h_F, counts.c_F, "true"])
+            require_subcritical(params)
+            rows.append((rho, params))
             continue
         ms, code = _build_space(sub, params)
         worst = max(worst, code)
-        w.writerow([_fstr(rho), h_F(ms), c_F(ms), str(ms.complete).lower()])
+        rows.append((rho, [h_F(ms), c_F(ms), str(ms.complete).lower()]))
+    # The certified sector is counted class by class, and a class keeps its
+    # count wherever it is negative: one census at the lowest certified rho
+    # holds every certified row.  Only a truncated request builds symbols.
+    certified = [row for _, row in rows if isinstance(row, Parameters)]
+    if certified:
+        base = min(certified, key=lambda params: params.rho)
+        lowest = census(base)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["rho", "h_F", "c_F", "certified"])
+    for rho, row in rows:
+        if isinstance(row, Parameters):
+            counts = lowest.at(base, row)
+            row = [counts.h_F, counts.c_F, "true"]
+        w.writerow([_fstr(rho)] + row)
     _write_text(args.out, buf.getvalue())
     return worst
 

@@ -267,10 +267,11 @@ def iter_vertices(t: Symbol) -> Iterator[tuple[int, int, Optional[int], Symbol]]
 
 def bare_tree(t: Symbol) -> Symbol:
     """Strip every noise edge together with its leaf, keeping decorations."""
-    return _make_node(
-        t.decoration,
-        tuple((INT, bare_tree(c)) for tag, c in t.children if tag == INT),
-    )
+    kids = []
+    for tag, c in t.children:  # a loop, not a comprehension: one frame per level
+        if tag == INT:
+            kids.append((INT, bare_tree(c)))
+    return _make_node(t.decoration, kids)
 
 
 def decorate(b: Symbol) -> Symbol:
@@ -294,7 +295,10 @@ def _decorate(b: Symbol) -> Symbol:
     if twin is None:
         if not b.children:
             return _XI
-        twin = _make_node((), [(INT, _decorate(c)) for _, c in b.children])
+        kids = []
+        for _, c in b.children:  # one frame per level, as in bare_tree
+            kids.append((INT, _decorate(c)))
+        twin = _make_node((), kids)
         if len(_TWINS) < _TWINS_MAX:
             _TWINS[b] = twin
     return twin
@@ -344,8 +348,8 @@ def render(t: Symbol, d: Optional[int] = None, *, memo: Optional[dict[Symbol, st
 
 
 # Open I( at once that parse_symbol follows.  render, bare_tree and
-# decorate recurse once per level, so a parsed symbol stays within
-# Python's default recursion limit for them.
+# decorate recurse with one frame per level, so a parsed symbol stays
+# within Python's default recursion limit (1000) for them.
 _MAX_DEPTH = 500
 
 # Most edges a parsed symbol, or any factor or power inside it, may have.

@@ -15,6 +15,7 @@ from fractree import (
     build,
     c_F,
     completeness_threshold,
+    count_bounded_by_leaves,
     count_regular,
     from_json_dict,
     h0_F,
@@ -24,7 +25,7 @@ from fractree import (
 )
 from fractree.census import census, marked_census
 from fractree.counting import h0_bounds, hF_bounds
-from fractree.params import rho_c
+from fractree.params import alpha0_white_noise, rho_c
 from fractree.stats import size_distribution
 
 from test_builder import GRID_COUNTS
@@ -45,27 +46,26 @@ def _certified(params, **kwargs):
     return ms
 
 
+CERTIFIED_POINTS = sorted(GRID_COUNTS, key=str) + [(2, 2, F(73, 100)), (3, 3, F(8, 5))]
+
+CUSTOM_NOISE = [
+    (2, 2, F(8, 5), F(-29, 10), -1),
+    (3, 2, F(19, 10), F(-27, 10), -1),
+    (2, 3, F(13, 10), F(-23, 10), -1),
+    (3, 3, F(7, 4), F(-5, 2), -1),
+    (2, 2, F(1, 2), F(-1, 2), -1),
+    (2, 2, F(1), F(-3, 2), 0),  # no kappa: u = 0 symbols are not negative
+]
+
+
 class TestAgainstBuild:
-    @pytest.mark.parametrize(
-        "point",
-        sorted(GRID_COUNTS, key=str) + [(2, 2, F(73, 100)), (3, 3, F(8, 5))],
-    )
+    @pytest.mark.parametrize("point", CERTIFIED_POINTS)
     def test_certified_points(self, spaces, point):
         ms = spaces(*point)
         assert ms.complete
         assert _census_counts(ms.params) == _counts(ms)
 
-    @pytest.mark.parametrize(
-        "N,d,rho,a,b",
-        [
-            (2, 2, F(8, 5), F(-29, 10), -1),
-            (3, 2, F(19, 10), F(-27, 10), -1),
-            (2, 3, F(13, 10), F(-23, 10), -1),
-            (3, 3, F(7, 4), F(-5, 2), -1),
-            (2, 2, F(1, 2), F(-1, 2), -1),
-            (2, 2, F(1), F(-3, 2), 0),  # no kappa: u = 0 symbols are not negative
-        ],
-    )
+    @pytest.mark.parametrize("N,d,rho,a,b", CUSTOM_NOISE)
     def test_custom_noise(self, N, d, rho, a, b):
         params = Parameters(N=N, d=d, rho=rho, alpha0=Homogeneity(a, b))
         assert _census_counts(params) == _counts(_certified(params))
@@ -129,6 +129,122 @@ class TestSizeLaw:
         got = census(Parameters.white_noise(2, 2, F(18, 25)))
         assert (got.c_F, got.h_F) == (101427, 27)
         assert sum(count for _, count in got.sizes) == got.c_F
+
+
+def _is_white(params):
+    return params.alpha0 == alpha0_white_noise(params.rho, params.d)
+
+
+def _exit_rho(params, p, q, k):
+    """The rho where class (p, q, |k|) reaches homogeneity 0 (kappa aside) at
+    the N, d and noise of ``params``: p*alpha0 + q*rho + |k| = 0."""
+    if _is_white(params):  # alpha0 = -(rho + d)/2 - kappa
+        return (F(p * params.d, 2) - k) / (q - F(p, 2))
+    return -(p * params.alpha0.a + k) / q
+
+
+class TestReadAtHigherRho:
+    """``Census.at`` reads the census at a higher rho off a lower one's
+    classes; the direct census at the higher point is the oracle."""
+
+    @pytest.mark.parametrize("N,d", sorted({point[:2] for point in CERTIFIED_POINTS}))
+    def test_certified_points(self, N, d):
+        points = [Parameters.white_noise(*point) for point in CERTIFIED_POINTS if point[:2] == (N, d)]
+        base = min(points, key=lambda params: params.rho)
+        lowest = census(base)
+        for params in points:
+            assert lowest.at(base, params) == census(params), params
+
+    @pytest.mark.parametrize("N,d,rho,a,b", CUSTOM_NOISE)
+    def test_custom_noise(self, N, d, rho, a, b):
+        """From the midpoint between the least subcritical rho, where the
+        slack N*rho + (N-1)*a is 0, and the point."""
+        params = Parameters(N=N, d=d, rho=rho, alpha0=Homogeneity(a, b))
+        base = Parameters(N=N, d=d, rho=(rho - (N - 1) * a / N) / 2, alpha0=params.alpha0)
+        assert census(base).at(base, params) == census(params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            Parameters.white_noise(2, 2, F(3, 4)),
+            Parameters.white_noise(3, 3, F(8, 5)),
+            Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)),
+            Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(-3, 2), 0)),
+        ],
+        ids=["2-2-3/4", "3-3-8/5", "2-2-8/5-noise", "2-2-1-no-kappa"],
+    )
+    def test_exit_rhos(self, params):
+        """At a class's exit rho the class stays when its kappa coefficient
+        p*b0 is negative, and just above it the class has left."""
+        lowest = census(params)
+        L0, b0 = params.scale, params.alpha0.b
+        exits = 0
+        for (p, q, s), _ in lowest.classes:
+            if not q:
+                continue
+            r = _exit_rho(params, p, q, s // L0)
+            for rho in (r, r + F(1, 10**6)):
+                if not params.rho < rho <= 2:
+                    continue
+                alpha0 = alpha0_white_noise(rho, params.d) if _is_white(params) else params.alpha0
+                there = Parameters(N=params.N, d=params.d, rho=rho, alpha0=alpha0)
+                got = lowest.at(params, there)
+                assert got == census(there), there
+                kept = (p, q, s // L0 * there.scale) in dict(got.classes)
+                assert kept == (rho == r and p * b0 < 0), (p, q, s, there)
+                exits += 1
+        assert exits >= 6
+
+    def test_same_point(self):
+        params = Parameters.white_noise(2, 2, F(37, 50))
+        assert census(params).at(params, params) == census(params)
+
+    def test_custom_noise_that_is_white_at_the_target(self):
+        """A custom alpha0 is the white noise of one rho: read from a white
+        base there, and from the same alpha0 below it, as ``scan`` does."""
+        white = Parameters.white_noise(2, 2, F(3, 4))
+        there = Parameters(N=2, d=2, rho=F(9, 10), alpha0=alpha0_white_noise(F(9, 10), 2))
+        same = Parameters(N=2, d=2, rho=F(3, 4), alpha0=there.alpha0)
+        assert census(white).at(white, there) == census(same).at(same, there) == census(there)
+
+    @pytest.mark.parametrize(
+        "base,params,message",
+        [
+            ((2, 2, F(3, 4)), (3, 2, F(3, 2)), "another N, d or noise"),
+            ((2, 2, F(3, 4)), (2, 3, F(3, 2)), "another N, d or noise"),
+            ((2, 2, F(3, 4)), Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(-7, 5), -1)),
+             "another N, d or noise"),
+            (Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)), (2, 2, F(17, 10)),
+             "another N, d or noise"),
+            (Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)),
+             Parameters(N=2, d=2, rho=F(17, 10), alpha0=Homogeneity(F(-29, 10), 0)),
+             "another N, d or noise"),
+            ((2, 2, F(4, 5)), (2, 2, F(3, 4)), "the lower rho=3/4"),
+        ],
+        ids=["N", "d", "noise", "custom-to-white", "kappa", "lower-rho"],
+    )
+    def test_refusals(self, base, params, message):
+        base, params = (p if isinstance(p, Parameters) else Parameters.white_noise(*p) for p in (base, params))
+        with pytest.raises(ValueError, match=message):
+            census(base).at(base, params)
+
+
+class TestTreeCounts:
+    @pytest.mark.parametrize(
+        "point",
+        [(2, 2, F(3, 4)), (2, 2, F(37, 50)), (3, 3, F(8, 5)), (4, 2, F(3, 2)), (2, 2, F(83, 120))],
+        ids=str,
+    )
+    def test_undecorated_classes_are_tree_counts(self, point):
+        """An undecorated class (p, q, 0) with q >= 1 holds the bounded-arity
+        trees with q edges and p leaves, a count without rho: the reason a
+        census at a lower rho holds every higher point's classes."""
+        N = point[0]
+        plain = [(p, q, count) for (p, q, s), count in census(Parameters.white_noise(*point)).classes
+                 if s == 0 and q >= 1]
+        assert len(plain) >= 5
+        for p, q, count in plain:
+            assert count == count_bounded_by_leaves(N, q + 1, p), (p, q)
 
 
 # rho = rho_c + 1/k for N 2..5, d 1..3, k in {3, 5, 10, 20, 50, 100}, where

@@ -15,11 +15,16 @@ from conftest import alarm
 
 import fractree
 import fractree.cli
-from fractree.builder import json_text, to_json_dict
+from fractree.builder import c_F, h_F, json_text, to_json_dict
+from fractree.census import census
 from fractree.cli import main
 from fractree.stats import census_report, stat_report
 
 SCAN_22 = ["scan", "--N", "2", "--d", "2", "--rho", "1,0.9,0.85,0.8,0.75"]
+
+# (2, 2) at the 50 gaps 1/10, 1/20, ..., 1/500 above rho_c = 2/3
+DENSE_22 = ["scan", "--N", "2", "--d", "2", "--rho",
+            ",".join(str(fractree.Rational(2, 3) + fractree.Rational(1, k)) for k in range(10, 501, 10))]
 
 
 def run(capsys, argv):
@@ -365,7 +370,102 @@ class TestStatsRoutes:
         )
 
 
+def _per_point_scan(argv):
+    """The scan CSV as counted point by point: a census at each certified
+    row and a build at each other, in list order.  The oracle for ``scan``,
+    which reads every certified row off one census."""
+    cli = fractree.cli
+    args = cli._parse_args(argv)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["rho", "h_F", "c_F", "certified"])
+    for rho in args.rho:
+        sub = argparse.Namespace(**vars(args))
+        sub.rho = rho
+        params = cli._params_from(sub)
+        if cli._certified_request(args, params):
+            counts = census(params)
+            w.writerow([cli._fstr(rho), counts.h_F, counts.c_F, "true"])
+        else:
+            ms, _ = cli._build_space(sub, params)
+            w.writerow([cli._fstr(rho), h_F(ms), c_F(ms), str(ms.complete).lower()])
+    return buf.getvalue()
+
+
 class TestScan:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SCAN_22,
+            ["scan", "--N", "2", "--d", "2", "--rho", "4/5,37/50,1,17/20,3/4,9/10"],
+            DENSE_22,
+            ["scan", "--N", "2", "--d", "2", "--rho", "2,17/10,3/2,8/5,19/10", "--noise=-29/10"],
+            # the threshold is 1/2 at rho = 1 and 11/20 at 9/10: 4/5 and 3/4 build
+            ["scan", "--N", "2", "--d", "2", "--rho", "1,3/4,9/10,4/5", "--maxh", "11/20"],
+            ["scan", "--N", "3", "--d", "3", "--rho", "19/10,17/10,9/5,8/5", "--maxh", "1.5"],
+        ],
+        ids=["scan-22", "scan-22-workload", "dense-50", "noise", "maxh-22", "maxh-33"],
+    )
+    def test_matches_per_point_route(self, capsys, tmp_path, argv):
+        want = _per_point_scan(argv)
+        path = tmp_path / "scan.csv"
+        code, out, err = run(capsys, argv + ["--out", str(path)])
+        assert (code, out, err) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+
+    @pytest.fixture()
+    def censuses(self, monkeypatch):
+        """Count the calls scan makes to the census."""
+        calls = []
+
+        def counted(params):
+            calls.append(params.rho)
+            return census(params)
+
+        monkeypatch.setattr(fractree.cli, "census", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv,lowest",
+        [
+            (SCAN_22, fractree.Rational(3, 4)),
+            (DENSE_22, fractree.Rational(2, 3) + fractree.Rational(1, 500)),
+            (["scan", "--N", "2", "--d", "2", "--rho", "1,3/4,9/10,4/5", "--maxh", "11/20"],
+             fractree.Rational(9, 10)),
+        ],
+        ids=["scan-22", "dense-50", "maxh-22"],
+    )
+    def test_one_census_per_scan(self, capsys, censuses, argv, lowest):
+        """One census, at the lowest certified rho, answers every certified row."""
+        assert run(capsys, argv)[0] == 0
+        assert censuses == [lowest]
+
+    def test_no_census_without_certified_rows(self, capsys, censuses, builds):
+        assert run(capsys, ["scan", "--N", "2", "--d", "2", "--rho", "1,3/4", "--iter", "64"])[0] == 0
+        assert censuses == [] and len(builds) == 2
+
+    @pytest.mark.parametrize(
+        "rho,first,alpha0",
+        [("1,2/3,1/2", "2/3", "-4/3"), ("1,1/2,2/3", "1/2", "-5/4"), ("1/2,9/10,2/3", "1/2", "-5/4")],
+    )
+    @pytest.mark.parametrize("extra", [[], ["--iter", "64"]])
+    def test_first_supercritical_point_refused(self, capsys, tmp_path, censuses, builds, rho,
+                                               first, alpha0, extra):
+        """The first supercritical row in list order is named, as the point
+        by point route named it; truncated rows before it still build."""
+        path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, ["scan", "--N", "2", "--d", "2", "--rho", rho, "--out", str(path)] + extra
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: parameters N=2, d=2, rho={first}, alpha0={alpha0} - kappa "
+            "satisfy no subcriticality condition\n"
+        )
+        assert not path.exists()
+        rhos = [fractree.Rational(r) for r in rho.split(",")]
+        assert censuses == [] and builds == (rhos[: rhos.index(fractree.Rational(first)) + 1] if extra else [])
+
     def test_certified_sweep_frozen(self, capsys):
         code, out, _ = run(capsys, SCAN_22)
         assert code == 0

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction as F
@@ -616,6 +617,24 @@ class TestBareDecorated:
         for text in ("Xi", "I(Xi)^2", "I(I(Xi)^2)*I(Xi)", "I(I(Xi)*I(I(Xi)^2))"):
             t = parse_symbol(text)
             assert decorate(bare_tree(t)) is t
+
+    def test_deep_chain_within_the_default_recursion_limit(self):
+        """render, bare_tree and decorate take one frame per level, so a
+        499-level chain goes through them under the default limit of 1000,
+        with pytest's own frames below them."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            clear_bare_cache()  # no twin memo: decorate walks every level
+            text = _chain(499)
+            t = parse_symbol(text)
+            assert render(t) == text
+            b = bare_tree(t)
+            assert (b.q, b.n_vertices) == (499, 500)
+            assert decorate(b) is t
+        finally:
+            sys.setrecursionlimit(limit)
+            clear_bare_cache()
 
     def test_decorate_refuses_decorations(self):
         with pytest.raises(ValueError):
