@@ -20,6 +20,9 @@ Children are added to the multiset tables in order of q, since a class at
 level q only feeds parents above it; m copies of a class of t symbols give
 comb(t + m - 1, m) multisets.  Everything is an exact integer, and no
 symbol is built, so the census reaches gaps the enumeration cannot.
+``_frame`` refuses a point without a finite sector and sets out the units
+both walks read; each walk records every W class it forms, and ``_counts``
+alone keeps the negative ones, as it does for :meth:`Census.at`.
 
 :func:`census` keeps the counts alone.  ``scan`` runs it once per call,
 at the lowest certified rho, and reads every certified row off it with
@@ -30,8 +33,8 @@ and diameter and carries, next to each count, the integer marks that
 subtree sizes and of their squares), the periphery and the bare degree
 vector.  A mark is additive over a multiset, and m copies drawn from a
 class of t symbols whose marks total X add comb(t + m - 1, m - 1) * X to
-each multiset counted before.  The decorated degrees are filled in as an
-entry enters the sector: Xi is never a factor (the pool holds monomials
+each multiset counted before.  The decorated degrees are filled in as a
+W entry is formed: Xi is never a factor (the pool holds monomials
 and integrals) and no I(X^k) is a child, so above level 0 the p bare
 leaves are the noise's vertices, each raised to degree 2 by its noise
 edge, which ends at a new leaf.  So they are the bare degrees plus p at
@@ -85,42 +88,40 @@ class Census:
             )
         if params.rho < base.rho:
             raise ValueError(f"a census at rho={base.rho} cannot be read at the lower rho={params.rho}")
-        L0 = base.units[0]
-        L, A, R = params.units
-        b0 = params.alpha0.b
-        sector = {}
-        for (p, q, s), t in self.classes:
-            s = s // L0 * L
-            if (p * A + q * R + s, p * b0) < (0, 0):
-                sector[(p, q, s)] = t
-        return _counts(params, sector)
+        L0, L = base.units[0], params.units[0]
+        return _counts(params, {(p, q, s // L0 * L): t for (p, q, s), t in self.classes})
 
 
-def _frame(params: Parameters) -> tuple[int, int, int, Counter]:
-    """(T, top, step, D) at a subcritical point: the threshold T in units,
-    the largest level q of a kept W symbol, the least weight a child slot
-    adds, and D(s), the number of monomials of s units, 0 < s <= T."""
+def _frame(params: Parameters) -> tuple[int, int, int, int, int, Counter]:
+    """(A, R, T, top, step, D), or SubcriticalityError as :func:`builder.build`
+    raises: alpha0, rho and the threshold in units, the largest level q of a
+    kept W symbol, the least weight a child slot adds, and D(s), the number
+    of monomials of s units, 0 < s <= T."""
+    require_subcritical(params)
     d = params.d
     L, A, R = params.units
     T = params.threshold_units
     # No negative symbol has more than q* edges; a child weighs at least A + R.
     # T < R, so no monomial has a time exponent; one of space degree t weighs t*L.
     mono = Counter({t * L: comb(t + d - 1, d - 1) for t in range(1, T // L + 1)})
-    return T, params.q_top, min(A + R, 0), mono
+    return A, R, T, params.q_top, min(A + R, 0), mono
 
 
-def _counts(params: Parameters, sector: dict[tuple[int, int, int], int]) -> Census:
-    """The Census of the sector classes (p, q, s) and their counts."""
+def _counts(params: Parameters, formed: dict[tuple[int, int, int], int]) -> Census:
+    """The Census of the W classes (p, q, s) ``formed``, with their counts,
+    that are negative at ``params``: u < 0, or u = 0 with a negative kappa
+    part p*b0."""
     _, A, R = params.units
     b0 = params.alpha0.b
-    keys = {(p, q, s): (p * A + q * R + s, p * b0) for p, q, s in sector}
+    keys = {(p, q, s): (p * A + q * R + s, p * b0) for p, q, s in formed}
+    sector = {key: formed[key] for key, h in keys.items() if h < (0, 0)}
     sizes: Counter = Counter()
     for (p, q, s), c in sector.items():
         sizes[q] += c
     return Census(
         c_F=sum(sector.values()),
-        h_F=len(set(keys.values())),
-        h0_F=len({h for (p, q, s), h in keys.items() if s == 0}),
+        h_F=len({keys[key] for key in sector}),
+        h0_F=len({keys[key] for key in sector if key[2] == 0}),
         sizes=tuple(sorted(sizes.items())),
         classes=tuple(sorted(sector.items())),
     )
@@ -132,15 +133,13 @@ def census(params: Parameters) -> Census:
     Raises SubcriticalityError, as :func:`builder.build` does, for
     parameters without a finite negative sector.
     """
-    require_subcritical(params)
-    N, b0 = params.N, params.alpha0.b
-    _, A, R = params.units
-    T, top, step, mono = _frame(params)
+    N = params.N
+    A, R, T, top, step, mono = _frame(params)
 
     # G[j][Q][(P, S)]: multisets of j children with Q edges, P noises, S units
     G = [defaultdict(Counter) for _ in range(N + 1)]
     G[0][0][(0, 0)] = 1
-    sector: dict[tuple[int, int, int], int] = {}
+    formed: dict[tuple[int, int, int], int] = {}
     level: Counter = Counter({(1, 0): 1})
     for q in range(top + 1):
         if q:
@@ -155,9 +154,8 @@ def census(params: Parameters) -> Census:
                             if u + s <= 0:
                                 level[(P, S + s)] += c * m
         for (p, s), t in level.items():
+            formed[(p, q, s)] = t
             u = p * A + q * R + s
-            if u < 0 or (u == 0 and p * b0 < 0):
-                sector[(p, q, s)] = t
             if u + R > T:
                 continue
             for j in range(N, 0, -1):
@@ -173,7 +171,7 @@ def census(params: Parameters) -> Census:
                         for (P0, S0), c0 in row.items():
                             if P0 * A + Q0 * R + S0 + um <= room:
                                 dest[(P0 + m * p, S0 + m * s)] += c0 * w
-    return _counts(params, sector)
+    return _counts(params, formed)
 
 
 def _plus(table: dict, key: tuple, marks: list) -> None:
@@ -203,12 +201,11 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
     top.  A level entry, keyed (p, s, height, diameter), holds the marks of
     its W symbols as elements (bare degrees without an up edge), then the
     bare degrees they have as children, where the root gains the up edge.
-    Decorated degrees are filled in at sector entry, as the module derives.
+    Decorated degrees are filled in as a W entry is formed, as the module
+    derives, and the entries of the classes ``counts`` keeps are returned.
     """
-    require_subcritical(params)
-    N, b0 = params.N, params.alpha0.b
-    _, A, R = params.units
-    T, top, step, mono = _frame(params)
+    N = params.N
+    A, R, T, top, step, mono = _frame(params)
     w = N + 2  # degrees 0..N+1
     B, K = 4, 4 + w  # the bare vector starts at B; K element marks, then the child vector
 
@@ -217,7 +214,7 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
     # marks of the W symbols at level q, then their bare degrees as children
     G = [defaultdict(dict) for _ in range(N + 1)]
     G[0][0][(0, 0, 0, 0)] = [1] + [0] * (K - 1)
-    sector: dict[tuple[int, int, int, int, int], list[int]] = {}
+    formed: dict[tuple[int, int, int, int, int], list[int]] = {}
     xi = [1, 1, 1, 1] + [0] * (2 * w)
     xi[B] = xi[K + 1] = 1  # one bare vertex, degree 0 as an element, 1 as a child
     level: dict[tuple, list[int]] = {(1, 0, 0, 0): xi}
@@ -243,14 +240,13 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                             if u + s <= 0:
                                 _plus(level, (P, S + s, h, D), [x * m for x in marks])
         for (p, s, h, D), marks in level.items():
+            if q:  # p noise edges, each at a bare leaf, which goes to degree 2
+                decorated = marks[B:K]
+                decorated[2] += marks[0] * p
+            else:  # the noise: its root and the leaf its edge ends at
+                decorated = [0, 2] + [0] * N
+            formed[(p, q, s, h, D)] = marks[:K] + decorated
             u = p * A + q * R + s
-            if u < 0 or (u == 0 and p * b0 < 0):
-                if q:  # p noise edges, each at a bare leaf, which goes to degree 2
-                    decorated = marks[B:K]
-                    decorated[2] += marks[0] * p
-                else:  # the noise: its root and the leaf its edge ends at
-                    decorated = [0, 2] + [0] * N
-                sector[(p, q, s, h, D)] = marks[:K] + decorated
             if u + R > T:
                 continue
             t = marks[0]
@@ -302,6 +298,8 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                                 new[3] -= v0[3] * wm
                             dest[key] = new
     classes: Counter = Counter()
-    for (p, q, s, _h, _D), marks in sector.items():
+    for (p, q, s, _h, _D), marks in formed.items():
         classes[(p, q, s)] += marks[0]
-    return _counts(params, classes), tuple(sorted((key, tuple(m)) for key, m in sector.items()))
+    counts = _counts(params, classes)
+    kept = dict(counts.classes)
+    return counts, tuple(sorted((key, tuple(m)) for key, m in formed.items() if key[:3] in kept))

@@ -402,33 +402,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"error: --rho lists {_fstr(rho)} more than once", file=sys.stderr)
             raise SystemExit(2)
         seen.add(rho)
-    worst = 0
-    rows = []  # (rho, the Parameters of a certified row or a built row's CSV fields)
+    rows = []  # (rho, its Parameters, whether it asks for the certified sector)
     for rho in args.rho:
         sub = argparse.Namespace(**vars(args))
         sub.rho = rho
         params = _params_from(sub)
-        if _certified_request(args, params):
-            require_subcritical(params)
-            rows.append((rho, params))
-            continue
-        ms, code = _build_space(sub, params)
-        worst = max(worst, code)
-        rows.append((rho, [h_F(ms), c_F(ms), str(ms.complete).lower()]))
+        require_subcritical(params)
+        rows.append((rho, params, _certified_request(args, params)))
+    # Every row is refused or routed before anything is counted or built, so a
+    # refused rho costs no build and no cap warning promises a CSV.
     # The certified sector is counted class by class, and a class keeps its
     # count wherever it is negative: one census at the lowest certified rho
     # holds every certified row.  Only a truncated request builds symbols.
-    certified = [row for _, row in rows if isinstance(row, Parameters)]
+    certified = [params for _, params, cert in rows if cert]
     if certified:
         base = min(certified, key=lambda params: params.rho)
         lowest = census(base)
+    worst = 0
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["rho", "h_F", "c_F", "certified"])
-    for rho, row in rows:
-        if isinstance(row, Parameters):
-            counts = lowest.at(base, row)
+    for rho, params, cert in rows:
+        if cert:
+            counts = lowest.at(base, params)
             row = [counts.h_F, counts.c_F, "true"]
+        else:
+            ms, code = _build_space(args, params)
+            worst = max(worst, code)
+            row = [h_F(ms), c_F(ms), str(ms.complete).lower()]
         w.writerow([_fstr(rho)] + row)
     _write_text(args.out, buf.getvalue())
     return worst

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -740,6 +741,21 @@ class TestGenerationOf:
     def test_rounds_by_hand(self, text, generation):
         assert generation_of(parse_symbol(text), {}) == generation
 
+    @pytest.mark.parametrize("core", ["Xi", "I(Xi)*I(Xi)"])
+    def test_deep_chain_within_the_default_recursion_limit(self, core):
+        """A product is made one round after its latest integral factor, one
+        frame per level, so 499 levels of symbol fit under the default limit
+        of 1000, from inside pytest."""
+        levels = 499 if core == "Xi" else 498
+        sym = parse_symbol(_chain(levels, core))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            got = generation_of(sym, {})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == 498
+
     @pytest.mark.parametrize("shift", [-1, 1, 99])
     def test_tampered_generation_refused(self, spaces, shift):
         doc = to_json_dict(spaces(2, 2, F(3, 4)))
@@ -824,8 +840,8 @@ class TestJsonFuzz:
         assert _load_outcome(doc) == _parsed_outcome(doc)
 
 
-def _chain(levels: int) -> str:
-    return "I(" * levels + "Xi" + ")" * levels
+def _chain(levels: int, core: str = "Xi") -> str:
+    return "I(" * levels + core + ")" * levels
 
 
 class TestHostileDocuments:

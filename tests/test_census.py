@@ -143,6 +143,29 @@ def _exit_rho(params, p, q, k):
     return -(p * params.alpha0.a + k) / q
 
 
+EXIT_BASES = [
+    Parameters.white_noise(2, 2, F(3, 4)),
+    Parameters.white_noise(3, 3, F(8, 5)),
+    Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -1)),
+    Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(-3, 2), 0)),
+]
+EXIT_IDS = ["2-2-3/4", "3-3-8/5", "2-2-8/5-noise", "2-2-1-no-kappa"]
+
+
+def _exit_points(params):
+    """The points above ``params`` at each class's exit rho and 1e-6 above
+    it, where one class sits at homogeneity 0 or has just left."""
+    L0 = params.scale
+    for (p, q, s), _ in census(params).classes:
+        if not q:
+            continue
+        r = _exit_rho(params, p, q, s // L0)
+        for rho in (r, r + F(1, 10**6)):
+            if params.rho < rho <= 2:
+                alpha0 = alpha0_white_noise(rho, params.d) if _is_white(params) else params.alpha0
+                yield Parameters(N=params.N, d=params.d, rho=rho, alpha0=alpha0)
+
+
 class TestReadAtHigherRho:
     """``Census.at`` reads the census at a higher rho off a lower one's
     classes; the direct census at the higher point is the oracle."""
@@ -194,6 +217,33 @@ class TestReadAtHigherRho:
                 assert kept == (rho == r and p * b0 < 0), (p, q, s, there)
                 exits += 1
         assert exits >= 6
+
+    @pytest.mark.parametrize("params", EXIT_BASES, ids=EXIT_IDS)
+    def test_marks_keep_the_census_classes_at_exit_rhos(self, params):
+        """Where a class sits at exactly zero, the marked census keeps the
+        classes the census keeps, and its marks hold no other class."""
+        points = list(_exit_points(params))
+        assert len(points) >= 6
+        for there in points:
+            counts, marks = marked_census(there)
+            assert counts == census(there), there
+            assert {key[:3] for key, _ in marks} == {c for c, _ in counts.classes}, there
+
+    def test_sweep(self):
+        """At all 350 subcritical points of N 1..5, d 1..3, rho = k/20, read
+        off one census per (N, d) at its lowest subcritical rho."""
+        compared = 0
+        for N in range(1, 6):
+            for d in range(1, 4):
+                points = [Parameters.white_noise(N, d, F(k, 20)) for k in range(1, 41)]
+                points = [params for params in points if params.slack_units > 0]
+                if not points:
+                    continue
+                lowest = census(points[0])
+                for params in points:
+                    assert lowest.at(points[0], params) == census(params), params
+                    compared += 1
+        assert compared == 350
 
     def test_same_point(self):
         params = Parameters.white_noise(2, 2, F(37, 50))

@@ -452,7 +452,7 @@ class TestScan:
     def test_first_supercritical_point_refused(self, capsys, tmp_path, censuses, builds, rho,
                                                first, alpha0, extra):
         """The first supercritical row in list order is named, as the point
-        by point route named it; truncated rows before it still build."""
+        by point route named it, before any row is built or counted."""
         path = tmp_path / "scan.csv"
         code, out, err = run(
             capsys, ["scan", "--N", "2", "--d", "2", "--rho", rho, "--out", str(path)] + extra
@@ -463,8 +463,7 @@ class TestScan:
             "satisfy no subcriticality condition\n"
         )
         assert not path.exists()
-        rhos = [fractree.Rational(r) for r in rho.split(",")]
-        assert censuses == [] and builds == (rhos[: rhos.index(fractree.Rational(first)) + 1] if extra else [])
+        assert censuses == [] and builds == []
 
     def test_certified_sweep_frozen(self, capsys):
         code, out, _ = run(capsys, SCAN_22)
@@ -586,7 +585,37 @@ class TestScan:
             "satisfy no subcriticality condition\n"
         )
         assert not path.exists()
-        assert len(builds) == (2 if extra else 0)
+        assert len(builds) == 0
+
+    def test_refusal_before_a_capped_build(self, capsys, tmp_path, censuses, builds):
+        """A supercritical row after truncated ones is refused before any of
+        them builds, so no cap warning promises output that never comes."""
+        path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys,
+            ["scan", "--N", "2", "--d", "2", "--rho", "1,9/10,4/5,3/4,2/3", "--cap", "100",
+             "--out", str(path)],
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: parameters N=2, d=2, rho=2/3, alpha0=-4/3 - kappa "
+            "satisfy no subcriticality condition\n"
+        )
+        assert builds == [] and censuses == [] and not path.exists()
+
+    @pytest.mark.parametrize(
+        "rho,message",
+        [("1,3", "rho must lie in (0, 2]"), ("1,3/4,0", "rho must be positive"),
+         ("1,-1/2", "rho must be positive")],
+    )
+    def test_rho_out_of_range_before_any_build(self, capsys, tmp_path, censuses, builds, rho,
+                                               message):
+        path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, ["scan", "--N", "2", "--d", "2", "--rho", rho, "--iter", "64", "--out", str(path)]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert builds == [] and censuses == [] and not path.exists()
 
 
 class TestFit:

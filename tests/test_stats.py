@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction as F
 
@@ -569,6 +570,30 @@ class TestFoldAgainstWalk:
         for text in ("I(I(Xi)^2)*I(I(Xi))", "I(I(I(Xi)^2))", "I(I(Xi))"):
             sym = parse_symbol(text)
             assert fractree.stats._element(sym, 2, memo) == _bfs_walk(sym, 2)
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            # a path of 500 vertices: its Wiener index is 500 (500^2 - 1) / 6
+            ("I(" * 499 + "Xi" + ")" * 499,
+             (499, 499, (0, 2, 498, 0), (0, 2, 499, 0), 500 * 249999 // 6 - 500 * 499 // 2, 1)),
+            ("I(" * 498 + "I(Xi)*I(Xi)" + ")" * 498,
+             (499, 499, (0, 3, 497, 1), (0, 3, 499, 1),
+              sum(s * (501 - s) for s in [1, 1, *range(3, 501)]) - 501 * 500 // 2, 2)),
+        ],
+        ids=["chain-499", "chain-498-over-product"],
+    )
+    def test_deep_chain_within_the_default_recursion_limit(self, text, want):
+        """The fold takes one frame per level, so a 499-level chain goes
+        through it under the default limit of 1000, from inside pytest."""
+        sym = parse_symbol(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            got = fractree.stats._element(sym, 2, {})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want == _bfs_walk(sym, 2)
 
 
 class TestSweepTrends:
