@@ -37,7 +37,7 @@ import bisect
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -56,8 +56,6 @@ from .symbols import (
     INT,
     Symbol,
     _dense,
-    compose_symbols,
-    homogeneity_of,
     integrate,
     monomial,
     one,
@@ -66,6 +64,9 @@ from .symbols import (
     render,
     xi,
 )
+# not called here: perfbench/spans.py counts homogeneity calls at
+# fractree.builder.homogeneity_of, and a traced run raises AttributeError without it
+from .symbols import homogeneity_of  # noqa: F401
 
 __all__ = [
     "BuildConfig",
@@ -453,21 +454,32 @@ def _rational(doc: dict, key: str, where: str = "") -> Fraction:
 
 
 def from_json_dict(data: dict) -> ModelSpace:
-    """Inverse of :func:`to_json_dict`.
+    """Inverse of :func:`to_json_dict`: the space :func:`build` makes from
+    the document's ``parameters`` and ``config``, once the records match it.
 
-    Raises ValueError naming the field when one is missing or mistyped,
-    when a symbol record disagrees with its own type and homogeneity, and
-    when its generation is not the one :func:`generation_of` gives;
-    SubcriticalityError, as :func:`build` does, for parameters without a
-    finite negative sector.
+    The header is checked before anything is built.  The rebuild's cap is
+    at most one more than the document's records, so a small document
+    cannot ask for a large build; a build that passes it gives its partial
+    space.  A record's text is looked up among the rebuilt symbols' texts,
+    and a text not found there (whitespace, factors out of canonical
+    order, a symbol the build does not make) goes to :func:`parse_symbol`.
+    The record's p, q, k, a, b and generation are then compared with the
+    rebuilt symbol's in one step.
 
-    Each record's symbol comes from :func:`compose_symbols`, which builds
-    it from the symbols of the document's other texts; a text it leaves
-    out (the unit ``1``, or any text not made of stored factors) goes to
-    :func:`parse_symbol`.  Each type's p, q, k, a and b are worked out once
-    and a record is compared with them in one step; a record that differs
-    in any way is checked field by field, in the order the fields are
-    named above, so its message is the one that check gives.
+    Raises ValueError
+
+    * naming the field, when a field is missing or mistyped, a rational
+      does not read, or a generation is negative;
+    * when a text does not parse, or a record's p, q, k, a or b is not its
+      symbol's type and homogeneity ("inconsistent symbol record");
+    * when a record's generation is not the round the build makes it in;
+    * for two records of one symbol, a record the build does not store,
+      and a stored symbol the document lacks;
+    * when the ``converged``, ``aborted`` or ``complete`` flag is not the
+      build's;
+
+    and SubcriticalityError, as :func:`build` does, for parameters without
+    a finite negative sector.
     """
     if not isinstance(data, dict):
         raise ValueError("malformed model space: expected a JSON object")
@@ -492,113 +504,96 @@ def from_json_dict(data: dict) -> ModelSpace:
         iter=None if "iter" in c and c["iter"] is None else _field(c, "iter", int, "config."),
         cap=_field(c, "cap", int, "config."),
     )
-    ms = ModelSpace(
-        params=params,
-        config=config,
-        converged=_field(data, "converged", bool),
-        aborted=_field(data, "aborted", bool),
-        generations={},
-    )
+    converged = _field(data, "converged", bool)
+    aborted = _field(data, "aborted", bool)
     complete = _field(data, "complete", bool)
     records = _field(data, "symbols", list)
-    made = compose_symbols(
-        [rec["symbol"] for rec in records if type(rec) is dict and type(rec.get("symbol")) is str]
-    )
-    generations = ms.generations
-    expected: dict[tuple, tuple] = {}  # (p, q, kvec) -> p, q, k, a, b as a record holds them
-    ints = [int] * (d + 1)  # the types of a record's k entries
 
-    def expect(sym: Symbol) -> tuple:
-        key = (sym.p, sym.q, sym.kvec)
-        want = expected.get(key)
-        if want is None:
-            h = homogeneity_of(sym, params)
-            # a decoration too long for d matches no k; _record names it
-            k = list(_dense(sym.kvec, d)) if len(sym.kvec) <= d + 1 else None
-            want = expected[key] = (sym.p, sym.q, k, _fstr(h.a), h.b)
-        return want
+    try:
+        built = build(params, replace(config, cap=min(config.cap, len(records) + 1)))
+    except ExplosionError as exc:
+        built = exc.partial
+    stored = built.generations
+    texts: dict[Symbol, str] = {}  # one render memo: each shared subtree rendered once
+    typed: dict[tuple, tuple] = {}  # (p, q, kvec) -> p, q, k, a and b as a record holds them
+    table: dict[str, tuple] = {}  # stored text -> its symbol and its record's six fields
+    for s, generation in stored.items():
+        key = (s.p, s.q, s.kvec)
+        fields = typed.get(key)
+        if fields is None:
+            h = params.type_entry(*key)[1]
+            fields = typed[key] = (s.p, s.q, list(_dense(s.kvec, d)), _fstr(h.a), h.b)
+        table[render(s, d, memo=texts)] = (s, (*fields, generation))
 
-    rounds: dict[Symbol, int] = {}  # one generation memo: each shared subtree folded once
+    ints = [int] * (d + 5)  # the exact types of p, q, b, the generation and k's entries
+    found: dict[Symbol, int] = {}  # each record's symbol -> the last record of it
     for i, rec in enumerate(records):
         text = rec.get("symbol") if type(rec) is dict else None
-        sym = made.get(text) if type(text) is str else None
-        if sym is not None:
-            got = (rec.get("p"), rec.get("q"), rec.get("k"), rec.get("a"), rec.get("b"))
-            generation = rec.get("generation")
-            fits = list(map(type, got)) == _FIELD_TYPES and expect(sym) == got
-            if fits and list(map(type, got[2])) == ints and type(generation) is int:
-                if sym not in generations and generation == generation_of(sym, rounds):
-                    generations[sym] = generation
-                    continue
-        sym, generation = _record(rec, i, made, expect, generations, rounds, d)
-        generations[sym] = generation
-    _check_factors(generations, records, N)
+        hit = table.get(text) if type(text) is str else None
+        if hit is not None:
+            got = (rec.get("p"), rec.get("q"), rec.get("k"), rec.get("a"), rec.get("b"),
+                   rec.get("generation"))
+            p, q, k, _, b, generation = got
+            if got == hit[1] and [type(p), type(q), type(b), type(generation), *map(type, k)] == ints:
+                found[hit[0]] = i
+                continue
+        found[_record(rec, i, stored, params)] = i
+
+    if len(found) < len(records):
+        kept = set(found.values())
+        i = next(i for i in range(len(records)) if i not in kept)
+        raise ValueError(f"duplicate symbol record: {records[i]['symbol']!r}")
+    extra = [i for s, i in found.items() if s not in stored]
+    if extra:
+        i = min(extra)
+        raise ValueError(
+            f"malformed model space: 'symbols[{i}]' {records[i]['symbol']!r}"
+            " is not stored by a build of this header"
+        )
+    if len(found) < len(stored):
+        lacked = next(s for s in stored if s not in found)
+        raise ValueError(
+            f"malformed model space: 'symbols' lacks {texts[lacked]!r},"
+            " which a build of this header stores"
+        )
+    if converged != built.converged:
+        raise ValueError("stored convergence flag disagrees with a build of this header")
+    if aborted != built.aborted:
+        raise ValueError("stored abort flag disagrees with a build of this header")
+    ms = replace(built, config=config)
     if ms.complete != complete:
         raise ValueError("stored completeness flag disagrees with certificate")
     return ms
 
 
-def _check_factors(generations: dict, records: list, N: int) -> None:
-    """Refuse a record a build does not make from the others: Xi, an integral
-    of a stored integrand, or a root over at most N factors, its decoration
-    one and each other a stored integral.  A record no other holds may be
-    missing unseen."""
-    integrands = {s.children[0][1] for s in generations if len(s.children) == 1 and not s.decoration}
-    for i, s in enumerate(generations):
-        kids = s.children
-        if len(kids) == 1 and not s.decoration:
-            if s is _XI or kids[0][1] in generations:
-                continue
-        elif len(kids) + bool(s.decoration) <= N:
-            for tag, c in kids:
-                if tag != INT or c not in integrands:
-                    break
-            else:
-                continue
-        raise ValueError(
-            f"malformed model space: 'symbols[{i}]' {records[i]['symbol']!r}"
-            f" is not made of at most {N} stored factors"
-        )
-
-
-# the exact types of a record's p, q, k, a and b; bool is not int here.  A
-# list, since tuple(map(...)) resizes a fresh tuple on every call and each
-# one freed stays on the interpreter's tuple free list: 1,325 of them, 104
-# KiB, in one load of (2,2,3/4).
-_FIELD_TYPES = [int, int, list, str, int]
-
-
-def _record(rec, i: int, made: dict, expect, generations: dict, rounds: dict, d: int):
-    """Symbol and generation of the ``i``-th record, checked one field at a
-    time: the first check it fails raises its message."""
+def _record(rec, i: int, stored: dict, params: Parameters) -> Symbol:
+    """The symbol of the ``i``-th record, checked one field at a time: the
+    first check it fails raises its message.  A symbol the build does not
+    store is returned, for the caller to refuse."""
     where = f"symbols[{i}]."
     if not isinstance(rec, dict):
         raise ValueError(f"malformed model space: {where[:-1]!r} must be dict")
     text = _field(rec, "symbol", str, where)
-    sym = made.get(text)
-    if sym is None:
-        sym = parse_symbol(text)
-    _, _, _, a_want, b_want = expect(sym)
+    sym = parse_symbol(text)
     k = _field(rec, "k", list, where)
     if any(isinstance(x, bool) or not isinstance(x, int) for x in k):
         raise ValueError(f"malformed model space: field {where + 'k'!r} must be a list of int")
-    stored = (_field(rec, "p", int, where), _field(rec, "q", int, where), tuple(k))
-    actual = (sym.p, sym.q, _dense(sym.kvec, d))
+    kept = (_field(rec, "p", int, where), _field(rec, "q", int, where), tuple(k))
+    actual = (sym.p, sym.q, _dense(sym.kvec, params.d))
     a, b = _field(rec, "a", str, where), _field(rec, "b", int, where)
-    if stored != actual or a_want != a or b_want != b:
+    h = params.type_entry(sym.p, sym.q, sym.kvec)[1]
+    if kept != actual or _fstr(h.a) != a or h.b != b:
         raise ValueError(f"inconsistent symbol record: {text!r}")
-    if sym in generations:
-        raise ValueError(f"duplicate symbol record: {text!r}")
     generation = _field(rec, "generation", int, where)
     if generation < 0:
         raise ValueError(f"malformed model space: field {where + 'generation'!r} must be >= 0")
-    made_in = generation_of(sym, rounds)
+    made_in = stored.get(sym, generation)  # a symbol not stored is the caller's to refuse
     if generation != made_in:
         raise ValueError(
             f"inconsistent symbol record: field {where + 'generation'!r} is {generation},"
             f" but a build makes {text!r} in round {made_in}"
         )
-    return sym, generation
+    return sym
 
 
 # how json.dumps writes a string with ensure_ascii, in C where available

@@ -185,12 +185,10 @@ def alpha0_white_noise(rho: RationalLike, d: int) -> Homogeneity:
     """Regularity of space-time white noise under the scaling (rho, 1, ..., 1).
 
     The scaled space-time dimension is rho + d, and white noise sits just
-    below -(rho + d)/2, hence the -kappa term.
+    below -(rho + d)/2, hence the -kappa term.  :class:`Parameters` holds
+    the one check of rho's range.
     """
-    r = _frac(rho)
-    if r <= 0:
-        raise ValueError("rho must be positive")
-    return Homogeneity(-(r + d) / 2, -1)
+    return Homogeneity(-(_frac(rho) + d) / 2, -1)
 
 
 def scaled_degree(k: Sequence[int], rho: RationalLike) -> Fraction:

@@ -26,10 +26,9 @@ decorations; integration grafts a new root above the tree.  Neither operation
 ever mutates, every symbol is immutable.
 
 Text: :func:`render` writes a symbol's canonical text and
-:func:`parse_symbol` reads any text.  :func:`compose_symbols` reads the
-texts of a stored space without the parser: the space is closed under
-factors, so each text is built, one node at a time, from the symbols of
-shorter texts beside it.
+:func:`parse_symbol`, the one reader, reads any text.  A stored space is
+loaded by rebuilding it and rendering the rebuilt symbols, so only the
+texts a renderer would not write reach the parser.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "iter_vertices",
     "render",
     "parse_symbol",
-    "compose_symbols",
     "to_dot",
 ]
 
@@ -371,7 +369,6 @@ def parse_symbol(text: str) -> Symbol:
     after ``^``.  Malformed text raises ValueError, and so does nesting
     more than ``_MAX_DEPTH`` (500) levels of ``I(...)`` deep, or a symbol,
     factor or power with more than ``_MAX_EDGES`` (10,000) edges.
-    :func:`compose_symbols` reads a stored space's texts without it.
     """
 
     def error(at: int, msg: str) -> ValueError:
@@ -443,124 +440,6 @@ def parse_symbol(text: str) -> Symbol:
     if sum([f.p + f.q for f in factors]) > _MAX_EDGES:
         raise too_large(at)
     return product(factors)
-
-
-# A factor X^(k,...) that compose_symbols reads itself: ASCII digits, at
-# most nine to an entry, so int() always takes them.  \d would also match
-# other scripts' digits, which parse_symbol reads.
-_MONOMIAL = re.compile(r"X\^\(([0-9]{1,9}(?:,[0-9]{1,9})*)\)")
-
-# An exponent that compose_symbols reads itself: no leading zero, at most
-# as many digits as _MAX_EDGES.
-_EXPONENT = re.compile(r"[1-9][0-9]{0,%d}" % (len(str(_MAX_EDGES)) - 1))
-
-
-def compose_symbols(texts: Iterable[str]) -> dict[str, Symbol]:
-    """Each text of ``texts`` that is made of the others, with its symbol:
-    ``parse_symbol(text)``, built without parsing.
-
-    A stored space is closed under factors: the integrand tau of each
-    stored I(tau) is stored, and so is each integral factor of a stored
-    product.  So each text is one of
-
-    * ``Xi`` or a monomial ``X^(k,...)``;
-    * ``I(T)`` with ``T`` a text of ``texts`` made already;
-    * factors joined by ``*`` outside every parenthesis, each ``Xi``, a
-      monomial, ``I(T)`` as above or a text made already, each perhaps
-      raised to a power ``^n``.
-
-    Texts are made shortest first, so the text a factor needs is made before
-    it, and each node is built with ``_make_node`` from symbols made
-    already.  A product is read up to the first factor from which the rest
-    of the text is a text made already (see :func:`_product`); in a stored
-    space that is the rest after its first factor, so a product costs one
-    factor, one lookup and one node.  A text made of valid texts this way
-    is valid and parses to the same symbol; the ``_MAX_DEPTH`` and
-    ``_MAX_EDGES`` bounds are kept as ``parse_symbol`` keeps them.  Every
-    other text is left out, for ``parse_symbol`` to read or refuse: the
-    unit ``1``, whitespace, a factor that is not stored.  Nothing recurses,
-    and the result holds one entry per distinct text.
-    """
-    made: dict[str, Symbol] = {}
-    depth: dict[str, int] = {}  # the most I( a parse of the text holds open at once
-    longest = 0  # the length of the longest text made so far
-    for text in sorted(set(texts), key=len):
-        got = _factor(text, made, depth) or _product(text, made, depth, longest)
-        if got is not None:
-            made[text], depth[text] = got
-            longest = len(text)
-    return made
-
-
-def _factor(text: str, made: dict[str, Symbol], depth: dict[str, int]):
-    """``(symbol, depth)`` of ``text`` read as one factor: a text made
-    already, ``Xi``, ``I(T)`` with ``T`` made already, or a monomial; else
-    None."""
-    t = made.get(text)
-    if t is not None:
-        return t, depth[text]
-    if text == "Xi":
-        return _XI, 0
-    if text[:2] == "I(" and text[-1:] == ")":
-        # T is valid, so the ) closes this I(
-        t = made.get(text[2:-1])
-        if t is None or t is _ONE or t.p + t.q >= _MAX_EDGES:
-            return None
-        level = depth[text[2:-1]] + 1
-        return None if level > _MAX_DEPTH else (_make_node((), ((INT, t),)), level)
-    m = _MONOMIAL.fullmatch(text)
-    return None if m is None else (monomial([int(x) for x in m[1].split(",")]), 0)
-
-
-def _product(text: str, made: dict[str, Symbol], depth: dict[str, int], longest: int):
-    """``(symbol, depth)`` of ``text`` read as factors, each perhaps raised
-    to a power, joined by ``*``; else None.
-
-    Factors are read until the rest of the text is a text made already,
-    whose symbol then stands for it.  A rest is looked up only when no
-    longer than ``longest`` (at first the longest text made), which halves
-    after each miss, so the lookups hash at most twice the text."""
-    parts = text.split("*")
-    level = edges = balance = start = end = 0
-    dec: tuple[int, ...] = ()
-    kids: list[tuple[int, Symbol]] = []
-    for i, part in enumerate(parts):
-        end += len(part) + 1  # where the next part begins
-        # a factor of a valid text holds no * outside its parentheses, so
-        # it ends at the first * where they balance
-        balance += part.count("(") - part.count(")")
-        if balance:
-            continue
-        piece = part if start == i else "*".join(parts[start : i + 1])
-        start = i + 1
-        n = 1
-        if piece[-1:] != ")" and piece != "Xi":  # a power
-            piece, hat, power = piece.rpartition("^")
-            if not hat or _EXPONENT.fullmatch(power) is None:
-                return None
-            n = int(power)
-        got = _factor(piece, made, depth)
-        if got is None or n * max(got[0].p + got[0].q, 1) > _MAX_EDGES:
-            return None
-        t, at = got
-        dec = _vec_add(dec, t.decoration if n == 1 else tuple([n * x for x in t.decoration]))
-        kids.extend(t.children * n)
-        edges += n * (t.p + t.q)
-        level = max(level, at)
-        size = len(text) - end
-        if 0 < size <= longest:
-            rest = text[end:]
-            t = made.get(rest)
-            if t is not None:
-                dec = _vec_add(dec, t.decoration)
-                kids.extend(t.children)
-                edges += t.p + t.q
-                level = max(level, depth[rest])
-                break
-            longest = size // 2
-    if balance or edges > _MAX_EDGES:
-        return None
-    return _make_node(dec, kids), level
 
 
 # ---------------------------------------------------------------------------

@@ -605,8 +605,8 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "rho,message",
-        [("1,3", "rho must lie in (0, 2]"), ("1,3/4,0", "rho must be positive"),
-         ("1,-1/2", "rho must be positive")],
+        [("1,3", "rho must lie in (0, 2]"), ("1,0", "rho must lie in (0, 2]"),
+         ("1,3/4,0", "rho must lie in (0, 2]"), ("1,-1/2", "rho must lie in (0, 2]")],
     )
     def test_rho_out_of_range_before_any_build(self, capsys, tmp_path, censuses, builds, rho,
                                                message):

@@ -130,6 +130,13 @@ class TestParameters:
         with pytest.raises(ValueError):
             Parameters(N=2, d=2, rho=F(1), alpha0=Homogeneity(F(1), -1))
 
+    @pytest.mark.parametrize("rho", [F(0), F(-1, 2), F(5, 2), F(3)], ids=str)
+    def test_white_noise_rho_out_of_range_one_message(self, rho):
+        # one range check: white noise's alpha0 does not pre-empt it below 0
+        with pytest.raises(ValueError) as exc:
+            Parameters.white_noise(2, 2, rho)
+        assert str(exc.value) == "rho must lie in (0, 2]"
+
     @pytest.mark.parametrize(
         "call,args,error",
         [

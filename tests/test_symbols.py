@@ -3,7 +3,6 @@
 import gc
 import random
 import sys
-import time
 import weakref
 from fractions import Fraction as F
 
@@ -21,7 +20,6 @@ from fractree.symbols import (
     XI,
     Symbol,
     bare_tree,
-    compose_symbols,
     decorate,
     homogeneity_of,
     integrate,
@@ -241,6 +239,15 @@ class TestCanonicalForm:
         assert parse_symbol(render(t)) is t
         assert parse_symbol(render(t, d=4)) is t
 
+    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_render_memo(self, seeds):
+        """A render memo shared by several symbols renders each as a fresh one does."""
+        syms = [_random_symbol(random.Random(seed)) for seed in seeds]
+        texts: dict = {}
+        for t in syms:
+            assert render(t, 2, memo=texts) == render(t, 2)
+
     def test_render_examples(self):
         assert render(one()) == "1"
         assert render(xi()) == "Xi"
@@ -321,121 +328,8 @@ def _outcome(text: str):
         return str(exc)
 
 
-def _blocks(t: Symbol, d: int) -> list[str]:
-    """The text of every I(...) block in render(t, d)."""
-    return sorted({"I(%s)" % render(c, d) for *_, tag, c in iter_vertices(t) if tag == INT})
-
-
-def _closure(t: Symbol, d: int) -> list[str]:
-    """render(t, d) with the texts a stored space holds beside it: each
-    I(c) block and its integrand c."""
-    inner = {render(c, d) for *_, tag, c in iter_vertices(t) if tag == INT}
-    return sorted({render(t, d), *_blocks(t, d), *inner})
-
-
-def _composed(texts: list[str]) -> dict:
-    """compose_symbols(texts), each text it makes checked against the parser."""
-    made = compose_symbols(texts)
-    assert set(made) <= set(texts)
-    for text, sym in made.items():
-        assert parse_symbol(text) is sym
-    return made
-
-
 def _chain(levels: int, core: str = "Xi") -> str:
     return "I(" * levels + core + ")" * levels
-
-
-def _chains(levels: int, core: str = "Xi") -> list[str]:
-    """The texts of a chain of ``levels`` integrals over ``core``, one per level."""
-    return [_chain(n, core) for n in range(levels + 1)]
-
-
-class TestParseMemo:
-    """compose_symbols' table, the parse memo a load reads each record's
-    symbol from: it makes a text from the others exactly as parse_symbol
-    reads it, or leaves it to parse_symbol."""
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4),
-        st.lists(st.lists(st.sampled_from(_PARSE_TOKENS), max_size=16).map("".join), max_size=3),
-        st.data(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_memo_changes_no_outcome(self, seeds, noise, data):
-        # the texts of random symbols with their blocks and integrands, and
-        # token strings, which may be made of those texts
-        syms = [_random_symbol(random.Random(seed)) for seed in seeds]
-        seen = [render(t, d=2) for t in syms]
-        stored = sorted({text for t in syms for text in _closure(t, 2)})
-        # texts that reuse those blocks among stray tokens, and the texts
-        # themselves with one piece deleted or inserted
-        blocks = sorted({b for t in syms for b in _blocks(t, 2)})
-        pieces = st.sampled_from(_PARSE_TOKENS + tuple(blocks))
-        base = data.draw(st.sampled_from(seen))
-        cut = data.draw(st.integers(min_value=0, max_value=len(base)))
-        text = data.draw(
-            st.one_of(
-                st.lists(pieces, max_size=12).map("".join),
-                st.just(base),
-                st.integers(min_value=1, max_value=3).map(lambda n: base[:cut] + base[cut + n:]),
-                pieces.map(lambda piece: base[:cut] + piece + base[cut:]),
-            )
-        )
-        # a space closed under factors is made whole; what else is made is
-        # what the parser reads
-        assert set(stored) <= set(_composed(stored + noise + [text]))
-        # a shared render memo renders every symbol as a fresh one does
-        texts: dict = {}
-        for t, text in zip(syms, seen):
-            assert render(t, 2, memo=texts) == text
-
-    def test_memo_holds_every_closed_block(self):
-        texts = ["I(I(Xi)^2)*I(Xi)*X^(0,1)", "I(I(Xi)^2)", "I(Xi)^2", "I(Xi)", "Xi", "1"]
-        made = _composed(texts)
-        assert set(made) == set(texts) - {"1"}  # the unit is the parser's
-        assert made["I(Xi)"] is integrate(xi())
-        # a factor that is not stored leaves the product to the parser
-        made = _composed(["I(I(Xi)^2)*I(Xi)", "I(Xi)", "Xi"])
-        assert made == {"I(Xi)": integrate(xi()), "Xi": xi()}
-
-    def test_memo_keeps_the_depth_bound(self):
-        # 500 levels are made, 501 are left to the parser, which refuses
-        # them, also after a factor
-        texts = _chains(501)
-        made = _composed(texts + [_chain(500) + "*Xi", _chain(501) + "*Xi"])
-        assert set(made) == set(texts[:501]) | {_chain(500) + "*Xi"}
-        with pytest.raises(ValueError, match="nested too deeply"):
-            parse_symbol(_chain(501))
-
-    def test_memo_keys_stay_linear_in_the_text(self):
-        # padding inside a chain: the parser reads it, the reader leaves it
-        # out, and the result holds no key beside the texts it was given
-        for levels in (400, 31):
-            text = "I(" * levels + " " * 20_000 + "Xi" + ")" * levels
-            made = _composed([text] * 3 + _chains(levels) * 2)
-            assert len(made) == levels + 1 and text not in made
-            t = parse_symbol(text)
-            assert t is made[_chain(levels)] and (t.p, t.q) == (1, levels)
-
-    def test_hostile_texts(self):
-        # whitespace, factors out of canonical order, leading zeros, powers
-        # of powers, a unit factor, the unit in a block, powers past the
-        # edge bound: the reader makes what the parser reads, and no other
-        texts = [
-            "Xi", "I(Xi)", "I(Xi)^2", "X^(0,1)", " I(Xi)", "I(Xi) ", "I( Xi)", "I(Xi)^2 ",
-            "I(I(Xi)^2)*I(Xi)", "I(Xi)*X^(0,1)", "I(Xi)^02", "X^(00,1)*I(Xi)",
-            "I(Xi)^2^3", "Xi*1", "I(1)", "I(X^(0,0))", "X^(0,0)", "Xi^10000",
-            "Xi^10001", "I(Xi^10000)", "I(Xi)^5000*I(Xi)", "Xi^5000*Xi^5001",
-            "X^(1)^9999", "I(Xi)**Xi", "*", "", ")(", "I(Xi))*(I(Xi)", "Xi)*I(Xi",
-            "I(Xi)*I(Xi))", "X^(" + "9" * 5000 + ")", "I(X^(\u0661))",
-        ]
-        made = _composed(texts)
-        for text in texts:
-            got = made.get(text)
-            assert got is None or _outcome(text) is got
-        assert {"I(I(Xi)^2)*I(Xi)", "I(Xi)*X^(0,1)", "X^(00,1)*I(Xi)", "Xi^10000"} <= set(made)
-        assert not {" I(Xi)", "I( Xi)", "I(1)", "I(X^(0,0))", "Xi^10001", "I(Xi^10000)"} & set(made)
 
 
 def _nesting(block: str) -> int:
@@ -460,18 +354,19 @@ def _scanned_ends(text: str) -> dict[int, int]:
 
 
 class TestBlockEnds:
-    """compose_symbols ends a factor at the first * where parentheses
-    balance, and hostile texts cost it and the parser one pass."""
+    """The parser ends each I(...) block at its matching ')', and hostile
+    texts cost it one pass."""
 
     @pytest.mark.parametrize("core", ["Xi", "I(Xi)^2*X^(0,1)", "X^(1,0)*Xi"])
     def test_factor_ends_are_the_scanned_ends(self, core):
-        # every block of the text, read as one factor, is made, and so is
-        # the product of two chains
+        # every block of the text, read alone, is the integral the parse of
+        # the whole text holds at that place
         text = _chain(40, core) + "*" + _chain(3, core)
         ends = _scanned_ends(text)
         blocks = [text[i - 1 : ends[i]] for i in sorted(ends) if text[i - 1] == "I"]
-        made = _composed(blocks + ["Xi", core, text])
-        assert set(made) == set(blocks) | {"Xi", core, text}
+        t = parse_symbol(text)
+        held = {integrate(c) for *_, tag, c in iter_vertices(t) if tag == INT}
+        assert {parse_symbol(block) for block in blocks} == held
         assert _nesting(text) == 40 + _nesting(core)
 
     @pytest.mark.parametrize(
@@ -485,12 +380,9 @@ class TestBlockEnds:
         ids=["never-closed", "31-deep-never-closed", "too-deep-at-the-end", "sawtooth"],
     )
     def test_failed_matches_stay_fast(self, text):
-        # linear: a few ms for these 100-250 KB texts; a split that joined
-        # its pieces one at a time would copy them about 40,000 times
-        with alarm(2.0):
-            assert compose_symbols([text, "Xi", "I(Xi)"]).keys() == {"Xi", "I(Xi)"}
-            with pytest.raises(ValueError):
-                parse_symbol(text)
+        # linear: a few ms for these 100-250 KB texts
+        with alarm(2.0), pytest.raises(ValueError):
+            parse_symbol(text)
 
     @pytest.mark.parametrize("levels", [40, 450])
     @pytest.mark.parametrize("hit", [0, 20, 39])
@@ -498,17 +390,11 @@ class TestBlockEnds:
         core = "I(Xi)*X^(0,1)"
         before = _chain(hit, core) if hit else "Xi"
         text = before + "*" + _chain(levels, core) + "*I(X^(0,2))"
-        stored = _chains(max(levels, hit), core) + ["Xi", "X^(0,2)", "I(X^(0,2))", text]
-        made = compose_symbols(stored)
-        t = made[text]
-        assert t is parse_symbol(text) and (t.p, t.q) == (2, parse_symbol(before).q + levels + 2)
+        t = parse_symbol(text)
+        assert (t.p, t.q) == (2, parse_symbol(before).q + levels + 2)
         for broken in (text[:-1], text[:-1] + "*Xi", text + ")"):
-            assert broken not in compose_symbols([broken, *stored])
-
-    def test_texts_with_more_open_parentheses_than_the_bound_use_the_memo(self):
-        text = "*".join(["I(Xi)"] * (symbols._MAX_DEPTH + 1))
-        made = _composed([text, "I(Xi)", "Xi"])
-        assert (made[text].p, made[text].q) == (symbols._MAX_DEPTH + 1,) * 2
+            with pytest.raises(ValueError):
+                parse_symbol(broken)
 
     def test_an_unclosed_path_is_matched_once(self):
         # 400 open blocks around 2 MB: reading the padding once per open
@@ -516,8 +402,6 @@ class TestBlockEnds:
         text = "I(Xi*" * 400 + " " * 2_000_000 + "Xi"
         with alarm(2.0), pytest.raises(ValueError, match=r"expected '\)'"):
             parse_symbol(text)
-        with alarm(2.0):
-            assert compose_symbols([text]) == {}
 
 
 class TestSizeBound:
@@ -559,8 +443,8 @@ _CUSTOM_8_5 = Parameters(N=2, d=2, rho=F(8, 5), alpha0=Homogeneity(F(-29, 10), -
 
 
 class TestStoredTexts:
-    """compose_symbols on whole stored spaces, where each product's rest
-    after its first factor is a stored text."""
+    """A load takes a stored text's symbol from the rebuilt space; the parser
+    reads each such text to the same symbol."""
 
     @pytest.mark.parametrize(
         "params",
@@ -574,32 +458,9 @@ class TestStoredTexts:
     )
     def test_composed_as_parsed(self, params):
         ms = build(params, BuildConfig(maxh=completeness_threshold(params)))
-        texts = [render(s, params.d) for s in ms.generations]
-        made = compose_symbols(texts)
-        assert set(texts) - set(made) == {"1"}
-        for text, sym in made.items():
-            assert parse_symbol(text) is sym
-
-    def test_rest_lookups_stay_linear(self):
-        # a 240 KB product of monomials is made, then a longer one none of
-        # whose rests is made: looking each rest up would hash about 5 GB,
-        # and make the second text cost ten times the first
-        made_one = "*".join(["X^(1)"] * 40_000)
-        other = "*".join(["X^(2)"] * 40_001)
-
-        def seconds(texts):
-            runs = []
-            for _ in range(2):
-                start = time.perf_counter()
-                made = compose_symbols(texts)
-                runs.append(time.perf_counter() - start)
-            assert len(made) == len(texts)
-            return min(runs)
-
-        assert seconds([made_one, other]) < 4 * seconds([made_one])
-        made = compose_symbols([made_one, other])
-        assert made[made_one] is monomial((40_000,))
-        assert made[other] is monomial((80_002,))
+        texts: dict = {}
+        for s in ms.generations:
+            assert parse_symbol(render(s, params.d, memo=texts)) is s
 
 
 class TestBareDecorated:
