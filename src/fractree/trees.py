@@ -3,9 +3,10 @@
 This module works on bare branching trees: rooted, unordered, undecorated,
 every vertex carrying at most N subtrees.  It provides
 
-* exact counting sequences (Wedderburn-Etherington numbers, N-regular tree
-  counts, bounded-arity counts refined by leaf count), all computed by
-  multiset dynamic programming over canonical size classes, and
+* exact counting sequences: Wedderburn-Etherington numbers, and the
+  bounded-arity counts (all trees, N-regular trees, trees by leaf count)
+  read from one table of trees by (vertices, deficit), filled bottom-up by
+  the multiset construction (Otter, Ann. Math. 49, 1948), and
 * an exhaustive enumerator of one (edges, leaves) class at a time: a tree
   is a root over a multiset of 1..N smaller trees, built from the smaller
   classes in descending order (the multiset construction the counting
@@ -23,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterator, Optional
 
 from .params import ExplosionError  # re-exported: fractree.trees.ExplosionError
@@ -72,51 +74,61 @@ def wedderburn(n: int) -> int:
     return _WEDDERBURN[n]
 
 
-@lru_cache(maxsize=None)
-def _tree_count(mode: str, N: int, n: int) -> int:
-    """Unordered rooted trees with n vertices.
+# (N, whether the deficit is kept) -> [(n, r, table)], none covering another
+_TABLES: dict[tuple[int, bool], list[tuple[int, int, list[list[int]]]]] = {}
 
-    mode "regular": every internal vertex has exactly N children.
-    mode "bounded": every vertex has at most N children.
+
+def _table(N: int, n: int, r: Optional[int]) -> list[list[int]]:
+    """table[s][e]: bounded-arity trees with s <= n vertices and deficit e <= r.
+
+    The deficit sums N minus the number of children over internal vertices
+    (`PruneReport.r`): a root over j subtrees adds N - j.  With r = None no
+    deficit is kept and table[s][0] counts all trees of s vertices.  Bottom-up,
+    forests[j][e][v] counts multisets of j trees smaller than s with v
+    vertices and deficit e; the trees of s vertices are read off them, then m
+    copies of the t trees of a class (s, e) join each multiset in
+    comb(t + m - 1, m) ways.  Deficits past r are dropped: they only grow.
+    A kept table answers every query it covers; a new one is built for n and
+    r rounded up to powers of two, n at least 32, and replaces those it covers.
     """
-    if n == 1:
-        return 1
-    if mode == "regular":
-        if (n - 1) % N:
-            return 0
-        return _msets(mode, N, N, n - 1, n - 1)
-    return sum(_msets(mode, N, c, n - 1, n - 1) for c in range(1, min(N, n - 1) + 1))
-
-
-@lru_cache(maxsize=None)
-def _msets(mode: str, N: int, slots: int, budget: int, maxsize: int) -> int:
-    """Multisets of `slots` trees totalling `budget` vertices, each of size <= maxsize.
-
-    The loop picks the largest size taken and its j >= 1 copies, so the
-    call recurses only when a slot is filled.
-    """
-    if slots == 0:
-        return 1 if budget == 0 else 0
-    total = 0
-    for s in range(min(maxsize, budget - slots + 1), 0, -1):
-        if slots * s < budget:
-            break
-        t = _tree_count(mode, N, s)
-        if not t:
-            continue
-        for j in range(1, min(slots, budget // s) + 1):
-            rest = _msets(mode, N, slots - j, budget - j * s, s - 1)
-            if rest:
-                total += math.comb(t + j - 1, j) * rest
-    return total
-
-
-def _count(mode: str, N: int, n: int) -> int:
-    """_tree_count(mode, N, n), filling the memo from the smallest size up so
-    that the recursion stays within the N slots of one size."""
-    for m in range(1, n):
-        _tree_count(mode, N, m)
-    return _tree_count(mode, N, n)
+    kept = _TABLES.setdefault((N, r is None), [])
+    for size, bound, table in kept:
+        if size >= n and bound >= (r or 0):
+            return table
+    size = max(32, 1 << (n - 1).bit_length())
+    bound = min(1 << (r - 1).bit_length(), (N - 1) * (size - 1)) if r else 0
+    # A tree of s vertices has deficit 1 - s mod N, so with the deficit kept
+    # forests[j][e][v] is 0 unless v = j - e mod N: rows are read every N-th v.
+    step = 1 if r is None else N
+    forests = [[[0] * size for _ in range(bound + 1)] for _ in range(N + 1)]
+    forests[0][0][0] = 1
+    table = [[], [1] + [0] * bound]
+    for s in range(1, size):
+        for d, t in enumerate(table[s]):
+            if not t:
+                continue
+            for j in range(N, 0, -1):  # downwards: forests[j - m] is still without (s, d)
+                for m in range(1, j + 1):
+                    if m * s >= size or m * d > bound:
+                        break
+                    c = math.comb(t + m - 1, m)
+                    if j == m:  # the m copies alone
+                        forests[j][m * d][m * s] += c
+                        continue
+                    # j - m trees of v vertices have deficit at most (N - 1)(v - j + m)
+                    top = min(bound, m * d + (N - 1) * (size - 1 - m * s - j + m))
+                    for e in range(m * d, top + 1):
+                        k = (j - m - e + m * d) % step  # the first v read
+                        row, src, v = forests[j][e], forests[j - m][e - m * d], m * s + k
+                        row[v::step] = map(add, row[v::step], map(c.__mul__, src[k::step]))
+        trees = [0] * (bound + 1)
+        for j in range(1, min(N, s) + 1):
+            root = 0 if r is None else N - j
+            for e in range(root, bound + 1):
+                trees[e] += forests[j][e - root][s]
+        table.append(trees)
+    kept[:] = [old for old in kept if old[0] > size or old[1] > bound] + [(size, bound, table)]
+    return table
 
 
 def count_regular(N: int, n: int) -> int:
@@ -130,7 +142,7 @@ def count_regular(N: int, n: int) -> int:
         raise ValueError("N must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _count("regular", N, n)
+    return _table(N, n, 0)[n][0]
 
 
 def count_bounded(N: int, n: int) -> int:
@@ -139,70 +151,22 @@ def count_bounded(N: int, n: int) -> int:
         raise ValueError("N must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _count("bounded", N, n)
-
-
-@lru_cache(maxsize=None)
-def _tl(N: int, n: int, leaves: int) -> int:
-    """Bounded-arity trees with n vertices and exactly `leaves` leaves."""
-    if n == 1:
-        return 1 if leaves == 1 else 0
-    if not 1 <= leaves <= _max_leaves(N, n - 1):
-        return 0
-    return sum(
-        _ml(N, c, n - 1, leaves, n - 1, n - 1) for c in range(1, min(N, n - 1) + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _ml(N: int, slots: int, vb: int, lb: int, size: int, leaf: int) -> int:
-    """Multisets of `slots` bounded trees, total vertices vb and leaves lb.
-
-    Every tree's class (size, leaf) is at most (`size`, `leaf`) in
-    lexicographic order.  The loop picks the largest class taken and its
-    j >= 1 copies, so the call recurses only when a slot is filled.  It
-    takes only classes with room for their leaves and leaves over only
-    what the remaining slots can hold (`_fits`), so no term it skips is
-    nonzero.
-    """
-    if slots == 0:
-        return 1 if vb == 0 and lb == 0 else 0
-    total = 0
-    for s in range(min(size, vb - slots + 1), 0, -1):
-        if slots * s < vb:
-            break
-        top = min(leaf if s == size else s, lb - slots + 1, _max_leaves(N, s - 1))
-        for lv in range(top, 0, -1):
-            t = None
-            for j in range(1, min(slots, vb // s, lb // lv) + 1):
-                if not _fits(N, slots - j, vb - j * s, lb - j * lv, s - 1):
-                    continue
-                if t is None:
-                    t = _tl(N, s, lv)
-                rest = _ml(N, slots - j, vb - j * s, lb - j * lv, s, lv - 1)
-                if rest:
-                    total += math.comb(t + j - 1, j) * rest
-    return total
+    return _table(N, n, None)[n][0]
 
 
 def count_bounded_by_leaves(N: int, n: int, leaves: int) -> int:
     """Bounded-arity tree count refined by exact leaf count.
 
     Summing over all leaf counts recovers count_bounded(N, n); the single
-    vertex counts as one leaf.  The memo is filled from the smallest size
-    up, as `_count` does, over the (size, leaves) classes a subtree of such
-    a tree can have: those whose leaves fit and leave no more than the rest
-    of the tree, with the subtree as one leaf, has room for.  Every class
-    `_ml` reaches from one of them is among them, so the recursion stays
-    within the N slots of one class.
+    vertex counts as one leaf.  A tree with n vertices and L >= 1 leaves has
+    deficit N*(n - L) - (n - 1), negative when L is too large to fit.
     """
     if N < 1 or n < 1:
         raise ValueError("N and n must be >= 1")
-    for m in range(2, n):
-        rest = _max_leaves(N, n - m)  # leaves of the rest, n - m edges
-        for lv in range(max(1, leaves + 1 - rest), min(leaves, _max_leaves(N, m - 1)) + 1):
-            _tl(N, m, lv)
-    return _tl(N, n, leaves)
+    r = N * (n - leaves) - (n - 1)
+    if leaves < 1 or r < 0:
+        return 0
+    return _table(N, n, r)[n][r]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +246,10 @@ def _trees(N: int, edges: int, leaves: int) -> tuple[Symbol, ...]:
 
 
 def clear_bare_cache() -> None:
-    """Drop the memoised tree classes and the decorated twins that
-    ``symbols.decorate`` keeps for their trees."""
+    """Drop the memoised tree classes, the decorated twins that
+    ``symbols.decorate`` keeps for their trees, and the count tables."""
     _trees.cache_clear()
+    _TABLES.clear()
     _TWINS.clear()
 
 

@@ -296,6 +296,20 @@ class TestTreeCounts:
         for p, q, count in plain:
             assert count == count_bounded_by_leaves(N, q + 1, p), (p, q)
 
+    @pytest.mark.parametrize(
+        "N,d,gap", [(2, 2, 100), (2, 2, 200), (2, 2, 500), (3, 3, 100), (3, 3, 200)], ids=str
+    )
+    def test_gap_ladder(self, N, d, gap):
+        """The same identity at rho = rho_c + 1/gap, where no build reaches;
+        at (2, 2) Xi is the only other class, so the tree counts add up to
+        c_F."""
+        got = census(Parameters.white_noise(N, d, rho_c(N, d) + F(1, gap)))
+        plain = [(p, q, count) for (p, q, s), count in got.classes if s == 0 and q >= 1]
+        for p, q, count in plain:
+            assert count == count_bounded_by_leaves(N, q + 1, p), (p, q)
+        if (N, d) == (2, 2):
+            assert 1 + sum(count for _, _, count in plain) == got.c_F
+
 
 # rho = rho_c + 1/k for N 2..5, d 1..3, k in {3, 5, 10, 20, 50, 100}, where
 # rho <= 2 (Parameters refuses larger rho): 65 points.

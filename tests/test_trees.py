@@ -114,22 +114,18 @@ class TestBoundedCounts:
     @pytest.mark.parametrize("m", [16, 20, 100, 200])
     def test_leaf_refinement_deep_binary_from_cold_cache(self, m):
         # 2m+1 vertices and m+1 leaves force every internal vertex to have two
-        # children; the recursion depth must not grow with the number of
-        # (size, leaf) classes below n.  m = 100 overflowed the stack while
-        # every class recursed into the next; m = 200 still does unless the
-        # memo is filled from the smallest class up
-        trees._tl.cache_clear()
-        trees._ml.cache_clear()
+        # children, so deficit 0; counted from a cold table, which is filled
+        # bottom-up without recursion
+        trees.clear_bare_cache()
         assert count_bounded_by_leaves(2, 2 * m + 1, m + 1) == wedderburn(m + 1)
 
     @pytest.mark.parametrize(
         "count, N, n", [(count_bounded, 2, 199), (count_regular, 2, 335), (count_bounded, 2, 400)]
     )
     def test_counts_from_cold_cache(self, count, N, n):
-        # the recursion depth must not grow with n: neither with the sizes a
-        # multiset skips over nor with the sizes below n still to be counted
-        trees._tree_count.cache_clear()
-        trees._msets.cache_clear()
+        # counted from a cold table, which is filled bottom-up without
+        # recursion, so nothing grows with n but the table
+        trees.clear_bare_cache()
         got = count(N, n)
         # binary: at most two children per vertex is the shifted pairing
         # sequence, exactly two is the pairing sequence by leaves
@@ -137,10 +133,9 @@ class TestBoundedCounts:
 
     def test_leaf_table_pinned(self):
         # SHA-256 of the lines "N n leaves count" for N 1..5, n <= 25 and
-        # every leaf count, as counted before _ml skipped classes that
-        # cannot hold their leaves
-        trees._tl.cache_clear()
-        trees._ml.cache_clear()
+        # every leaf count, as counted by the memoised recursion the
+        # bottom-up table replaced
+        trees.clear_bare_cache()
         rows = [
             f"{N} {n} {L} {count_bounded_by_leaves(N, n, L)}"
             for N in range(1, 6)
@@ -149,6 +144,18 @@ class TestBoundedCounts:
         ]
         assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
             "723682ffeb8d834976763ae453ae8e4fc855e9031033c76732beceffe46f5be3"
+        )
+
+    def test_count_table_pinned(self):
+        # SHA-256 of the lines "N n bounded regular" for N 1..6 and n <= 150,
+        # as counted by the memoised recursion the bottom-up table replaced
+        rows = [
+            f"{N} {n} {count_bounded(N, n)} {count_regular(N, n)}"
+            for N in range(1, 7)
+            for n in range(1, 151)
+        ]
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+            "ce1e4c0f0ff8c36827b5caad63ba8691823a036e8f0010ef43834006a4d12d0a"
         )
 
     def test_leaf_refinement_edges(self):
