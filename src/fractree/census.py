@@ -21,25 +21,29 @@ level q only feeds parents above it; m copies of a class of t symbols give
 comb(t + m - 1, m) multisets.  Everything is an exact integer, and no
 symbol is built, so the census reaches gaps the enumeration cannot.
 ``_frame`` refuses a point without a finite sector and sets out the units
-both walks read; each walk records every W class it forms, and ``_counts``
+every walk reads; each walk records every W class it forms, and ``_counts``
 alone keeps the negative ones, as it does for :meth:`Census.at`.
 
 :func:`census` keeps the counts alone.  ``scan`` runs it once per call,
 at the lowest certified rho, and reads every certified row off it with
 :meth:`Census.at`.
-:func:`marked_census` splits each class further by the bare tree's height
-and diameter and carries, next to each count, the integer marks that
-``stats.stat_report`` sums over the elements: S1 and S2 (the sums of the
-subtree sizes and of their squares), the periphery and the bare degree
-vector.  A mark is additive over a multiset, and m copies drawn from a
-class of t symbols whose marks total X add comb(t + m - 1, m - 1) * X to
-each multiset counted before.  The decorated degrees are filled in as a
-W entry is formed: Xi is never a factor (the pool holds monomials
-and integrals) and no I(X^k) is a child, so above level 0 the p bare
-leaves are the noise's vertices, each raised to degree 2 by its noise
-edge, which ends at a new leaf.  So they are the bare degrees plus p at
-degree 2, and (0, 2, 0, ...) for the noise itself.  ``stats`` answers
-every certified request from it, so it builds no symbol either.
+:func:`marked_census` carries, next to the counts, the integer marks that
+``stats.stat_report`` sums over the elements, each in the table whose key
+it needs.  A first walk, keyed (P, S) as :func:`census` is, carries S1
+and S2 (the sums of the subtree sizes and of their squares) and the bare
+degree vector per class.  A mark is additive over a multiset, and m copies
+drawn from a class of t symbols whose marks total X add
+comb(t + m - 1, m - 1) * X to each multiset counted before (Flajolet and
+Sedgewick, ch. III).  The decorated degrees are filled in as a W entry is
+formed: Xi is never a factor (the pool holds monomials and integrals) and
+no I(X^k) is a child, so above level 0 the p bare leaves are the noise's
+vertices, each raised to degree 2 by its noise edge, which ends at a new
+leaf.  So they are the bare degrees plus p at degree 2, and
+(0, 2, 0, ...) for the noise itself.  A second walk splits each class by
+the bare tree's height and diameter, keyed (P, S, top, D), and carries
+only the count and the periphery, the vertices at maximal depth, which
+depends on the height.  ``stats`` answers every certified request from
+the two tables, so it builds no symbol either.
 """
 
 from __future__ import annotations
@@ -180,50 +184,38 @@ def _plus(table: dict, key: tuple, marks: list) -> None:
     table[key] = marks if old is None else list(map(add, old, marks))
 
 
-def marked_census(params: Parameters) -> tuple[Census, tuple]:
-    """The census of :func:`census`, with each sector class split by height
-    and diameter and its tree marks summed: (counts, marks).
+def _class_marks(params: Parameters) -> dict[tuple[int, int, int], list[int]]:
+    """The first walk of :func:`marked_census`: every W class (p, q, s) formed,
+    with the sums over its symbols of (count, S1, S2, bare degrees 0..N+1,
+    decorated degrees 0..N+1).
 
-    ``counts`` is the :class:`Census`.  ``marks`` holds, in ascending key
-    order, each (p, q, s, height, diameter) of the sector that has symbols,
-    with the sums over them of (count, S1, S2, periphery, bare degrees
-    0..N+1, decorated degrees 0..N+1): the first entry is the number of
-    symbols, the rest total the fields ``stats`` folds from one bare tree.
-
-    A multiset table entry is keyed (P, S, top, D): top is the largest
-    child height + 1, the depth of the deepest vertex below the root, and D
-    the diameter of the root over those children.  Its marks total the
-    children's: the count, S1, S2, the periphery (vertices at depth top)
-    and the bare degree vector, each child's read with the edge above its
-    root.  Adding m copies of children of height h and diameter D' makes
-    the diameter max(D, D', h + 1 + top), and 2(h + 1) when m >= 2; the
-    periphery is replaced, added to or kept as h + 1 is above, at or below
-    top.  A level entry, keyed (p, s, height, diameter), holds the marks of
-    its W symbols as elements (bare degrees without an up edge), then the
-    bare degrees they have as children, where the root gains the up edge.
-    Decorated degrees are filled in as a W entry is formed, as the module
-    derives, and the entries of the classes ``counts`` keeps are returned.
+    A multiset table entry is keyed (P, S), as in :func:`census`, and totals
+    the children's count, S1, S2 and bare degree vector, each child's read
+    with the edge above its root.  A level entry, keyed (p, s), holds the
+    marks of its W symbols as elements (bare degrees without an up edge),
+    then the bare degrees they have as children, where the root gains the
+    up edge; the decorated degrees are filled in as it is formed.
     """
     N = params.N
     A, R, T, top, step, mono = _frame(params)
     w = N + 2  # degrees 0..N+1
-    B, K = 4, 4 + w  # the bare vector starts at B; K element marks, then the child vector
+    B, K = 3, 3 + w  # the bare vector starts at B; K element marks, then the child vector
 
-    # G[j][Q][(P, S, top, D)]: marks of the multisets of j children with Q
-    # edges, P noises and S units; level[(p, s, height, diameter)]: element
-    # marks of the W symbols at level q, then their bare degrees as children
+    # G[j][Q][(P, S)]: marks of the multisets of j children with Q edges, P
+    # noises and S units; level[(p, s)]: element marks of the W symbols at
+    # level q, then their bare degrees as children
     G = [defaultdict(dict) for _ in range(N + 1)]
-    G[0][0][(0, 0, 0, 0)] = [1] + [0] * (K - 1)
-    formed: dict[tuple[int, int, int, int, int], list[int]] = {}
-    xi = [1, 1, 1, 1] + [0] * (2 * w)
+    G[0][0][(0, 0)] = [1] + [0] * (K - 1)
+    formed: dict[tuple[int, int, int], list[int]] = {}
+    xi = [1, 1, 1] + [0] * (2 * w)
     xi[B] = xi[K + 1] = 1  # one bare vertex, degree 0 as an element, 1 as a child
-    level: dict[tuple, list[int]] = {(1, 0, 0, 0): xi}
+    level: dict[tuple, list[int]] = {(1, 0): xi}
     for q in range(top + 1):
         if q:
             n = q + 1
             level = {}
             for j in range(1, N + 1):
-                for (P, S, h, D), v in G[j].get(q, {}).items():
+                for (P, S), v in G[j].get(q, {}).items():
                     # a root over j children: n vertices, degree j as an
                     # element and j + 1 as a child
                     c = v[0]
@@ -234,39 +226,33 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                     marks[K + j + 1] += c
                     u = P * A + q * R + S
                     if u <= 0:
-                        _plus(level, (P, S, h, D), marks)
+                        _plus(level, (P, S), marks)
                     if j < N:
                         for s, m in mono.items():
                             if u + s <= 0:
-                                _plus(level, (P, S + s, h, D), [x * m for x in marks])
-        for (p, s, h, D), marks in level.items():
+                                _plus(level, (P, S + s), [x * m for x in marks])
+        for (p, s), marks in level.items():
             if q:  # p noise edges, each at a bare leaf, which goes to degree 2
                 decorated = marks[B:K]
                 decorated[2] += marks[0] * p
             else:  # the noise: its root and the leaf its edge ends at
                 decorated = [0, 2] + [0] * N
-            formed[(p, q, s, h, D)] = marks[:K] + decorated
+            formed[(p, q, s)] = marks[:K] + decorated
             u = p * A + q * R + s
             if u + R > T:
                 continue
             t = marks[0]
-            child = marks[:B] + marks[K:]
-            h1 = h + 1
+            child = [0, *marks[1:B], *marks[K:]]  # the count only multiplies
             # for m copies, what each multiset counted before gains: its
-            # count times comb(t + m - 1, m - 1) times the class marks, the
-            # periphery only where the copies reach at least as deep as top
+            # count times comb(t + m - 1, m - 1) times the class marks
             copies = []
             for m in range(1, N + 1):
-                more = [comb(t + m - 1, m - 1) * x for x in child]
-                more[0] = 0
-                kept = more[:]
-                kept[3] = 0
-                Dm = max(D, 2 * h1) if m >= 2 else D
-                copies.append((m, comb(t + m - 1, m), more, kept, Dm))
+                gain = comb(t + m - 1, m - 1)
+                copies.append((m, comb(t + m - 1, m), [gain * x for x in child]))
             for j in range(N, 0, -1):
                 room = -(N - j) * step  # what j children may weigh
                 into = G[j]
-                for m, wm, more, kept, Dm in copies[:j]:
+                for m, wm, more in copies[:j]:
                     qm, um, pm, sm = m * (q + 1), m * (u + R), m * p, m * s
                     for Q0, row in G[j - m].items():
                         Q = Q0 + qm
@@ -274,10 +260,81 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                             continue
                         dest = into[Q]
                         lim = room - um - Q0 * R
-                        for (P0, S0, top0, D0), v0 in row.items():
+                        for (P0, S0), v0 in row.items():
                             if P0 * A + S0 > lim:
                                 continue
+                            key = (P0 + pm, S0 + sm)
                             c0 = v0[0]
+                            old = dest.get(key)
+                            if old is None:
+                                dest[key] = [a * wm + c0 * b for a, b in zip(v0, more)]
+                            else:
+                                dest[key] = [o + a * wm + c0 * b for o, a, b in zip(old, v0, more)]
+    return formed
+
+
+def _shape_marks(params: Parameters) -> dict[tuple[int, int, int, int, int], tuple[int, int]]:
+    """The second walk of :func:`marked_census`: every W shape (p, q, s,
+    height, diameter) formed, with its count and periphery total.
+
+    A multiset table entry is keyed (P, S, top, D): top is the largest child
+    height + 1, the depth of the deepest vertex below the root, and D the
+    diameter of the root over those children; its periphery counts the
+    vertices at depth top.  Adding m copies of children of height h and
+    diameter D' makes the diameter max(D, D', h + 1 + top), and 2(h + 1)
+    when m >= 2; the periphery is kept, added to or replaced as h + 1 is
+    below, at or above top.  A root over the multiset has height top and
+    the same periphery.
+    """
+    N = params.N
+    A, R, T, top, step, mono = _frame(params)
+
+    # G[j][Q][(P, S, top, D)]: (count, periphery) of the multisets of j
+    # children with Q edges, P noises and S units
+    G = [defaultdict(dict) for _ in range(N + 1)]
+    G[0][0][(0, 0, 0, 0)] = (1, 0)
+    formed: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
+    level: dict[tuple, tuple[int, int]] = {(1, 0, 0, 0): (1, 1)}
+    for q in range(top + 1):
+        if q:
+            level = {}
+            for j in range(1, N + 1):
+                for (P, S, h, D), pair in G[j].get(q, {}).items():
+                    u = P * A + q * R + S
+                    if u <= 0:
+                        _plus(level, (P, S, h, D), pair)
+                    if j < N:
+                        c, peri = pair
+                        for s, m in mono.items():
+                            if u + s <= 0:
+                                _plus(level, (P, S + s, h, D), (c * m, peri * m))
+        for (p, s, h, D), (t, peri) in level.items():
+            formed[(p, q, s, h, D)] = (t, peri)
+            u = p * A + q * R + s
+            if u + R > T:
+                continue
+            h1 = h + 1
+            # m copies: comb(t + m - 1, m) multisets of them, and
+            # comb(t + m - 1, m - 1) times the class periphery at depth h1
+            copies = [
+                (m, comb(t + m - 1, m), comb(t + m - 1, m - 1) * peri,
+                 max(D, 2 * h1) if m >= 2 else D)
+                for m in range(1, N + 1)
+            ]
+            for j in range(N, 0, -1):
+                room = -(N - j) * step  # what j children may weigh
+                into = G[j]
+                for m, wm, gain, Dm in copies[:j]:
+                    qm, um, pm, sm = m * (q + 1), m * (u + R), m * p, m * s
+                    for Q0, row in G[j - m].items():
+                        Q = Q0 + qm
+                        if Q > top:
+                            continue
+                        dest = into[Q]
+                        lim = room - um - Q0 * R
+                        for (P0, S0, top0, D0), (c0, p0) in row.items():
+                            if P0 * A + S0 > lim:
+                                continue
                             D1 = h1 + top0
                             if D1 < D0:
                                 D1 = D0
@@ -285,21 +342,39 @@ def marked_census(params: Parameters) -> tuple[Census, tuple]:
                                 D1 = Dm
                             if top0 > h1:  # the copies end above top: the periphery stays
                                 key = (P0 + pm, S0 + sm, top0, D1)
-                                gain = kept
-                            else:
+                                peri1 = p0 * wm
+                            elif top0 == h1:
                                 key = (P0 + pm, S0 + sm, h1, D1)
-                                gain = more
+                                peri1 = p0 * wm + c0 * gain
+                            else:  # deeper than any before: the periphery is replaced
+                                key = (P0 + pm, S0 + sm, h1, D1)
+                                peri1 = c0 * gain
                             old = dest.get(key)
                             if old is None:
-                                new = [a * wm + c0 * b for a, b in zip(v0, gain)]
+                                dest[key] = (c0 * wm, peri1)
                             else:
-                                new = [o + a * wm + c0 * b for o, a, b in zip(old, v0, gain)]
-                            if top0 < h1:  # deeper than any before: the periphery is replaced
-                                new[3] -= v0[3] * wm
-                            dest[key] = new
-    classes: Counter = Counter()
-    for (p, q, s, _h, _D), marks in formed.items():
-        classes[(p, q, s)] += marks[0]
-    counts = _counts(params, classes)
-    kept = dict(counts.classes)
-    return counts, tuple(sorted((key, tuple(m)) for key, m in formed.items() if key[:3] in kept))
+                                dest[key] = (old[0] + c0 * wm, old[1] + peri1)
+    return formed
+
+
+def marked_census(params: Parameters) -> tuple[Census, tuple, tuple]:
+    """The census of :func:`census`, with the tree marks ``stats`` sums over
+    the elements: (counts, classes, shapes).
+
+    ``counts`` is the :class:`Census`.  ``classes`` holds, in ascending key
+    order, each sector class (p, q, s) with the sums over its symbols of
+    (count, S1, S2, bare degrees 0..N+1, decorated degrees 0..N+1).
+    ``shapes`` splits each sector class by the bare tree's height and
+    diameter: (p, q, s, height, diameter) with (count, periphery).  The two
+    come from independent walks, :func:`_class_marks` and
+    :func:`_shape_marks`, and ``counts`` from the first one's class counts.
+    """
+    formed = _class_marks(params)
+    counts = _counts(params, {key: marks[0] for key, marks in formed.items()})
+    kept = {key for key, _ in counts.classes}
+    shapes = _shape_marks(params)
+    return (
+        counts,
+        tuple((key, tuple(formed[key])) for key, _ in counts.classes),
+        tuple(sorted((key, pair) for key, pair in shapes.items() if key[:3] in kept)),
+    )

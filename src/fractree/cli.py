@@ -352,8 +352,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     p = _params_from(args)
     if _certified_request(args, p):
         # counted from the census, with the marks the report sums: no symbol is built
-        counts, marks = marked_census(p)
-        rep, code = census_report(p, marks), 0
+        counts, *tables = marked_census(p)
+        rep, code = census_report(p, tables), 0
         label = _label(counts.c_F, counts.h_F, counts.h0_F, True)
     else:
         ms, code = _build_space(args, p)

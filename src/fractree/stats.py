@@ -10,18 +10,19 @@ fits of the divergence laws near the subcriticality boundary.
 Every tree measure is built up from marks of subtrees (vertex count, sums of
 subtree sizes and of their squares, height and the vertices at that depth,
 diameter, degree vectors); an element combines the marks below its root,
-betweenness through the Wiener index.  The elements' marks, summed per
-(p, q, s, height, diameter), form one marks table, and every report field is
-a closed form of it (:func:`_report`).  The table comes from one of two
-places:
+betweenness through the Wiener index.  The elements' marks are summed into
+two tables: the additive ones (count, S1, S2, degree vectors) per class
+(p, q, s), and the count and periphery per (p, q, s, height, diameter).
+Every report field is a closed form of the two (:func:`_report`).  They
+come from one of two places:
 
 * :func:`stat_report` folds the elements of a built model space.  Symbols
   are interned, so the elements share their subtrees I(tau), and each
   distinct subtree gets its marks once per report.  A truncated build is
   reported this way.
-* :func:`census_report` takes it from ``census.marked_census``, which
+* :func:`census_report` takes them from ``census.marked_census``, which
   counts the certified sector class by class with the marks summed, so no
-  symbol is built.  On a certified build the two tables are equal.
+  symbol is built.  On a certified build the tables are equal.
 
 Counts and histogram masses are exact (integers and fractions); only the
 PageRank mean (the float of an exact fraction), the gap-scaled moments and
@@ -257,17 +258,18 @@ def _mean(terms: Iterable[tuple[int, int]], total: int) -> Fraction:
 
 
 def _degrees(sums: dict[int, list[int]], total: int, bare: bool) -> DegreeDistribution:
-    """From the degree vectors summed per vertex count n."""
+    """From the degree vectors summed per vertex count n; each per-tree mean
+    is one integer numerator over lcm(n) * total, as in :func:`_mean`."""
     pooled = [sum(col) for col in zip(*sums.values())]
     pooled[0] += 1  # the unit
     vertices = sum(pooled)
+    den = math.lcm(*sums)
+    scaled = [[x * (den // n) for x in s] for n, s in sums.items()]
     return DegreeDistribution(
         bare=bare,
         pooled_counts=tuple(pooled),
         pooled=tuple(Fraction(c, vertices) for c in pooled),
-        per_tree_mean=tuple(
-            _mean(((s[j], n) for n, s in sums.items()), total) for j in range(len(pooled))
-        ),
+        per_tree_mean=tuple(Fraction(sum(col), den * total) for col in zip(*scaled)),
     )
 
 
@@ -440,65 +442,75 @@ def stat_report(ms: ModelSpace) -> StatReport:
     """Every statistic of the negative sector, in one pass over its elements.
 
     Each element's marks, folded from those of its subtrees with one memo
-    for the whole report, add to the entry of its (p, q, s, height,
-    diameter) in a table of the form ``census.marked_census`` returns, of
-    which :func:`_report` makes every field.
+    for the whole report, add to the entry of its (p, q, s) and of its
+    (p, q, s, height, diameter) in two tables of the form
+    ``census.marked_census`` returns, of which :func:`_report` makes every
+    field.
     """
     N = ms.params.N
     L, _, R = ms.params.units
-    table: dict[tuple, list[int]] = {}
+    classes: dict[tuple, list[int]] = {}
+    shapes: dict[tuple, list[int]] = {}
     memo: dict = {}
     for sym, _ in negative_sector(ms):
         _, s1, s2, height, peri, diameter, bare, decorated = _marks(sym, N, memo)
         k = sym.kvec
-        s = k[0] * R + sum(k[1:]) * L if k else 0
-        _plus(table, (sym.p, sym.q, s, height, diameter), [1, s1, s2, peri, *bare, *decorated])
-    return _report(ms.params, table.items(), ms.complete)
+        key = (sym.p, sym.q, k[0] * R + sum(k[1:]) * L if k else 0)
+        _plus(classes, key, [1, s1, s2, *bare, *decorated])
+        _plus(shapes, (*key, height, diameter), [1, peri])
+    return _report(ms.params, classes.items(), shapes.items(), ms.complete)
 
 
-def census_report(params: Parameters, marks: Optional[tuple] = None) -> StatReport:
+def census_report(params: Parameters, tables: Optional[tuple] = None) -> StatReport:
     """The :func:`stat_report` of the certified build at ``params``, from
     the marked census alone: no symbol is built.
 
-    ``marks`` defaults to those of ``marked_census(params)``.  Raises
-    SubcriticalityError, as :func:`builder.build` does, for parameters
-    without a finite negative sector.
+    ``tables`` is the pair (classes, shapes) of ``marked_census(params)``,
+    computed when not given.  Raises SubcriticalityError, as
+    :func:`builder.build` does, for parameters without a finite negative
+    sector.
     """
-    if marks is None:
-        marks = marked_census(params)[1]
-    return _report(params, marks, True)
+    if tables is None:
+        tables = marked_census(params)[1:]
+    classes, shapes = tables
+    return _report(params, classes, shapes, True)
 
 
-def _report(params: Parameters, marks: Iterable[tuple], certified: bool) -> StatReport:
-    """Every report field, in closed form from the marks table.
+def _report(
+    params: Parameters, classes: Iterable[tuple], shapes: Iterable[tuple], certified: bool
+) -> StatReport:
+    """Every report field, in closed form from the two marks tables.
 
-    ``marks`` holds ((p, q, s, height, diameter), entry) pairs, s in the
-    units of ``Parameters.units``, each entry the sums over the elements of
-    that key of (count, S1, S2, periphery, bare degrees 0..N+1, decorated
-    degrees 0..N+1), as ``census.marked_census`` returns them.  They sum
-    into counts per q and per homogeneity u / L + b kappa, keyed by its
-    integers (u, b); bare degree vectors and betweenness per vertex count
-    n = q + 1, where a tree adds n S1 - S2 - n(n - 1)/2 as in
-    :func:`_element`; decorated degree vectors per p + q + 1; and totals of
-    height, height squared, diameter, diameter squared and periphery.
+    ``classes`` holds ((p, q, s), entry) pairs, s in the units of
+    ``Parameters.units``, each entry the sums over the elements of that
+    class of (count, S1, S2, bare degrees 0..N+1, decorated degrees
+    0..N+1); ``shapes`` holds ((p, q, s, height, diameter), (count,
+    periphery)) pairs, as ``census.marked_census`` returns them.  The
+    classes sum into counts per q and per homogeneity u / L + b kappa,
+    keyed by its integers (u, b); bare degree vectors and betweenness per
+    vertex count n = q + 1, where a tree adds n S1 - S2 - n(n - 1)/2 as in
+    :func:`_element`; and decorated degree vectors per p + q + 1.  The
+    shapes sum into totals of height, height squared, diameter, diameter
+    squared and periphery.
     """
     N, b0 = params.N, params.alpha0.b
     L, A, R = params.units
-    B, E = 4, 4 + N + 2  # where the bare and decorated vectors start
+    E = 3 + N + 2  # where the decorated vector starts, after the bare one
     sizes: Counter[int] = Counter()
     homs: Counter[tuple[int, int]] = Counter()
     bare: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
     decorated: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (N + 2))
     between: Counter[int] = Counter()
-    h1 = h2 = d1 = d2 = periphery = 0
-    for (p, q, s, height, diameter), entry in marks:
-        c, s1, s2, peri = entry[:B]
+    for (p, q, s), entry in classes:
+        c, s1, s2 = entry[:3]
         n = q + 1
         sizes[q] += c
         homs[p * A + q * R + s, p * b0] += c
-        bare[n] = list(map(add, bare[n], entry[B:E]))
+        bare[n] = list(map(add, bare[n], entry[3:E]))
         decorated[n + p] = list(map(add, decorated[n + p], entry[E:]))
         between[n] += n * s1 - s2 - c * n * (n - 1) // 2
+    h1 = h2 = d1 = d2 = periphery = 0
+    for (_p, _q, _s, height, diameter), (c, peri) in shapes:
         h1 += c * height
         h2 += c * height * height
         d1 += c * diameter
@@ -631,4 +643,4 @@ def write_histogram_csv(f: IO[str], rows: Iterable[tuple], total: int) -> None:
     w = csv.writer(f)
     w.writerow(["bin", "count", "normalized"])
     for key, count in rows:
-        w.writerow([key, count, float(Fraction(count, total))])
+        w.writerow([key, count, count / total])

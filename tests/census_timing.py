@@ -5,9 +5,11 @@ Each run is one timed call in a fresh interpreter that imports ``fractree``
 from ``TREE/src``; the two trees alternate, and which of them goes first
 alternates from round to round.  Each point names the call it times:
 
-* ``census`` at (2, 2) gaps 1/1000 and 1/2000 and ``marked_census`` at
-  (2, 2) gap 1/40 and (3, 3) gap 1/20, where the census loops are slowest
-  to reach;
+* ``census`` at (2, 2) gaps 1/1000 and 1/2000, where the census loop is
+  slowest to reach;
+* ``stats.census_report``, which runs the marked census, at (2, 2) gaps
+  1/40 and 1/50 and (3, 3) gap 1/20; the report is hashed, not the
+  census tables, so two trees whose tables differ in format compare;
 * the count calls of the ``oracle`` benchmark workload:
   ``bare_level_size(N, q)`` for q up to floor(q*) at its 12 grid points,
   and ``count_regular(N, q + 1)`` for the q up to floor(q*) divisible by N
@@ -23,7 +25,7 @@ in one run.  It needs only the standard library:
     python3 tests/census_timing.py OLD_TREE NEW_TREE [--rounds 5] [--point NAME]
 
 The exit status is 1 when the two trees give different results at some
-point, else 0.  The whole run takes about 10 s a round.
+point, else 0.  The whole run takes about 14 s a round.
 """
 
 import argparse
@@ -43,8 +45,9 @@ ORACLE_GRID = (
 POINTS = {
     "census-22-1/1000": "census(gap(2, 2, 1000))",
     "census-22-1/2000": "census(gap(2, 2, 2000))",
-    "marked-22-1/40": "marked_census(gap(2, 2, 40))",
-    "marked-33-1/20": "marked_census(gap(3, 3, 20))",
+    "marked-22-1/40": "census_report(gap(2, 2, 40))",
+    "marked-22-1/50": "census_report(gap(2, 2, 50))",
+    "marked-33-1/20": "census_report(gap(3, 3, 20))",
     "oracle-counts": (
         f"[[bare_level_size(N, q) for q in range(q_top(N, d, rho) + 1)] for N, d, rho in [{ORACLE_GRID}]]"
         f" + [[count_regular(N, q + 1) for q in range(0, q_top(N, d, rho) + 1, N)]"
@@ -60,8 +63,9 @@ CHILD = """
 import hashlib, math, sys, time
 from fractions import Fraction as F
 sys.path.insert(0, sys.argv[1])
-from fractree.census import census, marked_census
+from fractree.census import census
 from fractree.params import Parameters, rho_c
+from fractree.stats import census_report
 from fractree.trees import bare_level_size, count_bounded, count_bounded_by_leaves, count_regular
 
 def gap(N, d, k):

@@ -221,13 +221,15 @@ class TestReadAtHigherRho:
     @pytest.mark.parametrize("params", EXIT_BASES, ids=EXIT_IDS)
     def test_marks_keep_the_census_classes_at_exit_rhos(self, params):
         """Where a class sits at exactly zero, the marked census keeps the
-        classes the census keeps, and its marks hold no other class."""
+        classes the census keeps, and both its tables hold no other class."""
         points = list(_exit_points(params))
         assert len(points) >= 6
         for there in points:
-            counts, marks = marked_census(there)
+            counts, classes, shapes = marked_census(there)
             assert counts == census(there), there
-            assert {key[:3] for key, _ in marks} == {c for c, _ in counts.classes}, there
+            want = {c for c, _ in counts.classes}
+            assert {key for key, _ in classes} == want, there
+            assert {key[:3] for key, _ in shapes} == want, there
 
     def test_sweep(self):
         """At all 350 subcritical points of N 1..5, d 1..3, rho = k/20, read
@@ -360,8 +362,8 @@ class TestMarkedCounts:
     )
     def test_sweep(self, N, d):
         """The marked census counts what the count-only census counts, at
-        every rho = k/20 from 2 down while c_F stays under 3,000, and its
-        marks total c_F."""
+        every rho = k/20 from 2 down while c_F stays under 3,000, and the
+        counts of each of its tables total c_F."""
         compared = 0
         for k in range(40, 0, -1):
             params = Parameters.white_noise(N, d, F(k, 20))
@@ -370,9 +372,10 @@ class TestMarkedCounts:
             want = census(params)
             if want.c_F > 3000:
                 break
-            counts, marks = marked_census(params)
+            counts, classes, shapes = marked_census(params)
             assert counts == want, params
-            assert sum(entry[0] for _, entry in marks) == want.c_F
+            assert sum(entry[0] for _, entry in classes) == want.c_F
+            assert sum(count for _, (count, _) in shapes) == want.c_F
             compared += 1
         assert compared >= 3
 

@@ -23,7 +23,9 @@ import pytest
 from conftest import SWEEP_22, SWEEP_33
 import fractree.stats
 import fractree.symbols
-from fractree.builder import BuildConfig, ModelSpace, build, c_F, h0_F, h_F, negative_sector
+from fractree.builder import (
+    BuildConfig, ModelSpace, build, c_F, h0_F, h_F, json_text, negative_sector
+)
 from fractree.census import census, marked_census
 from fractree.cli import main
 from fractree.counting import LAMBDA2, hF_bounds, p_of_q
@@ -463,20 +465,57 @@ class TestCensusReport:
         assert census_report(ms.params) == want
 
     def test_marks_are_sums_over_the_elements(self, spaces):
-        """Each (p, q, s, height, diameter) entry totals the fold of its elements."""
+        """Each (p, q, s) entry and each (p, q, s, height, diameter) entry
+        totals the fold of its elements."""
         ms = spaces(2, 2, F(4, 5))
         L, _, R = ms.params.units
         N, memo = ms.params.N, {}
-        want: dict = {}
+        want_classes: dict = {}
+        want_shapes: dict = {}
+
+        def add(table, key, marks):
+            table[key] = tuple(map(sum, zip(table.get(key, (0,) * len(marks)), marks)))
+
         for sym, _ in negative_sector(ms):
             _, s1, s2, height, peri, diameter, bare, decorated = fractree.stats._fold(
                 sym, 0, N, memo
             )
             s = sym.kvec[0] * R + sum(sym.kvec[1:]) * L if sym.kvec else 0
-            key = (sym.p, sym.q, s, height, diameter)
-            marks = (1, s1, s2, peri, *bare, *decorated)
-            want[key] = tuple(map(sum, zip(want.get(key, (0,) * len(marks)), marks)))
-        assert dict(marked_census(ms.params)[1]) == want
+            add(want_classes, (sym.p, sym.q, s), (1, s1, s2, *bare, *decorated))
+            add(want_shapes, (sym.p, sym.q, s, height, diameter), (1, peri))
+        _, classes, shapes = marked_census(ms.params)
+        assert dict(classes) == want_classes
+        assert dict(shapes) == want_shapes
+
+
+# Past the build's reach: (N, d, rho) at (2, 2) gap 1/40 and (3, 3) gap 1/20,
+# with the gap and the sha256 of the report document, as the single-walk
+# marked census (one marks vector per (P, S, top, D) key) gave it.
+PAST_THE_BUILD = {
+    (2, 2, F(83, 120)): (F(1, 40), "caa52b3a5e3f10bd7e3df65a98d9a1f3815da945777da7b2d6ace6b5757af447"),
+    (3, 3, F(31, 20)): (F(1, 20), "23cbd15368035e42784fad2e35defcfe4b25612f30e7c81c708a33e91dae3b04"),
+}
+
+
+class TestPastTheBuild:
+    @pytest.mark.parametrize(
+        "point", sorted(PAST_THE_BUILD), ids=lambda pt: "-".join(map(str, pt))
+    )
+    def test_tables_agree_and_report_is_pinned(self, point):
+        """The class table and the shape table come from independent walks:
+        per class, the shape counts sum to the class count.  The report
+        they give is pinned by digest."""
+        gap, digest = PAST_THE_BUILD[point]
+        params = Parameters.white_noise(*point)
+        assert params.rho_gap == gap
+        counts, classes, shapes = marked_census(params)
+        per_class = Counter()
+        for key, (count, _) in shapes:
+            per_class[key[:3]] += count
+        assert per_class == {key: entry[0] for key, entry in classes}
+        assert sum(per_class.values()) == counts.c_F
+        doc = json_text(report_json_dict(census_report(params, (classes, shapes))))
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def _bfs_walk(sym, N):
